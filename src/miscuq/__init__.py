@@ -5,9 +5,10 @@ The pieces, bottom up: ``params`` (uncertain-parameter spaces), ``leja``
 (nested knot families), ``interp`` (tensor Lagrangian interpolants),
 ``multiindex`` (downward-closed index sets and combination weights),
 ``oracle`` (model backends and the evaluation cache), ``misc`` (the
-combination-technique surrogate and its adaptive construction), ``bayes``
-(MAP calibration and Laplace posterior), ``forward`` (sampling, KDE,
-quantile bands), and ``cli`` (the batch pipeline driver).
+combination surrogate compiled into one tensor interpolant, and its
+surplus-scored adaptive construction), ``bayes`` (MAP calibration and
+Laplace posterior), ``forward`` (sampling, KDE, quantile bands), and
+``cli`` (the batch pipeline driver).
 """
 
 from .params import Gaussian, ParamSpace, ParamSpec, Uniform

@@ -103,11 +103,8 @@ class _Misfit:
 
     def __call__(self, v) -> float:
         self.calls += 1
-        r = self.target - self.surrogate.evaluate(v)[self.idx]
+        r = self.target - self.predictions(v)
         return float(r @ r)
-
-    def residuals(self, v) -> np.ndarray:
-        return self.target - self.surrogate.evaluate(v)[self.idx]
 
     def predictions(self, v) -> np.ndarray:
         return self.surrogate.evaluate(v)[self.idx]

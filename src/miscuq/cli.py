@@ -24,6 +24,7 @@ import yaml
 
 from . import bayes, forward, misc
 from .bayes import GaussianPosterior, ObservationSet
+from .interp import build_grid
 from .leja import SymmetricLeja, WeightedGaussianLeja
 from .misc import AdaptStop
 from .oracle import CachedOracle, EvalCache, ExternalProcessModel, FidelitySpec, OracleError, builtin_model
@@ -71,28 +72,36 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _number(cast, value, where: str, minimum=None):
+    """``cast(value)``, with parse and range failures as ConfigError."""
+    try:
+        x = cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
+    if minimum is not None and x < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {x}")
+    return x
+
+
 def _expand_qois(spec, where: str) -> tuple[str, ...]:
     """QoI lists are either explicit or {prefix, count[, start]} patterns."""
     if isinstance(spec, list):
         return tuple(str(q) for q in spec)
     if isinstance(spec, dict) and "prefix" in spec and "count" in spec:
-        start = int(spec.get("start", 1))
-        return tuple(f"{spec['prefix']}{i}" for i in range(start, start + int(spec["count"])))
+        start = _number(int, spec.get("start", 1), f"{where}.start")
+        count = _number(int, spec["count"], f"{where}.count")
+        return tuple(f"{spec['prefix']}{i}" for i in range(start, start + count))
     raise ConfigError(f"{where}: expected a QoI list or a prefix/count pattern, got {spec!r}")
 
 
 def _parse_stop(doc, where: str) -> AdaptStop:
     if doc is None:
         return AdaptStop(max_work=50.0)
-    known = {"max_work", "max_candidates", "profit_floor"}
-    extra = set(doc) - known
+    casts = {"max_work": float, "max_candidates": int, "profit_floor": float}
+    extra = set(doc) - set(casts)
     if extra:
         raise ConfigError(f"{where}: unknown budget keys {sorted(extra)}")
-    return AdaptStop(
-        max_work=float(doc["max_work"]) if "max_work" in doc else None,
-        max_candidates=int(doc["max_candidates"]) if "max_candidates" in doc else None,
-        profit_floor=float(doc.get("profit_floor", AdaptStop.profit_floor)),
-    )
+    return AdaptStop(**{k: _number(casts[k], v, f"{where}.{k}") for k, v in doc.items()})
 
 
 def _parse_space(docs) -> ParamSpace:
@@ -108,7 +117,7 @@ def _parse_space(docs) -> ParamSpace:
                 dist = Gaussian(float(_require(doc, "mean", where)), float(_require(doc, "std", where)))
             else:
                 raise ConfigError(f"{where}: unknown distribution {kind!r}")
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         specs.append(ParamSpec(name, dist, doc.get("transform")))
     try:
@@ -158,12 +167,12 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
         raise ConfigError(f"{path}: top level must be a mapping")
 
     if seed is not None:
-        doc["seed"] = int(seed)
+        doc["seed"] = _number(int, seed, "--seed")
     if out is not None:
         doc["output_dir"] = str(out)
     oracle_doc = dict(_require(doc, "oracle", "config"))
     if lanes is not None:
-        oracle_doc["lanes"] = int(lanes)
+        oracle_doc["lanes"] = _number(int, lanes, "--lanes")
     doc["oracle"] = oracle_doc
     if "builtin" not in oracle_doc and "command" not in oracle_doc:
         raise ConfigError("oracle: need either 'builtin: <name>' or 'command: <line>'")
@@ -171,25 +180,25 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
     calib = _require(doc, "calibration", "config")
     fwd = _require(doc, "forward", "config")
     cfg = PipelineConfig(
-        seed=int(_require(doc, "seed", "config")),
+        seed=_number(int, _require(doc, "seed", "config"), "seed"),
         out_dir=Path(str(_require(doc, "output_dir", "config"))),
         space=_parse_space(_require(doc, "parameters", "config")),
         oracle_doc=oracle_doc,
-        lanes=int(oracle_doc.get("lanes", 1)),
+        lanes=_number(int, oracle_doc.get("lanes", 1), "oracle.lanes", minimum=1),
         calibration_qois=_expand_qois(_require(calib, "qois", "calibration"), "calibration.qois"),
         observations=Path(str(calib["observations"])) if "observations" in calib else None,
-        n_starts=int(calib.get("n_starts", 20)),
+        n_starts=_number(int, calib.get("n_starts", 20), "calibration.n_starts", minimum=1),
         build_stop=_parse_stop(calib.get("budget"), "calibration.budget"),
         forward_qois=_expand_qois(_require(fwd, "qois", "forward"), "forward.qois"),
-        forward_samples=int(fwd.get("samples", forward.DEFAULT_SAMPLES)),
+        forward_samples=_number(int, fwd.get("samples", forward.DEFAULT_SAMPLES),
+                                "forward.samples", minimum=2),
         forward_stop=_parse_stop(fwd.get("budget"), "forward.budget"),
         density_qois=tuple(fwd.get("densities", ())),
-        kde_bandwidth=float(fwd["bandwidth"]) if "bandwidth" in fwd else None,
+        kde_bandwidth=(_number(float, fwd["bandwidth"], "forward.bandwidth")
+                       if "bandwidth" in fwd else None),
         config_hash="",
         config_dir=path.resolve().parent,
     )
-    if cfg.forward_samples < 2:
-        raise ConfigError(f"forward.samples must be >= 2, got {cfg.forward_samples}")
     unknown = [q for q in cfg.density_qois if q not in cfg.forward_qois]
     if unknown:
         raise ConfigError(f"forward.densities lists QoIs outside forward.qois: {unknown}")
@@ -211,15 +220,16 @@ def _make_oracle(cfg: PipelineConfig, cache_path: Path | None):
         try:
             fidelities = tuple(FidelitySpec(int(f["alpha"]), float(f["cost_weight"]))
                                for f in fid_docs)
+            domain = doc.get("domain")
+            if domain is not None:
+                domain = tuple((float(d["lo"]), float(d["hi"])) for d in domain)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad oracle.fidelities entry: {exc}") from exc
-        domain = doc.get("domain")
-        if domain is not None:
-            domain = tuple((float(d["lo"]), float(d["hi"])) for d in domain)
+            raise ConfigError(f"bad oracle.fidelities or oracle.domain entry: {exc}") from exc
         workdir = cfg.resolve(doc["workdir"]) if "workdir" in doc else None
+        timeout = _number(float, doc.get("timeout", 60.0), "oracle.timeout")
         backend = ExternalProcessModel(
             str(doc["command"]), workdir, dim=cfg.space.dim, fidelities=fidelities,
-            domain=domain, lanes=cfg.lanes, timeout=float(doc.get("timeout", 60.0)))
+            domain=domain, lanes=cfg.lanes, timeout=timeout)
     cache = EvalCache(cache_path)
     return CachedOracle(backend, cache)
 
@@ -267,9 +277,9 @@ def cmd_build(cfg: PipelineConfig) -> dict:
                                     cfg.calibration_qois, cfg.build_stop)
         misc.serialize(state.surrogate, cfg.out_dir / SURROGATE_FILE)
         points_sets: dict[int, set] = {}
-        for entry, itp in state.surrogate.interpolants.items():
+        for entry in state.surrogate.values:
             points_sets.setdefault(entry.alpha, set()).update(
-                map(tuple, itp.grid.points.tolist()))
+                map(tuple, build_grid(entry.beta, state.surrogate.families).points.tolist()))
         points_by_alpha = {a: len(keys) for a, keys in sorted(points_sets.items())}
         # evaluation counts derive from the adaptive trajectory (charged
         # points x QoIs), not from the shared cache, so reruns against a

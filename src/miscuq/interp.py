@@ -109,20 +109,12 @@ class TensorInterpolant:
             raise ValueError(
                 f"values must have one row per grid point ({len(grid)}), got shape {values.shape}")
         self.grid = grid
-        self.n_outputs = values.shape[1]
-        self._values = np.ascontiguousarray(values).reshape(grid.shape + (self.n_outputs,))
+        self._values = np.ascontiguousarray(values).reshape(grid.shape + values.shape[1:])
         self._weights = tuple(_barycentric_weights(k) for k in grid.per_dim_knots)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Stored samples, one row per grid point (point order, then QoIs)."""
-        return self._values.reshape(len(self.grid), self.n_outputs)
 
     def evaluate_many(self, points) -> np.ndarray:
         """Evaluate at an (S, dim) array of points; returns (S, n_outputs)."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.grid.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, grid has {self.grid.dim}")
         lams = [_basis_matrix(k, w, points[:, n])
@@ -134,5 +126,3 @@ class TensorInterpolant:
     def evaluate(self, v) -> np.ndarray:
         """Evaluate at a single point; returns (n_outputs,)."""
         return self.evaluate_many(np.asarray(v, dtype=float)[None, :])[0]
-
-    __call__ = evaluate

@@ -39,7 +39,6 @@ __all__ = [
     "level_to_knots",
     "SymmetricLeja",
     "WeightedGaussianLeja",
-    "knots",
     "map_to_interval",
     "map_to_gaussian",
 ]
@@ -175,10 +174,3 @@ class WeightedGaussianLeja:
     def probe_interval(self) -> tuple[float, float]:
         return (self.mean - 3.0 * self.std, self.mean + 3.0 * self.std)
 
-
-KnotFamily = SymmetricLeja | WeightedGaussianLeja
-
-
-def knots(family: KnotFamily, count: int) -> np.ndarray:
-    """First ``count`` abscissas of the family's Leja sequence."""
-    return family.knots(count)

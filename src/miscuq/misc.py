@@ -1,10 +1,12 @@
 """Multi-index stochastic collocation surrogates.
 
-A surrogate is a coefficient-weighted sum of tensor interpolants, one per
-extended index [alpha, beta] with nonzero combination weight, all sharing
-the same per-dimension knot families.  ``adapt`` grows the index set with
-the greedy a-posteriori loop: probe every reduced-margin candidate, commit
-the most profitable one, repeat until a stop criterion fires.
+A surrogate is the combination-technique sum of tensor interpolants, one
+per extended index [alpha, beta] with nonzero combination weight, on shared
+nested knot families; the sum is compiled once into a single interpolant on
+the box grid of the componentwise largest beta.  ``adapt`` grows the index
+set greedily: score every reduced-margin candidate by the surplus it would
+add at the probe points, commit the most profitable one, repeat until a
+stop criterion fires.
 """
 
 from __future__ import annotations
@@ -56,14 +58,26 @@ class SurrogateFormatError(ValueError):
 
 @dataclass
 class MiscSurrogate:
-    """Evaluable combination-technique surrogate over shared knot families."""
+    """Combination-technique surrogate: ``values`` holds each nonzero-weight
+    entry's oracle samples (one row per grid point), ``compiled`` their
+    weighted sum as one tensor interpolant on the box grid."""
 
     index_set: MultiIndexSet
     coefficients: dict[ExtIndex, int]
-    interpolants: dict[ExtIndex, TensorInterpolant]
+    values: dict[ExtIndex, np.ndarray]
     families: tuple
     qoi_names: tuple[str, ...]
     config_hash: str | None = None
+    compiled: TensorInterpolant = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        max_beta = np.max([e.beta for e in self.coefficients] or [(1,) * self.dim], axis=0)
+        box = build_grid(max_beta, self.families)
+        total = np.zeros((len(box), len(self.qoi_names)))
+        for entry, c in sorted(self.coefficients.items()):
+            grid = build_grid(entry.beta, self.families)
+            total += c * TensorInterpolant(grid, self.values[entry]).evaluate_many(box.points)
+        self.compiled = TensorInterpolant(box, total)
 
     @property
     def dim(self) -> int:
@@ -74,34 +88,27 @@ class MiscSurrogate:
         return tuple(f.domain for f in self.families)
 
     def evaluate_many(self, points) -> np.ndarray:
-        """Weighted sum of the tensor interpolants at (S, dim) points."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
-        if points.shape[1] != self.dim:
-            raise ValueError(f"points have dimension {points.shape[1]}, surrogate has {self.dim}")
-        out = np.zeros((points.shape[0], len(self.qoi_names)))
-        for entry, c in sorted(self.coefficients.items()):
-            out += c * self.interpolants[entry].evaluate_many(points)
-        return out
+        """Surrogate values at (S, dim) points; returns (S, n_qois)."""
+        return self.compiled.evaluate_many(points)
 
     def evaluate(self, v) -> np.ndarray:
         return self.evaluate_many(np.asarray(v, dtype=float)[None, :])[0]
 
     def extrapolation_mask(self, points) -> np.ndarray:
         """True per point when any coordinate leaves its family's domain."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
-        mask = np.zeros(points.shape[0], dtype=bool)
-        for n, (lo, hi) in enumerate(self.domain):
-            mask |= (points[:, n] < lo) | (points[:, n] > hi)
-        return mask
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        lo, hi = np.array(self.domain).T
+        return np.any((points < lo) | (points > hi), axis=1)
 
-    def evaluate_flagged(self, v):
-        """(values, extrapolated) pair for a single point."""
-        v = np.asarray(v, dtype=float)
-        return self.evaluate(v), bool(self.extrapolation_mask(v[None, :])[0])
+
+def _eval_entry(oracle, entry: ExtIndex, families, qois) -> np.ndarray:
+    """Oracle samples on an entry's grid; raises BuildError on any failure."""
+    grid = build_grid(entry.beta, families)
+    results = oracle.eval_batch(entry.alpha, grid.points, qois)
+    bad = [(entry.alpha, p, r.error) for p, r in zip(grid.points, results) if not r.ok]
+    if bad:
+        raise BuildError(bad)
+    return np.asarray([r.values for r in results])
 
 
 def build(index_set, oracle, families, qois, config_hash=None) -> MiscSurrogate:
@@ -114,20 +121,16 @@ def build(index_set, oracle, families, qois, config_hash=None) -> MiscSurrogate:
     families = tuple(families)
     qois = tuple(qois)
     coeffs = combination_coefficients(index_set)
-    interpolants: dict[ExtIndex, TensorInterpolant] = {}
+    values: dict[ExtIndex, np.ndarray] = {}
     failures = []
     for entry in sorted(coeffs):
-        grid = build_grid(entry.beta, families)
-        results = oracle.eval_batch(entry.alpha, grid.points, qois)
-        bad = [(entry.alpha, p, r.error) for p, r in zip(grid.points, results) if not r.ok]
-        if bad:
-            failures.extend(bad)
-            continue
-        values = np.asarray([r.values for r in results])
-        interpolants[entry] = TensorInterpolant(grid, values)
+        try:
+            values[entry] = _eval_entry(oracle, entry, families, qois)
+        except BuildError as exc:
+            failures.extend(exc.failures)
     if failures:
         raise BuildError(failures)
-    return MiscSurrogate(index_set, coeffs, interpolants, families, qois, config_hash)
+    return MiscSurrogate(index_set, coeffs, values, families, qois, config_hash)
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,6 @@ class AdaptStop:
 @dataclass
 class _Probe:
     entry: ExtIndex
-    surrogate: MiscSurrogate
     delta_s: float
     delta_w: float
 
@@ -166,6 +168,7 @@ class AdaptState:
     committed: list = field(default_factory=list)  # (entry, profit) history
     skipped: list = field(default_factory=list)    # (entry, error) from the last pass
     config_hash: str | None = None
+    probe_values: dict = field(default_factory=dict)  # entry -> its interpolant at the probes
 
     def committed_points(self, alpha: int) -> set:
         """Union of grid point keys over entries of the set at one fidelity."""
@@ -217,32 +220,45 @@ def init_adapt(oracle, families, qois, *, probe_count: int = PROBE_COUNT,
     return state
 
 
-def _try_candidate(state: AdaptState, oracle, cand: ExtIndex,
-                   base_values: np.ndarray) -> _Probe:
+def _surplus(state: AdaptState, oracle, cand: ExtIndex) -> np.ndarray:
+    """Change of the surrogate at the probe points if ``cand`` joined the set:
+    weight change times interpolant over the at most 2^(1+N) entries whose
+    combination weight changes.  BuildError if ``cand``'s evaluations fail."""
+    old = state.surrogate.coefficients
+    new = combination_coefficients(state.index_set.with_entry(cand))
+    out = np.zeros((len(state.probe_points), len(state.qois)))
+    for entry in sorted(set(old) | set(new)):
+        dc = new.get(entry, 0) - old.get(entry, 0)
+        if not dc:
+            continue
+        if entry not in state.probe_values:
+            grid = build_grid(entry.beta, state.families)
+            values = _eval_entry(oracle, entry, state.families, state.qois)
+            state.probe_values[entry] = TensorInterpolant(grid, values).evaluate_many(
+                state.probe_points)
+        out += dc * state.probe_values[entry]
+    return out
+
+
+def _try_candidate(state: AdaptState, oracle, cand: ExtIndex) -> _Probe:
+    surplus = _surplus(state, oracle, cand)  # fails before anything is charged
     grid = build_grid(cand.beta, state.families)
-    results = oracle.eval_batch(cand.alpha, grid.points, state.qois)
-    bad = [(cand.alpha, p, r.error) for p, r in zip(grid.points, results) if not r.ok]
-    if bad:
-        raise BuildError(bad)
-    good_points = [p for p, r in zip(grid.points, results) if r.ok]
-    _charge(state, oracle, cand.alpha, good_points)
-    tentative_set = state.index_set.with_entry(cand)
-    tentative = build(tentative_set, oracle, state.families, state.qois, state.config_hash)
-    new_values = tentative.evaluate_many(state.probe_points)
-    delta_s = float(np.abs(new_values - base_values).sum(axis=1).mean())
+    _charge(state, oracle, cand.alpha, grid.points)
+    delta_s = float(np.abs(surplus).sum(axis=1).mean())
     fresh = {point_key(p) for p in grid.points} - state.committed_points(cand.alpha)
     delta_w = oracle.cost_weight(cand.alpha) * len(fresh)
-    return _Probe(cand, tentative, delta_s, delta_w)
+    return _Probe(cand, delta_s, delta_w)
 
 
 def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
     """Run the greedy enlargement loop until a stop criterion fires.
 
     Each iteration probes every reduced-margin candidate (its evaluations go
-    to the cache whether or not it is selected), computes the tentative
-    enlarged surrogate, and commits the candidate with the highest profit
-    ``|change at the probe points| / (cost-weighted new points)``.
-    Candidates whose evaluations fail are skipped for the iteration.
+    to the cache whether or not it is selected), scores it by the surplus it
+    would add at the probe points, and commits the candidate with the
+    highest profit ``|surplus| / (cost-weighted new points)``; the surrogate
+    is rebuilt once per commit.  Candidates whose evaluations fail are
+    skipped for the iteration.
     """
     while True:
         if stop.max_work is not None and state.work_spent >= stop.max_work:
@@ -261,7 +277,7 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
         state.skipped = []
         for cand in margin:
             try:
-                probes.append(_try_candidate(state, oracle, cand, base_values))
+                probes.append(_try_candidate(state, oracle, cand))
             except BuildError as exc:
                 state.skipped.append((cand, str(exc)))
                 log.info("adapt: candidate %s unavailable (%s)", cand, exc)
@@ -274,8 +290,9 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
         if best.profit < floor or best.profit == 0.0:
             log.info("adapt stop: best profit %.3g below floor %.3g", best.profit, floor)
             break
-        state.index_set = best.surrogate.index_set
-        state.surrogate = best.surrogate
+        state.index_set = state.index_set.with_entry(best.entry)
+        state.surrogate = build(state.index_set, oracle, state.families, state.qois,
+                                state.config_hash)
         state.committed.append((best.entry, best.profit))
         log.info("adapt: committed %s profit %.3g work %.3g",
                  best.entry, best.profit, state.work_spent)
@@ -317,9 +334,8 @@ def serialize(surrogate: MiscSurrogate, path: str | Path) -> None:
     for entry in surrogate.index_set:
         rec = {"alpha": entry.alpha, "beta": list(entry.beta),
                "coeff": surrogate.coefficients.get(entry, 0)}
-        if entry in surrogate.interpolants:
-            itp = surrogate.interpolants[entry]
-            rec["values"] = [v.hex() for v in itp.values.reshape(-1).tolist()]
+        if entry in surrogate.values:
+            rec["values"] = [v.hex() for v in surrogate.values[entry].reshape(-1).tolist()]
         entries.append(rec)
     doc = {
         "format": _FORMAT,
@@ -358,7 +374,7 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
         raise SurrogateFormatError(f"{path} has dimension {dim}, expected {expect_dim}")
     entries = []
     coeffs: dict[ExtIndex, int] = {}
-    interpolants: dict[ExtIndex, TensorInterpolant] = {}
+    values: dict[ExtIndex, np.ndarray] = {}
     try:
         for rec in raw_entries:
             entry = ExtIndex(int(rec["alpha"]), tuple(int(b) for b in rec["beta"]))
@@ -366,23 +382,22 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
             c = int(rec["coeff"])
             if c != 0:
                 coeffs[entry] = c
+                if "values" not in rec:
+                    raise SurrogateFormatError(f"{path}: missing grid values for {entry}")
             if "values" in rec:
-                grid = build_grid(entry.beta, families)
+                size = len(build_grid(entry.beta, families))
                 flat = np.array([float.fromhex(h) for h in rec["values"]])
-                if flat.size % len(grid) != 0:
-                    raise SurrogateFormatError(
-                        f"{path}: values length {flat.size} does not tile grid {len(grid)}")
-                interpolants[entry] = TensorInterpolant(grid, flat.reshape(len(grid), -1))
+                if flat.size != size * len(qois):
+                    raise SurrogateFormatError(f"{path}: entry {entry} has {flat.size} values, "
+                                               f"expected {size} points x {len(qois)} QoIs")
+                values[entry] = flat.reshape(size, len(qois))
+        index_set = MultiIndexSet(entries, dim=dim)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SurrogateFormatError):
             raise
         raise SurrogateFormatError(f"corrupt surrogate payload in {path}: {exc}") from exc
-    index_set = MultiIndexSet(entries, dim=dim)
-    missing = [e for e in coeffs if e not in interpolants]
-    if missing:
-        raise SurrogateFormatError(f"{path}: missing grid values for {missing}")
     recomputed = combination_coefficients(index_set)
     if recomputed != coeffs:
         raise SurrogateFormatError(f"{path}: stored coefficients disagree with the index set")
-    return MiscSurrogate(index_set, coeffs, interpolants, families, qois,
+    return MiscSurrogate(index_set, coeffs, values, families, qois,
                          doc.get("config_hash"))

@@ -83,10 +83,6 @@ class MultiIndexSet:
     def __setattr__(self, *_):
         raise AttributeError("MultiIndexSet is immutable")
 
-    @property
-    def max_alpha(self) -> int:
-        return max((e.alpha for e in self.entries), default=0)
-
     def with_entry(self, e: ExtIndex) -> "MultiIndexSet":
         return MultiIndexSet(self.entries + (e,), dim=self.dim)
 

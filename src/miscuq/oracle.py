@@ -25,6 +25,7 @@ import select
 import shlex
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -253,7 +254,6 @@ class _Lane:
 
     def _read_line(self, request: EvalRequest, timeout: float) -> str:
         fd = self.proc.stdout.fileno()
-        import time
         deadline = time.monotonic() + timeout
         while b"\n" not in self._buf:
             remaining = deadline - time.monotonic()
@@ -435,9 +435,7 @@ class CachedOracle:
             missing = [q for q in qois if q not in known]
             if missing:
                 raise OracleError(f"unknown QoIs {missing}")
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         keys = [point_key(p) for p in points]
 
         requests: list[EvalRequest] = []

@@ -54,7 +54,7 @@ def write_config(tmp_path, overrides=None, name="cfg.yaml"):
         node = doc
         *parents, last = dotted.split(".")
         for key in parents:
-            node = node[key]
+            node = node[int(key)] if isinstance(node, list) else node[key]
         if value is None:
             node.pop(last, None)
         else:
@@ -122,6 +122,23 @@ class TestConfigLoading:
     def test_oracle_must_be_builtin_or_command(self, tmp_path):
         with pytest.raises(ConfigError, match="builtin"):
             load_config(write_config(tmp_path, {"oracle": {"lanes": 2}}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "abc"),
+        ("forward.samples", "many"),
+        ("forward.bandwidth", "wide"),
+        ("forward.qois", {"prefix": "e_", "count": "eight"}),
+        ("calibration.n_starts", "six"),
+        ("calibration.budget", {"max_work": "lots"}),
+        ("oracle", {"builtin": "beam-analog", "lanes": "two"}),
+        ("calibration.n_starts", 0),
+        ("calibration.n_starts", -3),
+        ("parameters.0.lo", [1130.0]),
+        ("oracle", {"builtin": "beam-analog", "lanes": 0}),
+    ])
+    def test_bad_scalar_is_config_error(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key.split(".")[0]):
+            load_config(write_config(tmp_path, {key: value}))
 
 
 class TestBuild:
@@ -309,6 +326,31 @@ class TestMainExitCodes:
         make_observations(cfg)
         cmd_calibrate(cfg)
         assert main(["forward", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("setting", [
+        {"timeout": "abc"},
+        {"domain": [{"lo": "a", "hi": 1.0}, {"lo": 0.0, "hi": 1.0}]},
+    ])
+    def test_bad_external_oracle_setting_exits_with_config_code(self, tmp_path, setting):
+        oracle = {"command": f"{sys.executable} -c 'pass'",
+                  "fidelities": [{"alpha": 1, "cost_weight": 1.0}], **setting}
+        path = write_config(tmp_path, {"oracle": oracle})
+        assert main(["build", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+
+    def test_non_numeric_seed_exits_with_config_code(self, tmp_path):
+        path = write_config(tmp_path, {"seed": "abc"})
+        assert main(["build", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+
+    def test_surrogate_qoi_width_mismatch_exits_with_numerical_code(self, tmp_path):
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        cmd_build(cfg)
+        make_observations(cfg)
+        surrogate_path = cfg.out_dir / "surrogate.json"
+        doc = json.loads(surrogate_path.read_text())
+        doc["qois"].append("e_120")
+        surrogate_path.write_text(json.dumps(doc))
+        assert main(["calibrate", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
 
     def test_module_entry_point(self, tmp_path):
         import subprocess

@@ -15,7 +15,6 @@ from miscuq.leja import (
     SYMMETRIC_CANDIDATES,
     SymmetricLeja,
     WeightedGaussianLeja,
-    knots,
     level_to_knots,
     map_to_gaussian,
     map_to_interval,
@@ -70,13 +69,13 @@ class TestLevelToKnots:
 
 class TestSymmetricLeja:
     def test_first_knot_is_midpoint(self):
-        assert knots(SymmetricLeja(-1.0, 1.0), 1).tolist() == [0.0]
+        assert SymmetricLeja(-1.0, 1.0).knots(1).tolist() == [0.0]
 
     def test_first_three_knots(self):
-        assert knots(SymmetricLeja(-1.0, 1.0), 3).tolist() == [0.0, 1.0, -1.0]
+        assert SymmetricLeja(-1.0, 1.0).knots(3).tolist() == [0.0, 1.0, -1.0]
 
     def test_matches_brute_force_scan(self):
-        assert np.array_equal(knots(SymmetricLeja(-1.0, 1.0), 9), brute_force_symmetric(9))
+        assert np.array_equal(SymmetricLeja(-1.0, 1.0).knots(9), brute_force_symmetric(9))
 
     def test_nested_prefixes_up_to_33(self):
         fam = SymmetricLeja(-1.0, 1.0)
@@ -85,13 +84,13 @@ class TestSymmetricLeja:
             assert np.array_equal(fam.knots(count), full[:count])
 
     def test_set_symmetry_at_odd_prefixes(self):
-        seq = knots(SymmetricLeja(-1.0, 1.0), 33)
+        seq = SymmetricLeja(-1.0, 1.0).knots(33)
         for count in range(1, 34, 2):
             prefix = set(seq[:count].tolist())
             assert prefix == {-x for x in prefix}
 
     def test_knots_stay_in_interval(self):
-        seq = knots(SymmetricLeja(1130.0, 1450.0), 33)
+        seq = SymmetricLeja(1130.0, 1450.0).knots(33)
         assert seq.min() >= 1130.0 and seq.max() <= 1450.0
 
     def test_equal_families_share_bits(self):
@@ -106,10 +105,10 @@ class TestSymmetricLeja:
 
 class TestWeightedGaussianLeja:
     def test_first_knot_is_mean(self):
-        assert knots(WeightedGaussianLeja(0.0, 1.0), 1).tolist() == [0.0]
+        assert WeightedGaussianLeja(0.0, 1.0).knots(1).tolist() == [0.0]
 
     def test_matches_brute_force_scan(self):
-        assert np.array_equal(knots(WeightedGaussianLeja(0.0, 1.0), 9), brute_force_gaussian(9))
+        assert np.array_equal(WeightedGaussianLeja(0.0, 1.0).knots(9), brute_force_gaussian(9))
 
     def test_nested_prefixes_up_to_33(self):
         fam = WeightedGaussianLeja(0.0, 1.0)

@@ -1,21 +1,25 @@
 """Combination surrogates: build, telescoping, adaptivity, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
+from miscuq import interp, misc
 from miscuq.interp import TensorInterpolant, build_grid
 from miscuq.leja import SymmetricLeja, WeightedGaussianLeja
 from miscuq.misc import (
     AdaptStop,
     BuildError,
     SurrogateFormatError,
+    _surplus,
     adapt,
     build,
     deserialize,
     init_adapt,
     serialize,
 )
-from miscuq.multiindex import ExtIndex, MultiIndexSet, is_downward_closed
+from miscuq.multiindex import ExtIndex, MultiIndexSet, is_downward_closed, reduced_margin
 from miscuq.oracle import BeamAnalogModel, CachedOracle, EvalCache, EvalResult, FidelitySpec
 
 
@@ -63,6 +67,16 @@ def random_beam_points(count, seed):
     return np.column_stack([rng.uniform(1130.0, 1450.0, count), rng.uniform(-5.0, 0.0, count)])
 
 
+def weighted_sum(surrogate, points):
+    """Reference evaluation: the combination-coefficient-weighted sum of one
+    tensor interpolant per nonzero-weight entry."""
+    out = np.zeros((len(points), len(surrogate.qoi_names)))
+    for entry, c in sorted(surrogate.coefficients.items()):
+        grid = build_grid(entry.beta, surrogate.families)
+        out += c * TensorInterpolant(grid, surrogate.values[entry]).evaluate_many(points)
+    return out
+
+
 class TestBuild:
     def test_singleton_set_gives_constant(self):
         oracle = beam_oracle()
@@ -86,7 +100,7 @@ class TestBuild:
         oracle = beam_oracle()
         box = MultiIndexSet([E(1, b1, b2) for b1 in (1, 2) for b2 in (1, 2)])
         s = build(box, oracle, beam_families(), ["u_1"])
-        assert set(s.interpolants) == set(s.coefficients)
+        assert set(s.values) == set(s.coefficients)
         assert E(1, 1, 1) not in s.coefficients  # interior index cancels
 
     def test_nested_entries_reuse_cache(self):
@@ -162,8 +176,60 @@ class TestEvaluate:
         s = build(MultiIndexSet([E(1, 1, 1)]), oracle, beam_families(), ["u_1"])
         mask = s.extrapolation_mask([(1290.0, -2.5), (1500.0, -2.5), (1290.0, 1.0)])
         assert mask.tolist() == [False, True, True]
-        values, flagged = s.evaluate_flagged((1500.0, -2.5))
-        assert flagged and values.shape == (1,)
+
+
+class TestCompiled:
+    def assert_matches_weighted_sum(self, s, points):
+        ref = weighted_sum(s, points)
+        assert np.abs(s.evaluate_many(points) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_two_fidelity_symmetric_families(self):
+        entries = [E(1, b1, b2) for b1 in range(1, 6) for b2 in range(1, 4) if b1 + b2 <= 6]
+        entries += [E(2, 1, 1), E(2, 2, 1), E(2, 1, 2), E(2, 3, 1)]
+        s = build(MultiIndexSet(entries), beam_oracle(), beam_families(), ["u_1", "u_3", "e_40"])
+        assert len(s.coefficients) > 4
+        assert s.compiled.grid.beta == (5, 3)
+        self.assert_matches_weighted_sum(s, random_beam_points(500, 11))
+
+    def test_two_fidelity_gaussian_families(self):
+        fams = (WeightedGaussianLeja(1290.0, 40.0), WeightedGaussianLeja(-2.5, 0.6))
+        entries = [E(1, 1, 1), E(1, 2, 1), E(1, 3, 1), E(1, 1, 2), E(1, 2, 2), E(1, 1, 3),
+                   E(2, 1, 1), E(2, 2, 1), E(2, 1, 2)]
+        s = build(MultiIndexSet(entries), beam_oracle(), fams, ["u_2", "e_80"])
+        pts = np.random.default_rng(12).normal((1290.0, -2.5), (40.0, 0.6), (500, 2))
+        self.assert_matches_weighted_sum(s, pts)
+
+    def test_one_interpolant_call_per_evaluation(self, monkeypatch):
+        s = build(MultiIndexSet([E(1, 1, 1), E(1, 2, 1), E(1, 1, 2), E(2, 1, 1)]),
+                  beam_oracle(), beam_families(), ["u_1"])
+        assert not hasattr(s, "interpolants")
+        calls = []
+        original = interp.TensorInterpolant.evaluate_many
+        monkeypatch.setattr(interp.TensorInterpolant, "evaluate_many",
+                            lambda self, pts: calls.append(1) or original(self, pts))
+        s.evaluate_many(random_beam_points(10, 13))
+        s.evaluate((1290.0, -2.5))
+        assert len(calls) == 2
+
+    def test_surplus_equals_rebuilt_difference(self):
+        oracle = beam_oracle()
+        qois = ["u_1", "u_3", "e_20"]
+        state = init_adapt(oracle, beam_families(), qois)
+        adapt(state, oracle, AdaptStop(max_work=300.0))
+        assert len(state.index_set) >= 10
+        base = state.surrogate.evaluate_many(state.probe_points)
+        registered = {f.alpha for f in oracle.fidelities}
+        margin = [c for c in reduced_margin(state.index_set) if c.alpha in registered]
+        assert {c.alpha for c in margin} == {1, 2}
+        # the rebuilt difference carries the round-off of the surrogate values
+        # themselves, so where the surplus nearly vanishes (at knots of the
+        # candidate's grid) agreement is only down to that level, per QoI
+        roundoff = 1e-13 * np.abs(base).max(axis=0)
+        for cand in margin:
+            rebuilt = build(state.index_set.with_entry(cand), oracle, beam_families(), qois)
+            want = rebuilt.evaluate_many(state.probe_points) - base
+            got = _surplus(state, oracle, cand)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + roundoff), cand
 
 
 class TestAdapt:
@@ -239,6 +305,15 @@ class TestAdapt:
         assert any(cand.alpha == 2 for cand, _ in state.skipped)
         assert len(state.index_set) > 1
 
+    def test_one_build_per_commit(self, monkeypatch):
+        oracle = beam_oracle()
+        state = init_adapt(oracle, beam_families(), ["u_1", "u_2"])
+        calls = []
+        monkeypatch.setattr(misc, "build", lambda *a, **k: calls.append(1) or build(*a, **k))
+        adapt(state, oracle, AdaptStop(max_work=150.0))
+        assert len(state.committed) >= 5
+        assert len(calls) == len(state.committed)
+
     def test_deterministic_trajectory(self):
         runs = []
         for _ in range(2):
@@ -300,6 +375,23 @@ class TestSerialization:
         serialize(self.build_sample(), path)
         path.write_text(path.read_text()[:100])
         with pytest.raises(SurrogateFormatError):
+            deserialize(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d.update(qois=["u_1", "u_2", "u_3"]), "QoIs"),
+        (lambda d: d.update(qois=["u_1"]), "QoIs"),
+        (lambda d: next(r for r in d["entries"] if r["coeff"] != 0).pop("values"),
+         "missing grid values"),
+        (lambda d: d.update(entries=[r for r in d["entries"] if r["beta"] != [1, 1]]),
+         "downward-closed"),
+    ], ids=["extra_qoi", "missing_qoi", "missing_values", "not_downward_closed"])
+    def test_inconsistent_payload_rejected(self, tmp_path, edit, match):
+        path = tmp_path / "s.json"
+        serialize(self.build_sample(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SurrogateFormatError, match=match):
             deserialize(path)
 
     def test_gaussian_families_round_trip(self, tmp_path):
