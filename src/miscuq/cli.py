@@ -78,7 +78,7 @@ def _number(cast, value, where: str, minimum=None):
         x = cast(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
-    if minimum is not None and x < minimum:
+    if minimum is not None and not x >= minimum:  # also rejects NaN
         raise ConfigError(f"{where} must be >= {minimum}, got {x}")
     return x
 
@@ -97,11 +97,15 @@ def _expand_qois(spec, where: str) -> tuple[str, ...]:
 def _parse_stop(doc, where: str) -> AdaptStop:
     if doc is None:
         return AdaptStop(max_work=50.0)
-    casts = {"max_work": float, "max_candidates": int, "profit_floor": float}
-    extra = set(doc) - set(casts)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a mapping of budget keys, got {doc!r}")
+    # (cast, minimum); a zero max_work is allowed and builds the root entry only
+    limits = {"max_work": (float, 0.0), "max_candidates": (int, 1), "profit_floor": (float, 0.0)}
+    extra = set(doc) - set(limits)
     if extra:
         raise ConfigError(f"{where}: unknown budget keys {sorted(extra)}")
-    return AdaptStop(**{k: _number(casts[k], v, f"{where}.{k}") for k, v in doc.items()})
+    return AdaptStop(**{k: _number(limits[k][0], v, f"{where}.{k}", minimum=limits[k][1])
+                        for k, v in doc.items()})
 
 
 def _parse_space(docs) -> ParamSpace:
@@ -119,7 +123,7 @@ def _parse_space(docs) -> ParamSpace:
                 raise ConfigError(f"{where}: unknown distribution {kind!r}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        specs.append(ParamSpec(name, dist, doc.get("transform")))
+        specs.append(ParamSpec(name, dist))
     try:
         return ParamSpace(specs)
     except ValueError as exc:
@@ -199,6 +203,8 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
         config_hash="",
         config_dir=path.resolve().parent,
     )
+    if cfg.kde_bandwidth is not None and not cfg.kde_bandwidth > 0.0:
+        raise ConfigError(f"forward.bandwidth must be positive, got {cfg.kde_bandwidth}")
     unknown = [q for q in cfg.density_qois if q not in cfg.forward_qois]
     if unknown:
         raise ConfigError(f"forward.densities lists QoIs outside forward.qois: {unknown}")

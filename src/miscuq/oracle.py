@@ -13,12 +13,16 @@ output, anything on standard error is treated as free-form logging.
 
 The cache file is an append-only JSON-lines log; point coordinates and
 values are stored as hex-encoded binary doubles so a cache hit is
-bit-identical to the original evaluation.
+bit-identical to the original evaluation.  Only finite values are cached: a
+non-finite value fails its point.  A last line without its newline (an
+append cut short by a crash) is dropped on load; any other unreadable
+record is an error.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import queue
 import select
@@ -44,6 +48,8 @@ __all__ = [
     "ExternalProcessModel",
     "CachedOracle",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class OracleError(Exception):
@@ -103,17 +109,27 @@ class EvalCache:
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key = (int(rec["alpha"]), tuple(rec["point"]), rec["qoi"])
-                    self._store[key] = float.fromhex(rec["value"])
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise OracleError(f"corrupt cache record at {self.path}:{lineno}: {exc}") from exc
+        data = self.path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            # Every record is written with its newline, so a last line without
+            # one is an append cut short by a crash.  Drop it from the file as
+            # well, or the next append would extend it into mid-file garbage.
+            log.warning("dropping a torn last record (%d bytes) from %s", len(data) - end, self.path)
+            with open(self.path, "r+b") as fh:
+                fh.truncate(end)
+        for lineno, line in enumerate(data[:end].splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                key = (int(rec["alpha"]), tuple(rec["point"]), rec["qoi"])
+                value = float.fromhex(rec["value"])
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite value {value}")
+                self._store[key] = value
+            except (ValueError, KeyError, TypeError) as exc:
+                raise OracleError(f"corrupt cache record at {self.path}:{lineno}: {exc}") from exc
 
     def get(self, alpha: int, key: tuple[str, ...], qoi: str) -> float | None:
         return self._store.get((alpha, key, qoi))
@@ -285,6 +301,28 @@ class _Lane:
                 self.proc.wait()
 
 
+def _parse_reply(request: EvalRequest, reply: dict) -> EvalResult:
+    """One protocol response as a result; a non-finite value fails only its
+    point, a malformed response raises OracleProtocolError."""
+    if "error" in reply:
+        return EvalResult(error=str(reply["error"]))
+    raw = reply.get("values")
+    if not isinstance(raw, list):
+        raise OracleProtocolError(f"oracle response {reply!r} has neither values nor error")
+    try:
+        vals = tuple(float(x) for x in raw)
+    except (TypeError, ValueError) as exc:
+        raise OracleProtocolError(
+            f"oracle returned non-numeric values {raw!r} on {request.to_wire()}") from exc
+    if len(vals) != len(request.qois):
+        raise OracleProtocolError(f"oracle returned {len(vals)} values for {len(request.qois)} "
+                                  f"QoIs on {request.to_wire()}")
+    bad = [q for q, v in zip(request.qois, vals) if not math.isfinite(v)]
+    if bad:
+        return EvalResult(error=f"non-finite values for {bad}")
+    return EvalResult(values=vals)
+
+
 class ExternalProcessModel:
     """Backend that evaluates points by talking to a user-supplied executable.
 
@@ -336,26 +374,10 @@ class ExternalProcessModel:
                 except queue.Empty:
                     return
                 try:
-                    reply = lane.round_trip(req, self.timeout)
+                    res = _parse_reply(req, lane.round_trip(req, self.timeout))
                 except BaseException as exc:
                     with lock:
                         failures.append(exc)
-                    return
-                if "error" in reply:
-                    res = EvalResult(error=str(reply["error"]))
-                elif "values" in reply and isinstance(reply["values"], list):
-                    vals = tuple(float(x) for x in reply["values"])
-                    if len(vals) != len(req.qois):
-                        with lock:
-                            failures.append(OracleProtocolError(
-                                f"oracle returned {len(vals)} values for {len(req.qois)} "
-                                f"QoIs on {req.to_wire()}"))
-                        return
-                    res = EvalResult(values=vals)
-                else:
-                    with lock:
-                        failures.append(OracleProtocolError(
-                            f"oracle response {reply!r} has neither values nor error"))
                     return
                 with lock:
                     results[req.id] = res

@@ -2,8 +2,9 @@
 
 Parameters are always the variables the rest of the toolkit sees; any
 nonlinear reparametrisation (e.g. working with the log of a physically
-positive coefficient) is applied by the user before building a space, and
-recorded only through ``ParamSpec.transform_label``.
+positive coefficient) is applied by the user before building a space.  A
+configuration may describe it in a parameter's free-text ``transform`` key,
+which the toolkit does not read.
 """
 
 from __future__ import annotations
@@ -75,12 +76,10 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One uncertain parameter: a name, a marginal distribution and an optional
-    note describing how the variable relates to the physical quantity."""
+    """One uncertain parameter: a name and a marginal distribution."""
 
     name: str
     distribution: Uniform | Gaussian
-    transform_label: str | None = None
 
 
 class ParamSpace:

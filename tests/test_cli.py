@@ -135,6 +135,16 @@ class TestConfigLoading:
         ("calibration.n_starts", -3),
         ("parameters.0.lo", [1130.0]),
         ("oracle", {"builtin": "beam-analog", "lanes": 0}),
+        ("calibration.budget", 5),
+        ("calibration.budget", {"max_work": -5.0}),
+        ("calibration.budget", {"max_work": float("nan")}),
+        ("calibration.budget", {"max_candidates": 0}),
+        ("calibration.budget", {"profit_floor": -1e-3}),
+        ("forward.budget", {"max_work": -5.0}),
+        ("forward.budget", {"max_candidates": 0}),
+        ("forward.budget", {"profit_floor": -1e-3}),
+        ("forward.bandwidth", 0.0),
+        ("forward.bandwidth", -1.0),
     ])
     def test_bad_scalar_is_config_error(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[0]):
@@ -164,6 +174,16 @@ class TestBuild:
         cmd_build(cfg)
         report = json.loads((cfg.out_dir / "build_report.json").read_text())
         assert report["index_set"] == [{"alpha": 1, "beta": [1, 1], "coeff": 1}]
+
+    def test_torn_cache_tail_is_repaired(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        first = cmd_build(cfg)
+        cache = cfg.out_dir / "cache.jsonl"
+        cache.write_bytes(cache.read_bytes()[:-40])
+        assert cmd_build(cfg)["report"] == first["report"]
+        rerun = cmd_build(cfg)
+        assert rerun["backend_points"] == {}
+        assert rerun["report"] == first["report"]
 
     def test_rerun_hits_cache(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -335,6 +355,10 @@ class TestMainExitCodes:
         oracle = {"command": f"{sys.executable} -c 'pass'",
                   "fidelities": [{"alpha": 1, "cost_weight": 1.0}], **setting}
         path = write_config(tmp_path, {"oracle": oracle})
+        assert main(["build", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+
+    def test_negative_budget_exits_with_config_code(self, tmp_path):
+        path = write_config(tmp_path, {"calibration.budget": {"max_work": -5.0}})
         assert main(["build", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
     def test_non_numeric_seed_exits_with_config_code(self, tmp_path):

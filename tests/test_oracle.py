@@ -68,6 +68,16 @@ SLOW_SCRIPT = """\
         print(json.dumps({"id": req["id"], "values": [0.0] * len(req["qois"])}), flush=True)
 """
 
+NON_FINITE_SCRIPT = """\
+    import json, sys
+    for line in sys.stdin:
+        req = json.loads(line)
+        vals = [1.0] * len(req["qois"])
+        if req["params"][0] < 0:
+            vals[-1] = float(sys.argv[1])
+        print(json.dumps({"id": req["id"], "values": vals}), flush=True)
+"""
+
 GARBAGE_SCRIPT = """\
     import sys
     for line in sys.stdin:
@@ -143,6 +153,38 @@ class TestEvalCache:
         path = tmp_path / "cache.jsonl"
         path.write_text('{"alpha": 1, "point": ["0x0.0p+0"], "qoi": "u_1"}\n')
         with pytest.raises(OracleError):
+            EvalCache(path)
+
+    def test_torn_last_record_dropped_and_truncated(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        cache = EvalCache(path)
+        cache.put_many([(1, point_key((float(i),)), "u_1", float(i)) for i in range(3)])
+        good = path.read_bytes()
+        path.write_bytes(good + good.splitlines(keepends=True)[0][:17])
+        with caplog.at_level("WARNING", logger="miscuq.oracle"):
+            reloaded = EvalCache(path)
+        assert len(reloaded) == 3
+        assert "torn" in caplog.text
+        assert path.read_bytes() == good
+        reloaded.put_many([(1, point_key((9.0,)), "u_1", 9.0)])
+        assert EvalCache(path).get(1, point_key((9.0,)), "u_1") == 9.0
+
+    def test_corrupt_middle_record_rejected(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = EvalCache(path)
+        cache.put_many([(1, point_key((0.0,)), "u_1", 0.0)])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"alpha": 1, "point": ["0x0.0p+0"], "qo\n')
+        cache.put_many([(1, point_key((1.0,)), "u_1", 1.0)])
+        with pytest.raises(OracleError, match=":2"):
+            EvalCache(path)
+
+    def test_non_finite_cached_value_rejected(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        rec = {"alpha": 1, "point": list(point_key((0.0,))), "qoi": "u_1",
+               "value": float("nan").hex()}
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(OracleError, match="non-finite"):
             EvalCache(path)
 
 
@@ -230,6 +272,25 @@ class TestExternalOracle:
             results = oracle.eval_batch(1, [(1.0,), (-1.0,), (2.0,)], ["q"])
         assert [r.ok for r in results] == [True, False, True]
         assert results[1].error == "negative input"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_fails_point_and_is_not_cached(self, tmp_path, bad):
+        cmd = write_script(tmp_path, "nonfinite.py", NON_FINITE_SCRIPT) + f" {bad}"
+        cache = EvalCache(tmp_path / "cache.jsonl")
+        with external(cmd) as backend:
+            oracle = CachedOracle(backend, cache)
+            results = oracle.eval_batch(1, [(1.0,), (-1.0,)], ["q_a", "q_b"])
+        assert results[0].values == (1.0, 1.0)
+        assert not results[1].ok and "non-finite" in results[1].error
+        assert len(EvalCache(tmp_path / "cache.jsonl")) == 2
+
+    def test_non_numeric_value_is_protocol_error(self, tmp_path):
+        cmd = write_script(tmp_path, "text.py", ECHO_SCRIPT.replace(
+            '[req["params"][0]]', '["abc"]'))
+        with external(cmd) as backend:
+            oracle = CachedOracle(backend)
+            with pytest.raises(OracleProtocolError, match="non-numeric"):
+                oracle.eval_batch(1, [(1.0,)], ["q"])
 
     def test_malformed_line_is_protocol_error(self, tmp_path):
         cmd = write_script(tmp_path, "garbage.py", GARBAGE_SCRIPT)
