@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .params import ParamSpace
 
@@ -138,6 +137,8 @@ def nelder_mead(objective, x0, *, tol_f: float = 1e-12, tol_x: float = 1e-10,
     Thin wrapper over ``scipy.optimize.minimize(method="Nelder-Mead")``,
     which implements exactly those coefficients.
     """
+    from scipy.optimize import minimize  # deferred: only calibrate pays scipy's import
+
     x0 = np.asarray(x0, dtype=float)
     f0 = objective(x0)
     if not np.isfinite(f0):

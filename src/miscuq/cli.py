@@ -85,13 +85,14 @@ def _number(cast, value, where: str, minimum=None):
 
 def _expand_qois(spec, where: str) -> tuple[str, ...]:
     """QoI lists are either explicit or {prefix, count[, start]} patterns."""
-    if isinstance(spec, list):
+    if isinstance(spec, list) and spec:
         return tuple(str(q) for q in spec)
     if isinstance(spec, dict) and "prefix" in spec and "count" in spec:
         start = _number(int, spec.get("start", 1), f"{where}.start")
-        count = _number(int, spec["count"], f"{where}.count")
+        count = _number(int, spec["count"], f"{where}.count", minimum=1)
         return tuple(f"{spec['prefix']}{i}" for i in range(start, start + count))
-    raise ConfigError(f"{where}: expected a QoI list or a prefix/count pattern, got {spec!r}")
+    raise ConfigError(f"{where}: expected a non-empty QoI list or a prefix/count pattern, "
+                      f"got {spec!r}")
 
 
 def _parse_stop(doc, where: str) -> AdaptStop:
@@ -171,10 +172,12 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
         raise ConfigError(f"{path}: top level must be a mapping")
 
     if seed is not None:
-        doc["seed"] = _number(int, seed, "--seed")
+        doc["seed"] = _number(int, seed, "--seed", minimum=0)
     if out is not None:
         doc["output_dir"] = str(out)
-    oracle_doc = dict(_require(doc, "oracle", "config"))
+    oracle_doc = _require(doc, "oracle", "config")
+    if not isinstance(oracle_doc, dict):
+        raise ConfigError(f"oracle: expected a mapping, got {oracle_doc!r}")
     if lanes is not None:
         oracle_doc["lanes"] = _number(int, lanes, "--lanes")
     doc["oracle"] = oracle_doc
@@ -184,7 +187,7 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
     calib = _require(doc, "calibration", "config")
     fwd = _require(doc, "forward", "config")
     cfg = PipelineConfig(
-        seed=_number(int, _require(doc, "seed", "config"), "seed"),
+        seed=_number(int, _require(doc, "seed", "config"), "seed", minimum=0),
         out_dir=Path(str(_require(doc, "output_dir", "config"))),
         space=_parse_space(_require(doc, "parameters", "config")),
         oracle_doc=oracle_doc,
@@ -288,11 +291,12 @@ def cmd_build(cfg: PipelineConfig) -> dict:
                 map(tuple, build_grid(entry.beta, state.surrogate.families).points.tolist()))
         points_by_alpha = {a: len(keys) for a, keys in sorted(points_sets.items())}
         # evaluation counts derive from the adaptive trajectory (charged
-        # points x QoIs), not from the shared cache, so reruns against a
-        # warm cache report identical numbers
+        # entries' new points x QoIs), not from the shared cache, so reruns
+        # against a warm cache report identical numbers
         evals_by_alpha: dict[int, int] = {}
-        for alpha, _ in state.charged:
-            evals_by_alpha[alpha] = evals_by_alpha.get(alpha, 0) + len(cfg.calibration_qois)
+        for e in state.charged:
+            n = misc._new_points(e.beta) * len(cfg.calibration_qois)
+            evals_by_alpha[e.alpha] = evals_by_alpha.get(e.alpha, 0) + n
         report = {
             "config_hash": cfg.config_hash,
             "qois": list(cfg.calibration_qois),

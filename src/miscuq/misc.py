@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .interp import TensorInterpolant, build_grid
-from .leja import SymmetricLeja, WeightedGaussianLeja
+from .leja import SymmetricLeja, WeightedGaussianLeja, level_to_knots
 from .multiindex import ExtIndex, MultiIndexSet, combination_coefficients, reduced_margin
 from .oracle import point_key
 
@@ -162,7 +163,7 @@ class AdaptState:
     families: tuple
     qois: tuple[str, ...]
     probe_points: np.ndarray
-    charged: set = field(default_factory=set)
+    charged: set = field(default_factory=set)      # entries whose new points are paid for
     work_spent: float = 0.0
     work_by_alpha: dict = field(default_factory=dict)
     committed: list = field(default_factory=list)  # (entry, profit) history
@@ -183,6 +184,8 @@ class AdaptState:
 
 def _probe_grid(families, count: int) -> np.ndarray:
     """Deterministic low-discrepancy probe points spanning the family boxes."""
+    from scipy.stats import qmc  # deferred: scipy.stats dominates the CLI's start-up
+
     dim = len(families)
     unit = qmc.Halton(d=dim, scramble=False).random(count)
     lo = np.array([f.probe_interval[0] for f in families])
@@ -190,20 +193,25 @@ def _probe_grid(families, count: int) -> np.ndarray:
     return lo + unit * (hi - lo)
 
 
-def _charge(state: AdaptState, oracle, alpha: int, grid_points) -> None:
-    """Add uncharged points to the work ledger.
+def _new_points(beta) -> int:
+    """Points of ``beta``'s grid on no smaller beta's grid (knots are nested)."""
+    return math.prod(level_to_knots(b) - level_to_knots(b - 1) if b > 1 else 1 for b in beta)
 
-    Charges are keyed by (fidelity, point) and never repeat, so the ledger
-    is a function of the adaptive trajectory alone: replaying a run against
-    a warm cache spends the same logical work and stops at the same place.
+
+def _charge(state: AdaptState, oracle, entry: ExtIndex) -> None:
+    """Add an uncharged entry's new points to the work ledger.
+
+    The charged entries stay downward closed, so their new points are the
+    distinct (fidelity, point) pairs evaluated.  Charges never repeat, so the
+    ledger is a function of the adaptive trajectory alone: replaying a run
+    against a warm cache spends the same logical work and stops at the same place.
     """
-    cost = oracle.cost_weight(alpha)
-    for p in grid_points:
-        key = (alpha, point_key(p))
-        if key not in state.charged:
-            state.charged.add(key)
-            state.work_spent += cost
-            state.work_by_alpha[alpha] = state.work_by_alpha.get(alpha, 0.0) + cost
+    if entry in state.charged:
+        return
+    state.charged.add(entry)
+    work = oracle.cost_weight(entry.alpha) * _new_points(entry.beta)
+    state.work_spent += work
+    state.work_by_alpha[entry.alpha] = state.work_by_alpha.get(entry.alpha, 0.0) + work
 
 
 def init_adapt(oracle, families, qois, *, probe_count: int = PROBE_COUNT,
@@ -216,38 +224,25 @@ def init_adapt(oracle, families, qois, *, probe_count: int = PROBE_COUNT,
     state = AdaptState(index_set, surrogate, families, qois,
                        _probe_grid(families, probe_count), config_hash=config_hash)
     for entry in index_set:
-        _charge(state, oracle, entry.alpha, build_grid(entry.beta, families).points)
+        _charge(state, oracle, entry)
     return state
 
 
 def _surplus(state: AdaptState, oracle, cand: ExtIndex) -> np.ndarray:
     """Change of the surrogate at the probe points if ``cand`` joined the set:
-    weight change times interpolant over the at most 2^(1+N) entries whose
-    combination weight changes.  BuildError if ``cand``'s evaluations fail."""
-    old = state.surrogate.coefficients
-    new = combination_coefficients(state.index_set.with_entry(cand))
+    the weight of each valid ``cand - s``, s in {0,1}^(1+N), changes by
+    (-1)^|s| and no other does.  BuildError if ``cand``'s evaluations fail."""
     out = np.zeros((len(state.probe_points), len(state.qois)))
-    for entry in sorted(set(old) | set(new)):
-        dc = new.get(entry, 0) - old.get(entry, 0)
-        if not dc:
-            continue
+    # shifts in descending order put the entries in ascending order
+    for s in product(*((1, 0) if c > 1 else (0,) for c in cand.as_vector())):
+        entry = cand.shifted(tuple(-o for o in s))
         if entry not in state.probe_values:
             grid = build_grid(entry.beta, state.families)
             values = _eval_entry(oracle, entry, state.families, state.qois)
             state.probe_values[entry] = TensorInterpolant(grid, values).evaluate_many(
                 state.probe_points)
-        out += dc * state.probe_values[entry]
+        out += (-1) ** sum(s) * state.probe_values[entry]
     return out
-
-
-def _try_candidate(state: AdaptState, oracle, cand: ExtIndex) -> _Probe:
-    surplus = _surplus(state, oracle, cand)  # fails before anything is charged
-    grid = build_grid(cand.beta, state.families)
-    _charge(state, oracle, cand.alpha, grid.points)
-    delta_s = float(np.abs(surplus).sum(axis=1).mean())
-    fresh = {point_key(p) for p in grid.points} - state.committed_points(cand.alpha)
-    delta_w = oracle.cost_weight(cand.alpha) * len(fresh)
-    return _Probe(cand, delta_s, delta_w)
 
 
 def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
@@ -277,10 +272,14 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
         state.skipped = []
         for cand in margin:
             try:
-                probes.append(_try_candidate(state, oracle, cand))
+                surplus = _surplus(state, oracle, cand)  # fails before anything is charged
             except BuildError as exc:
                 state.skipped.append((cand, str(exc)))
                 log.info("adapt: candidate %s unavailable (%s)", cand, exc)
+                continue
+            _charge(state, oracle, cand)
+            probes.append(_Probe(cand, float(np.abs(surplus).sum(axis=1).mean()),
+                                 oracle.cost_weight(cand.alpha) * _new_points(cand.beta)))
         if not probes:
             log.info("adapt stop: no candidate available")
             break

@@ -145,10 +145,23 @@ class TestConfigLoading:
         ("forward.budget", {"profit_floor": -1e-3}),
         ("forward.bandwidth", 0.0),
         ("forward.bandwidth", -1.0),
+        ("seed", -1),
+        ("oracle", "beam-analog"),
+        ("forward.qois", []),
+        ("calibration.qois", []),
+        ("forward.qois", {"prefix": "e_", "count": 0}),
+        ("calibration.qois", {"prefix": "u_", "count": -2}),
     ])
     def test_bad_scalar_is_config_error(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[0]):
             load_config(write_config(tmp_path, {key: value}))
+
+    @pytest.mark.parametrize("qois", [[], {"prefix": "e_", "count": 0}])
+    def test_empty_forward_qois_is_config_error(self, tmp_path, qois):
+        # no densities: listing one would fail against the empty QoI list
+        path = write_config(tmp_path, {"forward.qois": qois, "forward.densities": None})
+        with pytest.raises(ConfigError, match="forward.qois"):
+            load_config(path)
 
 
 class TestBuild:
@@ -365,6 +378,10 @@ class TestMainExitCodes:
         path = write_config(tmp_path, {"seed": "abc"})
         assert main(["build", "--config", str(path), "--quiet"]) == EXIT_CONFIG
 
+    def test_negative_seed_override_exits_with_config_code(self, tmp_path):
+        path = write_config(tmp_path)
+        assert main(["build", "--config", str(path), "--seed", "-1", "--quiet"]) == EXIT_CONFIG
+
     def test_surrogate_qoi_width_mismatch_exits_with_numerical_code(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_config(path)
@@ -383,3 +400,11 @@ class TestMainExitCodes:
                                "--config", str(path), "--quiet"],
                               capture_output=True, text=True)
         assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # every stage process pays the CLI's imports; scipy loads only where used
+    import subprocess
+    code = "import sys, miscuq.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"

@@ -1,6 +1,7 @@
 """Combination surrogates: build, telescoping, adaptivity, serialization."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from miscuq.misc import (
     AdaptStop,
     BuildError,
     SurrogateFormatError,
+    _new_points,
     _surplus,
     adapt,
     build,
@@ -19,8 +21,21 @@ from miscuq.misc import (
     init_adapt,
     serialize,
 )
-from miscuq.multiindex import ExtIndex, MultiIndexSet, is_downward_closed, reduced_margin
-from miscuq.oracle import BeamAnalogModel, CachedOracle, EvalCache, EvalResult, FidelitySpec
+from miscuq.multiindex import (
+    ExtIndex,
+    MultiIndexSet,
+    combination_coefficients,
+    is_downward_closed,
+    reduced_margin,
+)
+from miscuq.oracle import (
+    BeamAnalogModel,
+    CachedOracle,
+    EvalCache,
+    EvalResult,
+    FidelitySpec,
+    point_key,
+)
 
 
 def E(alpha, *beta):
@@ -65,6 +80,23 @@ def beam_families():
 def random_beam_points(count, seed):
     rng = np.random.default_rng(seed)
     return np.column_stack([rng.uniform(1130.0, 1450.0, count), rng.uniform(-5.0, 0.0, count)])
+
+
+def charged_points(state):
+    """Reference ledger: the distinct (fidelity, point) pairs on the grids
+    of the charged entries."""
+    return {(e.alpha, point_key(p)) for e in state.charged
+            for p in build_grid(e.beta, state.families).points}
+
+
+def random_index_set(rng, dim, size):
+    """Downward-closed set grown from the root by random reduced-margin
+    entries, with fidelities 1 and 2."""
+    index_set = MultiIndexSet([ExtIndex(1, (1,) * dim)])
+    while len(index_set) < size:
+        margin = [c for c in reduced_margin(index_set) if c.alpha <= 2]
+        index_set = index_set.with_entry(margin[rng.integers(len(margin))])
+    return index_set
 
 
 def weighted_sum(surrogate, points):
@@ -232,6 +264,44 @@ class TestCompiled:
             assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + roundoff), cand
 
 
+class TestClosedForms:
+    """The adaptive bookkeeping is a function of the index set alone."""
+
+    FAMILIES = {"symmetric": SymmetricLeja(-1.0, 1.0),
+                "gaussian": WeightedGaussianLeja(0.5, 2.0)}
+
+    def margins(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        for size in (1, 3, 6, 10):
+            index_set = random_index_set(rng, dim, size)
+            for cand in reduced_margin(index_set):
+                if cand.alpha <= 2:
+                    yield index_set, cand
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_weight_change(self, dim):
+        # one-hot probe values make the surplus the vector of weight changes
+        for index_set, cand in self.margins(dim, seed=dim):
+            entries = sorted(set(index_set) | {cand})
+            state = SimpleNamespace(probe_points=np.zeros((len(entries), 1)), qois=("q",),
+                                    probe_values={e: np.eye(len(entries))[:, [i]]
+                                                  for i, e in enumerate(entries)})
+            old = combination_coefficients(index_set)
+            new = combination_coefficients(index_set.with_entry(cand))
+            want = [new.get(e, 0) - old.get(e, 0) for e in entries]
+            assert _surplus(state, None, cand)[:, 0].tolist() == want, (index_set, cand)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "gaussian"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_new_point_count(self, dim, kind):
+        families = (self.FAMILIES[kind],) * dim
+        for index_set, cand in self.margins(dim, seed=10 + dim):
+            committed = {point_key(p) for e in index_set if e.alpha == cand.alpha
+                         for p in build_grid(e.beta, families).points}
+            fresh = {point_key(p) for p in build_grid(cand.beta, families).points} - committed
+            assert _new_points(cand.beta) == len(fresh), (index_set, cand)
+
+
 class TestAdapt:
     def test_budget_zero_keeps_minimal_set(self):
         oracle = beam_oracle()
@@ -276,10 +346,22 @@ class TestAdapt:
         oracle = beam_oracle()
         state = init_adapt(oracle, beam_families(), ["u_1"])
         adapt(state, oracle, AdaptStop(max_work=80.0))
-        assert state.work_spent == pytest.approx(sum(state.work_by_alpha.values()))
-        charged_work = sum(oracle.cost_weight(a) for a, _ in state.charged)
-        assert state.work_spent == pytest.approx(charged_work)
+        assert is_downward_closed(state.charged)
+        assert state.work_spent == sum(state.work_by_alpha.values())
+        # integer cost weights: the ledger is exact
+        assert state.work_spent == sum(oracle.cost_weight(a) for a, _ in charged_points(state))
         assert state.work_spent >= 80.0  # loop only stops once the budget is crossed
+
+    def test_work_ledger_fractional_weights(self):
+        def f(v, q):
+            return np.exp(0.7 * v[0] - 0.4 * v[1]) * (1.0 + 0.05 * (q == "r"))
+
+        oracle = CachedOracle(AnalyticModel({1: f, 2: f}, 2, ["q", "r"], costs=(0.1, 3.7)))
+        state = init_adapt(oracle, unit_families(2), ["q", "r"])
+        adapt(state, oracle, AdaptStop(max_work=25.0))
+        assert {e.alpha for e in state.charged} == {1, 2}
+        reference = sum(oracle.cost_weight(a) for a, _ in charged_points(state))
+        assert state.work_spent == pytest.approx(reference, rel=1e-12, abs=0)
 
     def test_failed_candidates_skipped(self):
         def f(v, q):
@@ -308,11 +390,15 @@ class TestAdapt:
     def test_one_build_per_commit(self, monkeypatch):
         oracle = beam_oracle()
         state = init_adapt(oracle, beam_families(), ["u_1", "u_2"])
-        calls = []
+        calls, weights = [], []
         monkeypatch.setattr(misc, "build", lambda *a, **k: calls.append(1) or build(*a, **k))
+        monkeypatch.setattr(misc, "combination_coefficients",
+                            lambda s: weights.append(1) or combination_coefficients(s))
+        monkeypatch.setattr(misc.AdaptState, "committed_points", None)
         adapt(state, oracle, AdaptStop(max_work=150.0))
         assert len(state.committed) >= 5
         assert len(calls) == len(state.committed)
+        assert len(weights) == len(calls)  # candidates are scored without them
 
     def test_deterministic_trajectory(self):
         runs = []
