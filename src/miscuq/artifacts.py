@@ -1,0 +1,40 @@
+"""Atomic artifact writers.
+
+Every output file is written to a temporary file next to it and then moved
+over it with ``os.replace``, so a reader, or a rerun after a crash, finds
+either the previous artifact or the complete new one, never a torn file.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import os
+from pathlib import Path
+
+__all__ = ["write_text", "write_csv"]
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) in one step; the temporary
+    file is removed if anything fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path: str | Path, header, rows, comment: str | None = None) -> None:
+    """Write a CSV table, after a ``# comment`` line if one is given."""
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, buf.getvalue())

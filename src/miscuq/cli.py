@@ -10,7 +10,6 @@ reruns with identical config and seeds are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import bayes, forward, misc
+from . import artifacts, bayes, forward, misc
 from .bayes import GaussianPosterior, ObservationSet
 from .interp import build_grid
 from .leja import SymmetricLeja, WeightedGaussianLeja
@@ -274,7 +273,7 @@ def _adaptive_surrogate(cfg, oracle, families, qois, stop):
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    artifacts.write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def cmd_build(cfg: PipelineConfig) -> dict:
@@ -383,18 +382,18 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
     _write_json(cfg.out_dir / POSTERIOR_FILE, _posterior_to_json(posterior, cfg))
 
     stds = posterior.marginal_std()
-    with open(cfg.out_dir / CALIBRATION_TABLE_FILE, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config {cfg.config_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["stage", "parameter", "mean", "std", "cov", "interval_lo", "interval_hi"])
-        for name, mean, std, lo, hi in _prior_rows(cfg.space):
-            cv = std / abs(mean) if mean != 0.0 else math.inf
-            writer.writerow(["prior", name] + [repr(float(x)) for x in (mean, std, cv, lo, hi)])
-        for n, name in enumerate(cfg.space.names):
-            mean, std = float(posterior.mean[n]), float(stds[n])
-            cv = std / abs(mean) if mean != 0.0 else math.inf
-            writer.writerow(["posterior", name] + [repr(float(x)) for x in
-                                                   (mean, std, cv, mean - 3 * std, mean + 3 * std)])
+    rows = []
+    for name, mean, std, lo, hi in _prior_rows(cfg.space):
+        cv = std / abs(mean) if mean != 0.0 else math.inf
+        rows.append(["prior", name] + [repr(float(x)) for x in (mean, std, cv, lo, hi)])
+    for n, name in enumerate(cfg.space.names):
+        mean, std = float(posterior.mean[n]), float(stds[n])
+        cv = std / abs(mean) if mean != 0.0 else math.inf
+        rows.append(["posterior", name] + [repr(float(x)) for x in
+                                           (mean, std, cv, mean - 3 * std, mean + 3 * std)])
+    artifacts.write_csv(cfg.out_dir / CALIBRATION_TABLE_FILE,
+                        ["stage", "parameter", "mean", "std", "cov", "interval_lo", "interval_hi"],
+                        rows, f"config {cfg.config_hash}")
     log.info("calibrate: MAP %s, sigma %.3g", np.round(posterior.mean, 6), posterior.sigma_meas)
     return {"posterior": posterior}
 
@@ -494,12 +493,9 @@ def cmd_report(cfg: PipelineConfig) -> dict:
 
     lines = [f"# pipeline summary (config {cfg.config_hash})"]
     lines += [f"{k}: {v}" for k, v in rows]
-    (out / REPORT_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with open(out / REPORT_SUMMARY_FILE, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config {cfg.config_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerows(rows)
+    artifacts.write_text(out / REPORT_FILE, "\n".join(lines) + "\n")
+    artifacts.write_csv(out / REPORT_SUMMARY_FILE, ["key", "value"], rows,
+                        f"config {cfg.config_hash}")
     return {"rows": rows}
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
+
 __all__ = [
     "PushResult",
     "PdfEstimate",
@@ -187,14 +189,11 @@ def uncertainty_reduction(prior_bands: BandSummary, post_bands: BandSummary) -> 
 
 
 def write_bands_csv(bands: BandSummary, path: str | Path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["qoi", "mode", "q05", "q95", "extrapolated_fraction"])
-        for i, name in enumerate(bands.qoi_names):
-            writer.writerow([name, repr(float(bands.modes[i])), repr(float(bands.q05[i])),
-                             repr(float(bands.q95[i])), repr(float(bands.extrapolated_fraction[i]))])
+    rows = ([name] + [repr(float(col[i])) for col in
+                      (bands.modes, bands.q05, bands.q95, bands.extrapolated_fraction)]
+            for i, name in enumerate(bands.qoi_names))
+    artifacts.write_csv(path, ["qoi", "mode", "q05", "q95", "extrapolated_fraction"], rows,
+                        header_comment)
 
 
 def read_bands_csv(path: str | Path) -> BandSummary:
@@ -211,10 +210,5 @@ def read_bands_csv(path: str | Path) -> BandSummary:
 
 
 def write_density_csv(pdf: PdfEstimate, path: str | Path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["abscissa", "density"])
-        for x, d in zip(pdf.grid, pdf.density):
-            writer.writerow([repr(float(x)), repr(float(d))])
+    rows = ([repr(float(x)), repr(float(d))] for x, d in zip(pdf.grid, pdf.density))
+    artifacts.write_csv(path, ["abscissa", "density"], rows, header_comment)

@@ -1,10 +1,12 @@
 """Tensor-product Lagrangian interpolation over Cartesian knot grids.
 
 Evaluation uses the second (true) barycentric form per dimension, which is
-stable for clustered nodes, and contracts the value tensor one dimension at
-a time.  A query coordinate that coincides with a knot (to 1e-14 relative)
-short-circuits to that knot's slice, avoiding the 0/0 in the barycentric
-kernel.
+stable for clustered nodes (Berrut & Trefethen, SIAM Review 2004).  The
+per-dimension basis rows of each query point are multiplied out into one
+row over the whole grid (their Kronecker product, in the grid's row-major
+order), and all rows are contracted with the values in one matrix product.
+A query coordinate that coincides with a knot (to 1e-14 relative) gets that
+knot's unit basis row, avoiding the 0/0 in the barycentric kernel.
 """
 
 from __future__ import annotations
@@ -76,20 +78,20 @@ def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _basis_matrix(knots: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Barycentric cardinal-basis values, shape (len(t), len(knots))."""
-    d = t[:, None] - knots[None, :]
-    hit_tol = _COINCIDENT_RTOL * np.maximum(1.0, np.abs(knots))[None, :]
+def _basis_matrix(knots: np.ndarray, weights: np.ndarray, hit_tol: np.ndarray,
+                  t: np.ndarray) -> np.ndarray:
+    """Barycentric cardinal-basis values, shape (len(t), len(knots)); a
+    ``t`` within ``hit_tol`` (per knot) of a knot gets that knot's unit row."""
+    d = t[:, None] - knots
     hits = np.abs(d) <= hit_tol
-    safe = np.where(hits, 1.0, d)
-    kern = weights[None, :] / safe
+    d[hits] = 1.0
+    kern = weights / d
     lam = kern / kern.sum(axis=1, keepdims=True)
-    rows = hits.any(axis=1)
-    if np.any(rows):
+    if hits.any():
+        rows = np.flatnonzero(hits.any(axis=1))
         lam[rows] = 0.0
         # First matching knot wins when several are within tolerance.
-        first = np.argmax(hits[rows], axis=1)
-        lam[np.flatnonzero(rows), first] = 1.0
+        lam[rows, np.argmax(hits[rows], axis=1)] = 1.0
     return lam
 
 
@@ -109,19 +111,24 @@ class TensorInterpolant:
             raise ValueError(
                 f"values must have one row per grid point ({len(grid)}), got shape {values.shape}")
         self.grid = grid
-        self._values = np.ascontiguousarray(values).reshape(grid.shape + values.shape[1:])
-        self._weights = tuple(_barycentric_weights(k) for k in grid.per_dim_knots)
+        self._values = np.ascontiguousarray(values)
+        # per dimension: knots, barycentric weights, coincidence tolerances
+        self._bases = tuple((k, _barycentric_weights(k),
+                             _COINCIDENT_RTOL * np.maximum(1.0, np.abs(k)))
+                            for k in grid.per_dim_knots)
 
     def evaluate_many(self, points) -> np.ndarray:
         """Evaluate at an (S, dim) array of points; returns (S, n_outputs)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.grid.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, grid has {self.grid.dim}")
-        lams = [_basis_matrix(k, w, points[:, n])
-                for n, (k, w) in enumerate(zip(self.grid.per_dim_knots, self._weights))]
-        letters = "abcdefghijklmnop"[: self.grid.dim]
-        subs = ",".join(f"s{c}" for c in letters) + "," + "".join(letters) + "q->sq"
-        return np.einsum(subs, *lams, self._values, optimize=True)
+        # row-wise Kronecker product of the basis matrices: (S, grid points)
+        basis = _basis_matrix(*self._bases[0], points[:, 0])
+        for n in range(1, self.grid.dim):
+            lam = _basis_matrix(*self._bases[n], points[:, n])
+            basis = (basis[:, :, None] * lam[:, None, :]).reshape(len(points),
+                                                                   basis.shape[1] * lam.shape[1])
+        return basis @ self._values
 
     def evaluate(self, v) -> np.ndarray:
         """Evaluate at a single point; returns (n_outputs,)."""

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .interp import TensorInterpolant, build_grid
 from .leja import SymmetricLeja, WeightedGaussianLeja, level_to_knots
 from .multiindex import ExtIndex, MultiIndexSet, combination_coefficients, reduced_margin
@@ -182,12 +183,36 @@ class AdaptState:
         return keys
 
 
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes."""
+    primes: list[int] = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def _halton(dim: int, count: int) -> np.ndarray:
+    """The first ``count`` points of the unscrambled Halton sequence in
+    [0, 1)^dim (Halton, Numer. Math. 1960): coordinate n of point i is the
+    radical inverse of i in the n-th prime, summed digit by digit in the
+    same floating-point operations as ``scipy.stats.qmc.Halton``."""
+    unit = np.zeros((count, dim))
+    for n, base in enumerate(_primes(dim)):
+        quotient = np.arange(count)
+        b2r = 1.0 / base
+        while quotient.any():
+            unit[:, n] += (quotient % base) * b2r
+            b2r /= base
+            quotient //= base
+    return unit
+
+
 def _probe_grid(families, count: int) -> np.ndarray:
     """Deterministic low-discrepancy probe points spanning the family boxes."""
-    from scipy.stats import qmc  # deferred: scipy.stats dominates the CLI's start-up
-
-    dim = len(families)
-    unit = qmc.Halton(d=dim, scramble=False).random(count)
+    unit = _halton(len(families), count)
     lo = np.array([f.probe_interval[0] for f in families])
     hi = np.array([f.probe_interval[1] for f in families])
     return lo + unit * (hi - lo)
@@ -345,8 +370,7 @@ def serialize(surrogate: MiscSurrogate, path: str | Path) -> None:
         "entries": entries,
         "config_hash": surrogate.config_hash,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    artifacts.write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogate:

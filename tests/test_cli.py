@@ -408,3 +408,74 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, miscuq.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
+
+
+def test_stage_processes_leave_scipy_unloaded(tmp_path):
+    # only calibrate's Nelder-Mead needs scipy; the other stages never load it
+    import subprocess
+    path = write_config(tmp_path)
+    code = ("import sys\nfrom miscuq.cli import main\nrc = main(sys.argv[1:])\n"
+            "print('scipy' in sys.modules)\nsys.exit(rc)")
+    for stage in ("build", "calibrate", "forward", "report"):
+        if stage == "calibrate":
+            make_observations(load_config(path))
+        proc = subprocess.run([sys.executable, "-c", code, stage, "--config", str(path),
+                               "--quiet"], capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        if stage != "calibrate":
+            assert proc.stdout.strip() == "False", f"{stage} imported scipy"
+
+
+class TornFile:
+    """A file whose first write stores half the text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicArtifacts:
+    # (stage, artifact whose write fails), covering every artifact writer
+    TEARS = [
+        (cmd_build, "surrogate.json"),
+        (cmd_build, "build_report.json"),
+        (cmd_calibrate, "posterior.json"),
+        (cmd_calibrate, "calibration_table.csv"),
+        (cmd_forward, "surrogate_forward_prior.json"),
+        (cmd_forward, "bands_prior.csv"),
+        (cmd_forward, "reduction.json"),
+        (cmd_forward, "e_1_posterior.csv"),
+        (cmd_report, "report.txt"),
+        (cmd_report, "report_summary.csv"),
+    ]
+
+    def test_failed_rewrite_keeps_previous_artifacts(self, tmp_path, monkeypatch):
+        from miscuq import artifacts
+        cfg = load_config(write_config(tmp_path))
+        run_pipeline(cfg)
+        snapshot = {p.relative_to(cfg.out_dir): p.read_bytes()
+                    for p in sorted(cfg.out_dir.rglob("*")) if p.is_file()}
+        for stage, name in self.TEARS:
+            def torn_open(file, *args, _name=name, **kwargs):
+                fh = open(file, *args, **kwargs)
+                return TornFile(fh) if file.name.startswith(f".{_name}.") else fh
+
+            monkeypatch.setattr(artifacts, "open", torn_open, raising=False)
+            with pytest.raises(OSError, match="No space left"):
+                stage(cfg)
+            monkeypatch.undo()
+            after = {p.relative_to(cfg.out_dir): p.read_bytes()
+                     for p in sorted(cfg.out_dir.rglob("*")) if p.is_file()}
+            assert after.keys() == snapshot.keys(), name
+            for rel in snapshot:
+                assert after[rel] == snapshot[rel], (name, rel)

@@ -4,6 +4,7 @@ polynomial exactness, linearity."""
 import numpy as np
 import pytest
 
+from miscuq import interp
 from miscuq.interp import TensorInterpolant, build_grid
 from miscuq.leja import SymmetricLeja, level_to_knots
 
@@ -139,3 +140,59 @@ class TestInterpolate:
         itp = TensorInterpolant(grid, np.zeros(9))
         with pytest.raises(ValueError):
             itp.evaluate([0.0, 0.0, 0.0])
+
+
+def einsum_reference(itp, points):
+    """The contraction evaluate_many used to make: the same per-dimension
+    basis rows, contracted with the value tensor by a planned einsum."""
+    points = np.atleast_2d(points)
+    lams = [interp._basis_matrix(*basis, points[:, n]) for n, basis in enumerate(itp._bases)]
+    letters = "abcdefghijklmnop"[: itp.grid.dim]
+    subs = ",".join(f"s{c}" for c in letters) + "," + "".join(letters) + "q->sq"
+    values = itp._values.reshape(itp.grid.shape + (-1,))
+    return np.einsum(subs, *lams, values, optimize=True)
+
+
+class TestFixedContraction:
+    @pytest.mark.parametrize("count", [1, 64, 10_000])
+    @pytest.mark.parametrize("beta", [(4,), (3, 2), (5, 3), (2, 3, 2)])
+    def test_matches_einsum_reference(self, beta, count):
+        rng = np.random.default_rng(100 * len(beta) + count)
+        grid = build_grid(beta, unit_families(len(beta)))
+        itp = TensorInterpolant(grid, rng.uniform(-5, 5, (len(grid), 3)))
+        points = rng.uniform(-1.2, 1.2, (count, len(beta)))
+        # every fourth point puts one coordinate exactly on a knot
+        for i in range(0, count, 4):
+            n = i % len(beta)
+            knots = grid.per_dim_knots[n]
+            points[i, n] = knots[i % len(knots)]
+        ref = einsum_reference(itp, points)
+        got = itp.evaluate_many(points)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(axis=0))
+
+    @pytest.mark.parametrize("beta", [(3,), (3, 2), (2, 2, 3)])
+    def test_grid_points_reproduce_values_exactly(self, beta):
+        rng = np.random.default_rng(len(beta))
+        grid = build_grid(beta, unit_families(len(beta)))
+        values = rng.uniform(-5, 5, (len(grid), 2))
+        itp = TensorInterpolant(grid, values)
+        assert np.array_equal(itp.evaluate_many(grid.points), values)
+        assert np.array_equal(einsum_reference(itp, grid.points), values)
+
+    def test_no_einsum_call(self, monkeypatch):
+        grid = build_grid((3, 2, 2), unit_families(3))
+        itp = TensorInterpolant(grid, np.arange(len(grid), dtype=float))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("einsum called")
+
+        monkeypatch.setattr(np, "einsum", forbidden)
+        monkeypatch.setattr(np, "einsum_path", forbidden)
+        itp.evaluate_many(np.random.default_rng(3).uniform(-1, 1, (50, 3)))
+        itp.evaluate([0.1, 1.0, -0.3])
+
+    def test_empty_point_set(self):
+        grid = build_grid((3, 2), unit_families(2))
+        itp = TensorInterpolant(grid, np.ones((len(grid), 4)))
+        assert itp.evaluate_many(np.zeros((0, 2))).shape == (0, 4)

@@ -264,6 +264,25 @@ class TestCompiled:
             assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + roundoff), cand
 
 
+class TestProbeGrid:
+    @pytest.mark.parametrize("count", [1, 64, 1000])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_unit_points_equal_scipy_halton(self, dim, count):
+        from scipy.stats import qmc
+
+        want = qmc.Halton(d=dim, scramble=False).random(count)
+        got = misc._probe_grid((SymmetricLeja(0.0, 1.0),) * dim, count)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_spans_the_probe_intervals(self):
+        fams = (SymmetricLeja(1130.0, 1450.0), WeightedGaussianLeja(-2.5, 0.6))
+        pts = misc._probe_grid(fams, 64)
+        lo, hi = np.array([f.probe_interval for f in fams]).T
+        assert np.all((pts >= lo) & (pts < hi))
+        assert pts[0].tolist() == lo.tolist()
+
+
 class TestClosedForms:
     """The adaptive bookkeeping is a function of the index set alone."""
 
