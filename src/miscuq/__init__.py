@@ -49,7 +49,6 @@ from .bayes import (
     estimate_sigma,
     find_map,
     laplace_covariance,
-    log_likelihood,
     misfit,
     nelder_mead,
 )

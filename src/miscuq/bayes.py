@@ -1,13 +1,16 @@
 """Bayesian inverse step: least-squares calibration on a surrogate, noise
 estimation, and a Gaussian (Laplace) approximation of the posterior.
 
-The posterior mean is the misfit minimizer found by multistart Nelder-Mead;
-its covariance is ``sigma^2 (J^T J)^{-1}`` with J the finite-difference
-Jacobian of the surrogate predictions at the minimizer (the Gauss-Newton
-inverse Hessian of the negative log-posterior under a flat prior).
+The posterior mean is the misfit minimizer found by multistart Nelder-Mead,
+an in-repo port with SciPy's coefficients that advances all starts
+together; its covariance is ``sigma^2 (J^T J)^{-1}`` with J the
+finite-difference Jacobian of the surrogate predictions at the minimizer
+(the Gauss-Newton inverse Hessian of the negative log-posterior under a
+flat prior).
 
 Functions taking a ``surrogate`` only need ``qoi_names`` and
-``evaluate(v) -> array``; any object with that surface works.
+``evaluate_many(points) -> (S, n_qois) array``; any object with that
+surface works.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "ObservationSet",
     "GaussianPosterior",
     "misfit",
-    "log_likelihood",
     "nelder_mead",
     "NelderMeadResult",
     "find_map",
@@ -88,7 +90,8 @@ class ObservationSet:
 
 
 class _Misfit:
-    """Sum of squared residuals between observations and surrogate output."""
+    """Sum of squared residuals between observations and surrogate output,
+    one value per row of an (S, dim) point array."""
 
     def __init__(self, surrogate, obs: ObservationSet):
         names = list(surrogate.qoi_names)
@@ -98,28 +101,21 @@ class _Misfit:
         self.surrogate = surrogate
         self.idx = np.array([names.index(n) for n in obs.names])
         self.target = obs.values
-        self.calls = 0
+        self.calls = 0  # points evaluated
 
-    def __call__(self, v) -> float:
-        self.calls += 1
-        r = self.target - self.predictions(v)
-        return float(r @ r)
+    def __call__(self, points) -> np.ndarray:
+        r = self.target - self.predictions(points)
+        return (r * r).sum(axis=1)
 
-    def predictions(self, v) -> np.ndarray:
-        return self.surrogate.evaluate(v)[self.idx]
+    def predictions(self, points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.calls += len(points)
+        return self.surrogate.evaluate_many(points)[:, self.idx]
 
 
 def misfit(surrogate, obs: ObservationSet, v) -> float:
     """Sum over observations of (measured - predicted)^2 at ``v``."""
-    return _Misfit(surrogate, obs)(np.asarray(v, dtype=float))
-
-
-def log_likelihood(surrogate, obs: ObservationSet, v, sigma: float) -> float:
-    """Gaussian log-likelihood of the observations given parameters ``v``."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    m = misfit(surrogate, obs, v)
-    return -obs.K * math.log(sigma * math.sqrt(2.0 * math.pi)) - m / (2.0 * sigma**2)
+    return float(_Misfit(surrogate, obs)(np.asarray(v, dtype=float)[None, :])[0])
 
 
 class NelderMeadResult(NamedTuple):
@@ -129,33 +125,108 @@ class NelderMeadResult(NamedTuple):
     converged: bool
 
 
+# SciPy's non-adaptive coefficients: reflection, expansion, contraction, shrink
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+
+
+def _simplex_search(objective, simplices, tol_f, tol_x: float,
+                    max_iter: int) -> list[NelderMeadResult]:
+    """Nelder-Mead from each of B initial simplices, all advanced together.
+
+    ``simplices`` is (B, N + 1, N); ``objective`` maps a (k, N) array of
+    points to their k values; ``tol_f`` is one tolerance or one per start.
+    Each start runs the non-adaptive, unbounded branch of SciPy's
+    ``_minimize_neldermead`` with the same floating-point operations, so
+    with an objective whose rows do not depend on each other every start
+    ends exactly where a run of its own would.  A round makes at most three
+    objective calls: the reflections of all active starts, then the
+    expansion or contraction points of those that did not accept their
+    reflection, then the shrink points.  A start leaves when its simplex
+    spread is within ``tol_x`` and its values within its ``tol_f``, or
+    when its iteration count (from 1, as SciPy's ``nit``) reaches
+    ``max_iter``.
+    """
+    sim = np.array(simplices, dtype=float)
+    B, _, N = sim.shape
+    tol_f = np.broadcast_to(np.asarray(tol_f, dtype=float), (B,))
+    fsim = np.asarray(objective(sim.reshape(-1, N)), dtype=float).reshape(B, N + 1)
+    for _ in range(2):  # SciPy sorts twice after the initial simplex
+        ind = np.argsort(fsim, axis=1)
+        sim = np.take_along_axis(sim, ind[:, :, None], axis=1)
+        fsim = np.take_along_axis(fsim, ind, axis=1)
+    iterations = np.ones(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
+    active = np.arange(B)
+    while True:
+        active = active[iterations[active] < max_iter]
+        s, f = sim[active], fsim[active]
+        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= tol_x)
+                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= tol_f[active]))
+        converged[active[done]] = True
+        active, s, f = active[~done], s[~done], f[~done]
+        if not active.size:
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / N
+        worst = s[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = np.asarray(objective(xr), dtype=float)
+        expand = fxr < f[:, 0]
+        accept = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~accept & (fxr < f[:, -1])
+        inside = ~(expand | accept | outside)
+        # second trial point (1 + c) xbar - c worst: the expansion, the outside
+        # contraction, or the inside one (1 - psi) xbar + psi worst
+        c = np.where(expand, _RHO * _CHI, np.where(outside, _PSI * _RHO, -_PSI))[:, None]
+        x2 = (1 + c) * xbar - c * worst
+        f2 = np.full(active.size, np.nan)
+        if not accept.all():
+            f2[~accept] = objective(x2[~accept])
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f[:, -1]))
+        take_r = accept | (expand & ~take2)
+        s[:, -1] = np.where(take2[:, None], x2, np.where(take_r[:, None], xr, worst))
+        f[:, -1] = np.where(take2, f2, np.where(take_r, fxr, f[:, -1]))
+        shrink = (outside | inside) & ~take2
+        if shrink.any():
+            best = s[shrink, :1]
+            s[shrink, 1:] = best + _SIGMA * (s[shrink, 1:] - best)
+            f[shrink, 1:] = np.asarray(objective(s[shrink, 1:].reshape(-1, N)),
+                                       dtype=float).reshape(-1, N)
+        iterations[active] += 1
+        ind = np.argsort(f, axis=1)
+        sim[active] = np.take_along_axis(s, ind[:, :, None], axis=1)
+        fsim[active] = np.take_along_axis(f, ind, axis=1)
+    return [NelderMeadResult(sim[b, 0].copy(), float(np.min(fsim[b])), int(iterations[b]),
+                             bool(converged[b])) for b in range(B)]
+
+
 def nelder_mead(objective, x0, *, tol_f: float = 1e-12, tol_x: float = 1e-10,
                 max_iter: int | None = None, initial_simplex=None) -> NelderMeadResult:
-    """Simplex minimization (reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5), terminating on simplex spread tolerances or ``max_iter``.
+    """Simplex minimization of a scalar ``objective`` (reflection 1,
+    expansion 2, contraction 0.5, shrink 0.5), terminating on simplex
+    spread tolerances or ``max_iter`` iterations.
 
-    Thin wrapper over ``scipy.optimize.minimize(method="Nelder-Mead")``,
-    which implements exactly those coefficients.
+    One start of the batched engine, with ``objective`` applied row by
+    row.  It takes the same steps as SciPy's ``minimize(method=
+    "Nelder-Mead", options={"adaptive": False})``, bit for bit, including
+    its default initial simplex (each coordinate scaled by 1.05, or set to
+    0.00025 where it is 0).  ``max_iter=None`` is SciPy's default of 200 N
+    iterations; SciPy's cap of 200 N objective evaluations, which applies
+    alongside it, is not ported.
     """
-    from scipy.optimize import minimize  # deferred: only calibrate pays scipy's import
-
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
     f0 = objective(x0)
     if not np.isfinite(f0):
         raise ValueError(f"objective is not finite at the start point ({f0})")
-    options = {"xatol": tol_x, "fatol": tol_f, "adaptive": False}
-    if max_iter is not None:
-        options["maxiter"] = max_iter
-    if initial_simplex is not None:
-        options["initial_simplex"] = np.asarray(initial_simplex, dtype=float)
-    res = minimize(objective, x0, method="Nelder-Mead", options=options)
-    return NelderMeadResult(np.asarray(res.x, dtype=float), float(res.fun),
-                            int(res.nit), bool(res.success))
-
-
-def _box_distance_sq(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    d = np.maximum(lo - v, 0.0) + np.maximum(v - hi, 0.0)
-    return float(d @ d)
+    N = x0.size
+    if initial_simplex is None:
+        sim = np.tile(x0, (N + 1, 1))
+        sim[1:][np.diag_indices(N)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    else:
+        sim = np.asarray(initial_simplex, dtype=float)
+        if sim.shape != (N + 1, N):
+            raise ValueError(f"initial_simplex must have shape {(N + 1, N)}, got {sim.shape}")
+    return _simplex_search(lambda points: np.array([objective(p) for p in points], dtype=float),
+                           sim[None], tol_f, tol_x, 200 * N if max_iter is None else max_iter)[0]
 
 
 @dataclass(frozen=True)
@@ -177,15 +248,18 @@ def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int = 
              seed=0, *, penalty_scale: float = PENALTY_SCALE, max_iter: int = 2000) -> MapResult:
     """Multistart Nelder-Mead minimization of the observation misfit.
 
-    Starts are prior samples.  The optimizer runs unconstrained, but a
-    quadratic penalty ``mu * dist(v, box)^2`` discourages wandering far
-    outside the parameter box, where the surrogate extrapolates with
-    degrading fidelity; ``mu = penalty_scale * misfit(center) / diam^2``.
-    Moderate overflow of the box is expected and allowed.
+    Starts are prior samples, all advanced together: every round evaluates
+    the trial points of all starts in one batched surrogate call.  The
+    optimizer runs unconstrained, but a quadratic penalty
+    ``mu * dist(v, box)^2`` discourages wandering far outside the
+    parameter box, where the surrogate extrapolates with degrading
+    fidelity; ``mu = penalty_scale * misfit(center) / diam^2``.  Moderate
+    overflow of the box is expected and allowed.  A start where the
+    objective is not finite is logged and skipped.
 
     The returned point minimizes the penalized objective over all starts;
     the per-start report carries both the raw misfit and the penalized
-    objective.
+    objective.  ``surrogate_evals`` counts evaluated points.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
@@ -194,31 +268,29 @@ def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int = 
     widths = hi - lo
     center = 0.5 * (lo + hi)
     diam_sq = float(widths @ widths)
-    mu = penalty_scale * base(center) / diam_sq
+    mu = penalty_scale * base(center)[0] / diam_sq
 
-    def objective(v):
-        return base(v) + mu * _box_distance_sq(np.asarray(v, dtype=float), lo, hi)
+    def objective(points):
+        d = np.maximum(lo - points, 0.0) + np.maximum(points - hi, 0.0)
+        return base(points) + mu * (d * d).sum(axis=1)
 
     starts = space.sample(n_starts, seed)
-    xatol = 1e-9 * float(widths.max())
-    records = []
-    failures = []
-    for x0 in starts:
-        simplex = np.vstack([x0] + [x0 + 0.05 * widths[n] * np.eye(space.dim)[n]
-                                    for n in range(space.dim)])
-        try:
-            fatol = 1e-15 * (1.0 + objective(x0))
-            res = nelder_mead(objective, x0, tol_f=fatol, tol_x=xatol,
-                              max_iter=max_iter, initial_simplex=simplex)
-        except ValueError as exc:
-            failures.append((tuple(x0), str(exc)))
-            log.warning("MAP start %s failed: %s", np.round(x0, 6), exc)
-            continue
-        records.append(MultistartRecord(tuple(x0), tuple(res.x), base(res.x),
-                                        float(res.fun), res.iterations))
-    if not records:
+    f0 = objective(starts)
+    ok = np.isfinite(f0)
+    failures = [(tuple(x0), f"objective is not finite at the start point ({f})")
+                for x0, f in zip(starts[~ok], f0[~ok])]
+    for x0, reason in failures:
+        log.warning("MAP start %s failed: %s", np.round(x0, 6), reason)
+    if not ok.any():
         raise CalibrationError(
             f"all {n_starts} optimizer starts failed; first failure: {failures[0]}")
+    starts = starts[ok]
+    steps = np.vstack([np.zeros(space.dim), np.diag(0.05 * widths)])
+    results = _simplex_search(objective, starts[:, None, :] + steps, 1e-15 * (1.0 + f0[ok]),
+                              1e-9 * float(widths.max()), max_iter)
+    misfits = base(np.array([res.x for res in results]))
+    records = [MultistartRecord(tuple(x0), tuple(res.x), float(m), res.fun, res.iterations)
+               for x0, res, m in zip(starts, results, misfits)]
     best = min(range(len(records)), key=lambda i: (records[i].objective, i))
     point = np.asarray(records[best].point, dtype=float)
     log.info("MAP search: best objective %.6g after %d starts, %d surrogate evaluations",
@@ -266,13 +338,9 @@ def laplace_covariance(surrogate, obs: ObservationSet, v_map, sigma: float,
     v_map = np.asarray(v_map, dtype=float)
     widths = space.widths()
     n = space.dim
-    J = np.empty((obs.K, n))
-    for d in range(n):
-        h = FD_STEP_REL * float(widths[d])
-        vp, vm = v_map.copy(), v_map.copy()
-        vp[d] += h
-        vm[d] -= h
-        J[:, d] = (base.predictions(vp) - base.predictions(vm)) / (2.0 * h)
+    h = FD_STEP_REL * widths
+    p = base.predictions(np.vstack([v_map + np.diag(h), v_map - np.diag(h)]))
+    J = ((p[:n] - p[n:]) / (2.0 * h)[:, None]).T
     M = J.T @ J
     u, s, vt = np.linalg.svd(M)
     warnings = []

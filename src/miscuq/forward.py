@@ -78,21 +78,26 @@ class PdfEstimate:
         return float(self.grid[-1] - self.grid[0]) / (self.grid.size - 1)
 
 
-def _silverman_bandwidth(samples: np.ndarray) -> float:
+def _silverman_bandwidth(samples: np.ndarray, iqr: float | None) -> float:
     sd = float(np.std(samples, ddof=1))
-    q75, q25 = np.quantile(samples, [0.75, 0.25], method="linear")
-    scale = min(sd, float(q75 - q25) / 1.34)
+    if iqr is None:
+        q75, q25 = np.quantile(samples, [0.75, 0.25], method="linear")
+        iqr = float(q75 - q25)
+    scale = min(sd, iqr / 1.34)
     if scale <= 0.0:
         scale = sd
     return 0.9 * scale * samples.size ** (-0.2)
 
 
-def kde(samples, bandwidth: float | None = None, grid_size: int = GRID_SIZE) -> PdfEstimate:
+def kde(samples, bandwidth: float | None = None, grid_size: int = GRID_SIZE, *,
+        iqr: float | None = None) -> PdfEstimate:
     """Gaussian-kernel KDE with Silverman's rule-of-thumb bandwidth.
 
-    Default bandwidth: 0.9 min(std, IQR/1.34) S^(-1/5).  Zero sample spread
-    yields a degenerate estimate flagged as such (the mode is the common
-    value, the bands collapse onto it).
+    Default bandwidth: 0.9 min(std, IQR/1.34) S^(-1/5); the IQR is ``iqr``
+    when the caller already has it (:func:`summarize_bands` does) and is
+    computed from the samples otherwise.  Zero sample spread yields a
+    degenerate estimate flagged as such (the mode is the common value, the
+    bands collapse onto it).
 
     The estimate is computed by linear binning and one FFT convolution
     (Silverman, AS 176, 1982; Wand, JCGS 1994): each sample is split
@@ -114,7 +119,7 @@ def kde(samples, bandwidth: float | None = None, grid_size: int = GRID_SIZE) -> 
     if hi == lo:
         grid = np.full(grid_size, lo)
         return PdfEstimate(samples, 0.0, grid, np.zeros(grid_size), degenerate=True)
-    bw = float(bandwidth) if bandwidth is not None else _silverman_bandwidth(samples)
+    bw = float(bandwidth) if bandwidth is not None else _silverman_bandwidth(samples, iqr)
     if not bw > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bw}")
     grid = np.linspace(lo - 3.0 * bw, hi + 3.0 * bw, grid_size)
@@ -168,10 +173,12 @@ class BandSummary:
 
 def summarize_bands(push: PushResult, bandwidth: float | None = None) -> BandSummary:
     """KDE mode and empirical 5%/95% quantiles (as in :func:`quantiles`) for
-    every QoI column."""
-    modes = np.array([mode(kde(push.samples[:, j], bandwidth))
+    every QoI column; one quantile call also gives every column's IQR for
+    the KDE bandwidth."""
+    q05, q25, q75, q95 = np.quantile(push.samples, [0.05, 0.25, 0.75, 0.95], axis=0,
+                                     method="linear")
+    modes = np.array([mode(kde(push.samples[:, j], bandwidth, iqr=float(q75[j] - q25[j])))
                       for j in range(len(push.qoi_names))])
-    q05, q95 = np.quantile(push.samples, [0.05, 0.95], axis=0, method="linear")
     frac = np.full(len(push.qoi_names), push.extrapolated_fraction)
     return BandSummary(push.qoi_names, modes, q05, q95, frac)
 

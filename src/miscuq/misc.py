@@ -198,7 +198,7 @@ def _halton(dim: int, count: int) -> np.ndarray:
     """The first ``count`` points of the unscrambled Halton sequence in
     [0, 1)^dim (Halton, Numer. Math. 1960): coordinate n of point i is the
     radical inverse of i in the n-th prime, summed digit by digit in the
-    same floating-point operations as ``scipy.stats.qmc.Halton``."""
+    same floating-point operations as SciPy's unscrambled ``qmc.Halton``."""
     unit = np.zeros((count, dim))
     for n, base in enumerate(_primes(dim)):
         quotient = np.arange(count)

@@ -1,5 +1,5 @@
-"""Inverse step: misfit, likelihood, Nelder-Mead, MAP search, noise
-estimate, Laplace covariance.
+"""Inverse step: misfit, Nelder-Mead, MAP search, noise estimate, Laplace
+covariance.
 
 The closed-form oracle for the linear-Gaussian case is computed here with
 plain least-squares algebra: v_hat solves min |y - (A v + b)|^2, the noise
@@ -8,23 +8,27 @@ sigma^2 (A^T A)^{-1}.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from miscuq import cli, misc
 from miscuq.bayes import (
     CalibrationError,
     GaussianPosterior,
     ObservationSet,
+    _simplex_search,
     calibrate,
     estimate_sigma,
     find_map,
     laplace_covariance,
-    log_likelihood,
     misfit,
     nelder_mead,
 )
 from helpers import box_space, ridge_surrogate
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 class LinearSurrogate:
@@ -37,6 +41,10 @@ class LinearSurrogate:
 
     def evaluate(self, v):
         return self.A @ np.asarray(v, dtype=float) + self.b
+
+    def evaluate_many(self, points):
+        """Row by row, so subclasses overriding ``evaluate`` carry over."""
+        return np.array([self.evaluate(v) for v in np.atleast_2d(points)])
 
 
 def obs_for(surrogate, values):
@@ -78,54 +86,6 @@ class TestMisfit:
             misfit(s, ObservationSet.from_pairs([("nope", 1.0)]), [0.0])
 
 
-class TestLogLikelihood:
-    def test_zero_misfit_unit_normalizer(self):
-        s = LinearSurrogate([[1.0]], [0.0])
-        obs = ObservationSet.from_pairs([("y_0", 2.0)])
-        sigma = 1.0 / math.sqrt(2.0 * math.pi)
-        assert log_likelihood(s, obs, [2.0], sigma) == pytest.approx(0.0, abs=1e-12)
-
-    def test_argmax_matches_argmin_of_misfit(self):
-        s = LinearSurrogate([[1.0], [2.0]], [0.0, 0.1])
-        obs = obs_for(s, [1.0, 1.9])
-        vs = np.linspace(-2, 3, 41)
-        misfits = [misfit(s, obs, [v]) for v in vs]
-        for sigma in (0.1, 1.0, 7.0):
-            lls = [log_likelihood(s, obs, [v], sigma) for v in vs]
-            assert np.argmax(lls) == np.argmin(misfits)
-
-    def test_direct_formula(self):
-        s = LinearSurrogate([[1.0], [0.0], [2.0]], [0.0, 1.0, 0.0])
-        obs = obs_for(s, [0.5, 1.5, 2.5])
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            v, sigma = rng.normal(), rng.uniform(0.1, 3.0)
-            m = misfit(s, obs, [v])
-            want = -3 * math.log(sigma * math.sqrt(2 * math.pi)) - m / (2 * sigma**2)
-            assert log_likelihood(s, obs, [v], sigma) == pytest.approx(want, rel=1e-12)
-
-    def test_sigma_must_be_positive(self):
-        s = LinearSurrogate([[1.0]], [0.0])
-        with pytest.raises(ValueError):
-            log_likelihood(s, obs_for(s, [1.0]), [1.0], 0.0)
-
-    def test_sigma_doubling_threshold(self):
-        # ll(2 sigma) - ll(sigma) = -K ln 2 + 3 m / (8 sigma^2), so doubling
-        # sigma helps exactly when the misfit m exceeds (8/3) K sigma^2 ln 2
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            K = int(rng.integers(1, 8))
-            A = np.zeros((K, 1))
-            s = LinearSurrogate(A, rng.normal(size=K))
-            obs = obs_for(s, rng.normal(size=K))
-            v = [0.0]
-            m = misfit(s, obs, v)
-            sigma = rng.uniform(0.05, 2.0)
-            raised = log_likelihood(s, obs, v, 2 * sigma) > log_likelihood(s, obs, v, sigma)
-            threshold = (8.0 / 3.0) * K * sigma**2 * math.log(2.0)
-            assert raised == (m > threshold)
-
-
 class TestNelderMead:
     def test_quadratic_bowl(self):
         target = np.array([1.0, 2.0])
@@ -148,6 +108,134 @@ class TestNelderMead:
     def test_non_finite_start_rejected(self):
         with pytest.raises(ValueError):
             nelder_mead(lambda x: float("nan"), [0.0])
+
+
+def rosen_rows(points):
+    """Generalized Rosenbrock, row by row: no row's value depends on another."""
+    x = np.atleast_2d(points)
+    return (100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (1.0 - x[:, :-1]) ** 2).sum(axis=1)
+
+
+def rosen(x):
+    return float(rosen_rows(np.asarray(x)[None])[0])
+
+
+def scipy_nelder_mead(objective, x0, *, tol_f, tol_x, max_iter=None, initial_simplex=None):
+    from scipy.optimize import minimize
+
+    options = {"xatol": tol_x, "fatol": tol_f, "adaptive": False}
+    if max_iter is not None:
+        options["maxiter"] = max_iter
+    if initial_simplex is not None:
+        options["initial_simplex"] = initial_simplex
+    return minimize(objective, x0, method="Nelder-Mead", options=options)
+
+
+def assert_same_bits(res, ref):
+    assert np.asarray(res.x).tobytes() == np.asarray(ref.x).tobytes()
+    assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert res.iterations == ref.nit
+    assert res.converged == ref.success
+
+
+@pytest.fixture(scope="module")
+def demo_calibration(tmp_path_factory):
+    """The demo's built calibration surrogate, its observations and space."""
+    cfg = cli.load_config(DOCS / "demo_config.yaml", out=tmp_path_factory.mktemp("demo"))
+    cli.cmd_build(cfg)
+    surrogate = misc.deserialize(cfg.out_dir / cli.SURROGATE_FILE)
+    return surrogate, ObservationSet.from_csv(DOCS / "demo_observations.csv"), cfg.space
+
+
+class TestScipyReference:
+    """The in-repo port takes exactly SciPy's steps: same x, fun, iteration
+    count and convergence flag, bit for bit."""
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [0.5, -2.0, 3.0, 0.0]])
+    def test_quadratic(self, x0):
+        target = np.arange(1.0, len(x0) + 1.0)
+
+        def bowl(x):
+            return float(((x - target) ** 2).sum())
+
+        kw = dict(tol_f=1e-14, tol_x=1e-8, max_iter=2000)
+        assert_same_bits(nelder_mead(bowl, x0, **kw), scipy_nelder_mead(bowl, x0, **kw))
+
+    def test_rosenbrock(self):
+        kw = dict(tol_f=1e-14, tol_x=1e-9, max_iter=5000)
+        res = nelder_mead(rosen, [-1.2, 1.0], **kw)
+        assert res.converged
+        assert_same_bits(res, scipy_nelder_mead(rosen, [-1.2, 1.0], **kw))
+
+    @pytest.mark.parametrize("objective, x0, max_iter", [
+        (lambda x: max(0.0, float(((x - [0.3, -0.7]) ** 2).sum()) - 1.0), [0.05, 1.0], 300),
+        (lambda x: abs(x[0] - 1.0) + 2.0 * abs(x[1] + 0.5) + abs(x[0] - x[1]), [-1.0, 2.0],
+         300),
+        (lambda x: abs(float(x[0])), [3.0], 300),
+        (lambda x: 1.0 if x[0] == 3.0 else float("nan"), [3.0], 20),
+    ], ids=["flat-bottom", "kinks", "absolute-value", "nan-off-start"])
+    def test_ties_shrinks_and_nan(self, objective, x0, max_iter):
+        # equal values, failed contractions and NaN values: the comparisons'
+        # strictness, the shrink step and the final min over the simplex
+        # decide the result
+        kw = dict(tol_f=1e-14, tol_x=1e-8, max_iter=max_iter)
+        assert_same_bits(nelder_mead(objective, x0, **kw),
+                         scipy_nelder_mead(objective, x0, **kw))
+
+    def test_stops_at_max_iter(self):
+        kw = dict(tol_f=1e-14, tol_x=1e-9, max_iter=37)
+        res = nelder_mead(rosen, [-1.2, 1.0], **kw)
+        assert not res.converged and res.iterations == 37
+        assert_same_bits(res, scipy_nelder_mead(rosen, [-1.2, 1.0], **kw))
+
+    def test_demo_misfit(self, demo_calibration):
+        surrogate, obs, space = demo_calibration
+        widths = space.widths()
+        for x0 in space.sample(4, seed=3):
+            simplex = np.vstack([x0, x0 + np.diag(0.05 * widths)])
+
+            def objective(v):
+                return misfit(surrogate, obs, v)
+
+            kw = dict(tol_f=1e-15 * (1.0 + objective(x0)), tol_x=1e-9 * widths.max(),
+                      max_iter=2000, initial_simplex=simplex)
+            res = nelder_mead(objective, x0, **kw)
+            assert res.converged
+            assert_same_bits(res, scipy_nelder_mead(objective, x0, **kw))
+
+
+def flat_bottom_rows(points):
+    """Zero on a disk, so reflections tie and contractions fail often."""
+    return np.maximum(0.0, (np.atleast_2d(points) ** 2).sum(axis=1) - 1.0)
+
+
+class TestSimplexSearch:
+    @pytest.mark.parametrize("rows, cap_3d", [(rosen_rows, 200), (flat_bottom_rows, 39)])
+    def test_lockstep_equals_separate_runs(self, rows, cap_3d):
+        rng = np.random.default_rng(31)
+        for dim, max_iter in ((2, 5000), (3, cap_3d)):
+            starts = rng.uniform(-2.0, 2.0, size=(9, dim))
+            simplices = starts[:, None, :] + np.vstack([np.zeros(dim), 0.1 * np.eye(dim)])
+            tol_f = 10.0 ** rng.uniform(-15, -6, size=9)
+            calls = []
+
+            def batched(points):
+                calls.append(len(points))
+                return rows(points)
+
+            together = _simplex_search(batched, simplices, tol_f, 1e-9, max_iter)
+            for sim, tf, res in zip(simplices, tol_f, together):
+                alone = nelder_mead(lambda x: float(rows(x[None])[0]), sim[0], tol_f=tf,
+                                    tol_x=1e-9, max_iter=max_iter, initial_simplex=sim)
+                assert res.x.tobytes() == alone.x.tobytes()
+                assert (res.fun, res.iterations, res.converged) == (
+                    alone.fun, alone.iterations, alone.converged)
+            # at most three batched calls per round after the initial simplex
+            rounds = max(r.iterations for r in together) - 1
+            assert calls[0] == 9 * (dim + 1)
+            assert len(calls) <= 1 + 3 * rounds
+        # in 3-D some starts converge and the others stop at max_iter
+        assert {r.converged for r in together} == {True, False}
 
 
 class TestFindMap:
@@ -199,6 +287,31 @@ class TestFindMap:
         obs = ObservationSet.from_pairs([("y_0", 0.5), ("y_1", 0.25)])
         with pytest.raises(CalibrationError):
             find_map(s, obs, box_space([(-1, 1), (-1, 1)]), n_starts=3, seed=4)
+
+    def test_starts_match_single_start_runs(self):
+        # the stub evaluates row by row, so running the starts together must
+        # give each start exactly its own Nelder-Mead run: own simplex, own
+        # fatol, same penalized objective
+        s = LinearSurrogate([[1.0, 0.3], [0.2, 1.4], [0.9, -0.7]], [0.1, -0.2, 0.05])
+        obs = obs_for(s, [2.4, 0.6, -0.1])  # MAP outside the box: the penalty acts
+        space = box_space([(-1, 1), (-2, 1)])
+        lo, hi = space.bounds()
+        widths = hi - lo
+        mu = 1e3 * misfit(s, obs, 0.5 * (lo + hi)) / float(widths @ widths)
+
+        def objective(v):
+            d = np.maximum(lo - v, 0.0) + np.maximum(v - hi, 0.0)
+            return misfit(s, obs, v) + mu * float((d * d).sum())
+
+        res = find_map(s, obs, space, n_starts=6, seed=3)
+        for x0, record in zip(space.sample(6, 3), res.report):
+            alone = nelder_mead(objective, x0, tol_f=1e-15 * (1.0 + objective(x0)),
+                                tol_x=1e-9 * widths.max(), max_iter=2000,
+                                initial_simplex=np.vstack([x0, x0 + np.diag(0.05 * widths)]))
+            assert record.start == tuple(x0)
+            assert np.array(record.point).tobytes() == alone.x.tobytes()
+            assert (record.objective, record.iterations) == (alone.fun, alone.iterations)
+            assert record.misfit == misfit(s, obs, alone.x)
 
 
 class TestEstimateSigma:

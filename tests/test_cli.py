@@ -411,7 +411,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_stage_processes_leave_scipy_unloaded(tmp_path):
-    # only calibrate's Nelder-Mead needs scipy; the other stages never load it
+    # no stage loads scipy; the test suite alone uses it, as a reference
     import subprocess
     path = write_config(tmp_path)
     code = ("import sys\nfrom miscuq.cli import main\nrc = main(sys.argv[1:])\n"
@@ -422,8 +422,7 @@ def test_stage_processes_leave_scipy_unloaded(tmp_path):
         proc = subprocess.run([sys.executable, "-c", code, stage, "--config", str(path),
                                "--quiet"], capture_output=True, text=True)
         assert proc.returncode == EXIT_OK, proc.stderr
-        if stage != "calibrate":
-            assert proc.stdout.strip() == "False", f"{stage} imported scipy"
+        assert proc.stdout.strip() == "False", f"{stage} imported scipy"
 
 
 class TornFile:

@@ -6,6 +6,7 @@ import pytest
 from miscuq.bayes import GaussianPosterior
 from miscuq.forward import (
     BandSummary,
+    PushResult,
     kde,
     mode,
     push_samples,
@@ -261,6 +262,17 @@ class TestBands:
                                for j in range(push.samples.shape[1])])
         assert np.array_equal(bands.q05, per_column[:, 0])
         assert np.array_equal(bands.q95, per_column[:, 1])
+
+    def test_band_modes_equal_standalone_kde(self):
+        # the shared quantile call must give the bandwidth kde computes alone;
+        # the skewed column makes IQR/1.34 the smaller scale, the zero one is degenerate
+        push = self.make_push()
+        cols = np.column_stack([push.samples, np.exp(push.samples[:, 0]),
+                                np.zeros(push.count)])
+        skewed = PushResult(push.qoi_names + ("q_3", "q_4"), cols, 0.0)
+        bands = summarize_bands(skewed)
+        alone = np.array([mode(kde(cols[:, j])) for j in range(cols.shape[1])])
+        assert np.array_equal(bands.modes, alone)
 
     def test_band_csv_round_trip(self, tmp_path):
         bands = summarize_bands(self.make_push())
