@@ -429,8 +429,8 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
                                       cfg.forward_samples, _stage_seed(cfg.seed, 2))
     post_push = forward.push_samples(post_state.surrogate, posterior,
                                      cfg.forward_samples, _stage_seed(cfg.seed, 3))
-    prior_bands = forward.summarize_bands(prior_push, cfg.kde_bandwidth)
-    post_bands = forward.summarize_bands(post_push, cfg.kde_bandwidth)
+    prior_bands = forward.summarize_bands(prior_push, cfg.kde_bandwidth, cfg.density_qois)
+    post_bands = forward.summarize_bands(post_push, cfg.kde_bandwidth, cfg.density_qois)
     comment = f"config {cfg.config_hash}"
     forward.write_bands_csv(prior_bands, cfg.out_dir / PRIOR_BANDS_FILE, comment)
     forward.write_bands_csv(post_bands, cfg.out_dir / POST_BANDS_FILE, comment)
@@ -451,10 +451,9 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
         ddir = cfg.out_dir / "densities"
         ddir.mkdir(exist_ok=True)
         for name in cfg.density_qois:
-            j = cfg.forward_qois.index(name)
-            for tag, push in (("prior", prior_push), ("posterior", post_push)):
-                pdf = forward.kde(push.samples[:, j], cfg.kde_bandwidth)
-                forward.write_density_csv(pdf, ddir / f"{name}_{tag}.csv", comment)
+            for tag, bands in (("prior", prior_bands), ("posterior", post_bands)):
+                forward.write_density_csv(bands.densities[name], ddir / f"{name}_{tag}.csv",
+                                          comment)
 
     if prior_push.extrapolated_fraction > 0 or post_push.extrapolated_fraction > 0:
         log.warning("forward: extrapolated sample fraction prior=%.3g posterior=%.3g",

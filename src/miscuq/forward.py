@@ -7,7 +7,7 @@ binning plus one FFT convolution), and summarize them as modes with
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -159,28 +159,37 @@ def quantiles(samples, probs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandSummary:
-    """Per-QoI mode and 5%-95% quantile band."""
+    """Per-QoI mode and 5%-95% quantile band; ``densities`` keeps the KDE of
+    the QoIs :func:`summarize_bands` was asked to keep, by name."""
 
     qoi_names: tuple[str, ...]
     modes: np.ndarray
     q05: np.ndarray
     q95: np.ndarray
     extrapolated_fraction: np.ndarray
+    densities: dict[str, PdfEstimate] = field(default_factory=dict, compare=False, repr=False)
 
     def widths(self) -> np.ndarray:
         return self.q95 - self.q05
 
 
-def summarize_bands(push: PushResult, bandwidth: float | None = None) -> BandSummary:
+def summarize_bands(push: PushResult, bandwidth: float | None = None,
+                    densities: tuple[str, ...] = ()) -> BandSummary:
     """KDE mode and empirical 5%/95% quantiles (as in :func:`quantiles`) for
     every QoI column; one quantile call also gives every column's IQR for
-    the KDE bandwidth."""
+    the KDE bandwidth.  The estimates of the QoIs named in ``densities`` are
+    kept in the summary."""
     q05, q25, q75, q95 = np.quantile(push.samples, [0.05, 0.25, 0.75, 0.95], axis=0,
                                      method="linear")
-    modes = np.array([mode(kde(push.samples[:, j], bandwidth, iqr=float(q75[j] - q25[j])))
-                      for j in range(len(push.qoi_names))])
+    modes = np.empty(len(push.qoi_names))
+    kept = {}
+    for j, name in enumerate(push.qoi_names):
+        pdf = kde(push.samples[:, j], bandwidth, iqr=float(q75[j] - q25[j]))
+        modes[j] = mode(pdf)
+        if name in densities:
+            kept[name] = pdf
     frac = np.full(len(push.qoi_names), push.extrapolated_fraction)
-    return BandSummary(push.qoi_names, modes, q05, q95, frac)
+    return BandSummary(push.qoi_names, modes, q05, q95, frac, kept)
 
 
 def uncertainty_reduction(prior_bands: BandSummary, post_bands: BandSummary) -> float:

@@ -78,6 +78,12 @@ def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _axis_basis(knots: np.ndarray) -> tuple:
+    """One axis's knots, barycentric weights and per-knot coincidence
+    tolerances: the leading arguments of :func:`_basis_matrix`."""
+    return knots, _barycentric_weights(knots), _COINCIDENT_RTOL * np.maximum(1.0, np.abs(knots))
+
+
 def _basis_matrix(knots: np.ndarray, weights: np.ndarray, hit_tol: np.ndarray,
                   t: np.ndarray) -> np.ndarray:
     """Barycentric cardinal-basis values, shape (len(t), len(knots)); a
@@ -112,10 +118,7 @@ class TensorInterpolant:
                 f"values must have one row per grid point ({len(grid)}), got shape {values.shape}")
         self.grid = grid
         self._values = np.ascontiguousarray(values)
-        # per dimension: knots, barycentric weights, coincidence tolerances
-        self._bases = tuple((k, _barycentric_weights(k),
-                             _COINCIDENT_RTOL * np.maximum(1.0, np.abs(k)))
-                            for k in grid.per_dim_knots)
+        self._bases = tuple(_axis_basis(k) for k in grid.per_dim_knots)
 
     def evaluate_many(self, points) -> np.ndarray:
         """Evaluate at an (S, dim) array of points; returns (S, n_outputs)."""

@@ -3,14 +3,18 @@
 A surrogate is the combination-technique sum of tensor interpolants, one
 per extended index [alpha, beta] with nonzero combination weight, on shared
 nested knot families; the sum is compiled once into a single interpolant on
-the box grid of the componentwise largest beta.  ``adapt`` grows the index
-set greedily: score every reduced-margin candidate by the surplus it would
-add at the probe points, commit the most profitable one, repeat until a
-stop criterion fires.
+the box grid of the componentwise largest beta.  The knots are nested, so
+each entry's interpolant reaches the box grid through one small 1-D
+prolongation matrix per axis.  ``adapt`` grows the index set greedily:
+score every reduced-margin candidate by the surplus it would add at the
+probe points, commit the most profitable one, repeat until a stop criterion
+fires.  It keeps the oracle samples of every entry it probes, so a commit
+forms the new surrogate from them and the new combination weights alone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .interp import TensorInterpolant, build_grid
+from .interp import TensorInterpolant, _axis_basis, _basis_matrix, build_grid
 from .leja import SymmetricLeja, WeightedGaussianLeja, level_to_knots
 from .multiindex import ExtIndex, MultiIndexSet, combination_coefficients, reduced_margin
 from .oracle import point_key
@@ -77,8 +81,16 @@ class MiscSurrogate:
         box = build_grid(max_beta, self.families)
         total = np.zeros((len(box), len(self.qoi_names)))
         for entry, c in sorted(self.coefficients.items()):
-            grid = build_grid(entry.beta, self.families)
-            total += c * TensorInterpolant(grid, self.values[entry]).evaluate_many(box.points)
+            # carry the samples onto the box knots one axis at a time; ``done``
+            # is the box size of the axes already carried
+            block, done = self.values[entry], 1
+            for family, b_e, n_b in zip(self.families, entry.beta, box.shape):
+                n_e = level_to_knots(b_e)
+                block = block.reshape(done, n_e, -1)
+                if n_e < n_b:
+                    block = _prolongation(family, n_e, n_b) @ block
+                done *= n_b
+            total += c * block.reshape(total.shape)
         self.compiled = TensorInterpolant(box, total)
 
     @property
@@ -101,6 +113,17 @@ class MiscSurrogate:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         lo, hi = np.array(self.domain).T
         return np.any((points < lo) | (points > hi), axis=1)
+
+
+@functools.lru_cache(maxsize=512)  # read-only results; a process sees few (family, size) pairs
+def _prolongation(family, n_e: int, n_b: int) -> np.ndarray:
+    """(n_b, n_e) matrix taking values at a family's first n_e knots to their
+    interpolant at its first n_b knots; nesting makes the first n_e rows the
+    identity."""
+    matrix = _basis_matrix(*_axis_basis(np.asarray(family.knots(n_e), dtype=float)),
+                           np.asarray(family.knots(n_b), dtype=float))
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _eval_entry(oracle, entry: ExtIndex, families, qois) -> np.ndarray:
@@ -171,6 +194,7 @@ class AdaptState:
     skipped: list = field(default_factory=list)    # (entry, error) from the last pass
     config_hash: str | None = None
     probe_values: dict = field(default_factory=dict)  # entry -> its interpolant at the probes
+    entry_values: dict = field(default_factory=dict)  # entry -> its oracle samples
 
     def committed_points(self, alpha: int) -> set:
         """Union of grid point keys over entries of the set at one fidelity."""
@@ -247,7 +271,8 @@ def init_adapt(oracle, families, qois, *, probe_count: int = PROBE_COUNT,
     index_set = MultiIndexSet([ExtIndex(1, (1,) * len(families))])
     surrogate = build(index_set, oracle, families, qois, config_hash)
     state = AdaptState(index_set, surrogate, families, qois,
-                       _probe_grid(families, probe_count), config_hash=config_hash)
+                       _probe_grid(families, probe_count), config_hash=config_hash,
+                       entry_values=dict(surrogate.values))
     for entry in index_set:
         _charge(state, oracle, entry)
     return state
@@ -262,10 +287,11 @@ def _surplus(state: AdaptState, oracle, cand: ExtIndex) -> np.ndarray:
     for s in product(*((1, 0) if c > 1 else (0,) for c in cand.as_vector())):
         entry = cand.shifted(tuple(-o for o in s))
         if entry not in state.probe_values:
+            if entry not in state.entry_values:
+                state.entry_values[entry] = _eval_entry(oracle, entry, state.families, state.qois)
             grid = build_grid(entry.beta, state.families)
-            values = _eval_entry(oracle, entry, state.families, state.qois)
-            state.probe_values[entry] = TensorInterpolant(grid, values).evaluate_many(
-                state.probe_points)
+            state.probe_values[entry] = TensorInterpolant(
+                grid, state.entry_values[entry]).evaluate_many(state.probe_points)
         out += (-1) ** sum(s) * state.probe_values[entry]
     return out
 
@@ -276,9 +302,11 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
     Each iteration probes every reduced-margin candidate (its evaluations go
     to the cache whether or not it is selected), scores it by the surplus it
     would add at the probe points, and commits the candidate with the
-    highest profit ``|surplus| / (cost-weighted new points)``; the surrogate
-    is rebuilt once per commit.  Candidates whose evaluations fail are
-    skipped for the iteration.
+    highest profit ``|surplus| / (cost-weighted new points)``.  A commit
+    forms the new surrogate from the combination weights of the enlarged set
+    and the oracle samples kept when its entries were probed, with no oracle
+    or cache call.  Candidates whose evaluations fail are skipped for the
+    iteration.
     """
     while True:
         if stop.max_work is not None and state.work_spent >= stop.max_work:
@@ -315,8 +343,10 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
             log.info("adapt stop: best profit %.3g below floor %.3g", best.profit, floor)
             break
         state.index_set = state.index_set.with_entry(best.entry)
-        state.surrogate = build(state.index_set, oracle, state.families, state.qois,
-                                state.config_hash)
+        coeffs = combination_coefficients(state.index_set)
+        state.surrogate = MiscSurrogate(state.index_set, coeffs,
+                                        {e: state.entry_values[e] for e in sorted(coeffs)},
+                                        state.families, state.qois, state.config_hash)
         state.committed.append((best.entry, best.profit))
         log.info("adapt: committed %s profit %.3g work %.3g",
                  best.entry, best.profit, state.work_spent)
@@ -408,7 +438,7 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
                 if "values" not in rec:
                     raise SurrogateFormatError(f"{path}: missing grid values for {entry}")
             if "values" in rec:
-                size = len(build_grid(entry.beta, families))
+                size = math.prod(level_to_knots(b) for b in entry.beta)
                 flat = np.array([float.fromhex(h) for h in rec["values"]])
                 if flat.size != size * len(qois):
                     raise SurrogateFormatError(f"{path}: entry {entry} has {flat.size} values, "

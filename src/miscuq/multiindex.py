@@ -72,7 +72,10 @@ class MultiIndexSet:
         if len(dims) > 1:
             raise ValueError(f"inconsistent beta dimensions: {sorted(dims)}")
         if dims:
-            dim = dims.pop()
+            found = dims.pop()
+            if dim is not None and found != dim:
+                raise ValueError(f"entries have {found} beta components, expected dim {dim}")
+            dim = found
         elif dim is None:
             raise ValueError("empty set needs an explicit dim")
         if not is_downward_closed(entries):

@@ -148,12 +148,6 @@ class EvalCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def count_by_alpha(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for alpha, _, _ in self._store:
-            out[alpha] = out.get(alpha, 0) + 1
-        return out
-
     def points_by_alpha(self) -> dict[int, set[tuple[str, ...]]]:
         out: dict[int, set[tuple[str, ...]]] = {}
         for alpha, key, _ in self._store:

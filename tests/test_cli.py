@@ -177,7 +177,8 @@ class TestBuild:
         # on a fresh run the reported evaluations are exactly the cache content
         cache = EvalCache(cfg.out_dir / "cache.jsonl")
         assert report["evaluations_by_fidelity"] == {
-            str(a): n for a, n in sorted(cache.count_by_alpha().items())}
+            str(a): len(points) * len(cfg.calibration_qois)
+            for a, points in sorted(cache.points_by_alpha().items())}
         assert report["evaluations_total"] == len(cache)
         surrogate = misc.deserialize(cfg.out_dir / "surrogate.json")
         assert surrogate.config_hash == cfg.config_hash
@@ -274,6 +275,21 @@ class TestCalibrateAndForward:
         cfg = load_config(write_config(tmp_path))
         with pytest.raises(ConfigError, match="missing artifacts"):
             cmd_report(cfg)
+
+    def test_forward_estimates_each_band_column_once(self, tmp_path, monkeypatch):
+        from miscuq import forward
+
+        cfg = load_config(write_config(tmp_path, {"forward.densities": ["e_1", "e_5"]}))
+        cmd_build(cfg)
+        make_observations(cfg)
+        cmd_calibrate(cfg)
+        calls = []
+        original = forward.kde
+        monkeypatch.setattr(forward, "kde", lambda *a, **k: calls.append(1) or original(*a, **k))
+        cmd_forward(cfg)
+        assert len(calls) == 2 * len(cfg.forward_qois)  # prior and posterior bands
+        for name in ("e_1_prior", "e_1_posterior", "e_5_prior", "e_5_posterior"):
+            assert (cfg.out_dir / "densities" / f"{name}.csv").exists()
 
     def test_band_rows_cover_all_prediction_qois(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

@@ -274,6 +274,19 @@ class TestBands:
         alone = np.array([mode(kde(cols[:, j])) for j in range(cols.shape[1])])
         assert np.array_equal(bands.modes, alone)
 
+    def test_kept_densities_equal_standalone_kde(self):
+        push = self.make_push()
+        cols = np.column_stack([push.samples, np.exp(push.samples[:, 0])])
+        skewed = PushResult(push.qoi_names + ("q_3",), cols, 0.0)
+        bands = summarize_bands(skewed, densities=("q_1", "q_3"))
+        assert sorted(bands.densities) == ["q_1", "q_3"]
+        for name, j in (("q_1", 1), ("q_3", 3)):
+            alone = kde(cols[:, j])
+            assert bands.densities[name].bandwidth == alone.bandwidth
+            assert bands.densities[name].grid.tobytes() == alone.grid.tobytes()
+            assert bands.densities[name].density.tobytes() == alone.density.tobytes()
+        assert summarize_bands(skewed).densities == {}
+
     def test_band_csv_round_trip(self, tmp_path):
         bands = summarize_bands(self.make_push())
         path = tmp_path / "bands.csv"

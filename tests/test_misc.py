@@ -109,6 +109,12 @@ def weighted_sum(surrogate, points):
     return out
 
 
+def kronecker_compile(surrogate):
+    """Reference compile: the weighted sum evaluated at every box grid point
+    through each entry's full tensor basis, as the compile was first written."""
+    return weighted_sum(surrogate, surrogate.compiled.grid.points)
+
+
 class TestBuild:
     def test_singleton_set_gives_constant(self):
         oracle = beam_oracle()
@@ -230,6 +236,43 @@ class TestCompiled:
         s = build(MultiIndexSet(entries), beam_oracle(), fams, ["u_2", "e_80"])
         pts = np.random.default_rng(12).normal((1290.0, -2.5), (40.0, 0.6), (500, 2))
         self.assert_matches_weighted_sum(s, pts)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "gaussian"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_prolongation_compile_matches_kronecker(self, dim, kind):
+        def low(v, q):
+            scale = 1.0 if q == "q" else 1e-3
+            return scale * np.exp(0.3 * np.sum(v)) * np.cos(0.7 * v[0] - 0.2 * v[-1])
+
+        def high(v, q):
+            return low(v, q) + 0.01 * np.sin(v[0])
+
+        families = (TestClosedForms.FAMILIES[kind],) * dim
+        oracle = CachedOracle(AnalyticModel({1: low, 2: high}, dim, ["q", "r"], costs=(1.0, 4.0)))
+        rng = np.random.default_rng(30 + dim)
+        for size in (1, 4, 9, 16):
+            s = build(random_index_set(rng, dim, size), oracle, families, ["q", "r"])
+            ref = kronecker_compile(s)
+            got = s.compiled.evaluate_many(s.compiled.grid.points)
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0)), s.index_set
+
+    @pytest.mark.parametrize("kind", ["symmetric", "gaussian"])
+    def test_prolongation_leads_with_identity(self, kind):
+        family = TestClosedForms.FAMILIES[kind]
+        for n_e in range(1, 14, 2):
+            for n_b in range(n_e, 30, 2):
+                matrix = misc._prolongation(family, n_e, n_b)
+                assert matrix.shape == (n_b, n_e)
+                assert matrix[:n_e].tobytes() == np.eye(n_e).tobytes(), (n_e, n_b)
+                if n_b > n_e + 4:
+                    continue
+                # interpolation is exact for constants and, from two knots on,
+                # lines, up to round-off that grows with the distance the box
+                # knots extrapolate to (Gaussian tails: up to 6e-12 at 13 -> 17 knots)
+                x = family.knots(n_b)
+                assert np.abs(matrix.sum(axis=1) - 1.0).max() <= 1e-10
+                if n_e > 1:
+                    assert np.abs(matrix @ x[:n_e] - x).max() <= 1e-10 * np.abs(x).max()
 
     def test_one_interpolant_call_per_evaluation(self, monkeypatch):
         s = build(MultiIndexSet([E(1, 1, 1), E(1, 2, 1), E(1, 1, 2), E(2, 1, 1)]),
@@ -406,18 +449,62 @@ class TestAdapt:
         assert any(cand.alpha == 2 for cand, _ in state.skipped)
         assert len(state.index_set) > 1
 
-    def test_one_build_per_commit(self, monkeypatch):
+    def test_commits_without_rebuilding(self, monkeypatch):
         oracle = beam_oracle()
-        state = init_adapt(oracle, beam_families(), ["u_1", "u_2"])
-        calls, weights = [], []
-        monkeypatch.setattr(misc, "build", lambda *a, **k: calls.append(1) or build(*a, **k))
+        families = beam_families()
+        state = init_adapt(oracle, families, ["u_1", "u_2"])
+        builds, weights, reads = [], [], []
+        original_read = CachedOracle.eval_batch
+        monkeypatch.setattr(misc, "build", lambda *a, **k: builds.append(1) or build(*a, **k))
         monkeypatch.setattr(misc, "combination_coefficients",
                             lambda s: weights.append(1) or combination_coefficients(s))
+        monkeypatch.setattr(CachedOracle, "eval_batch", lambda self, alpha, pts, qois: (
+            reads.append((alpha, np.asarray(pts).tobytes()))
+            or original_read(self, alpha, pts, qois)))
         monkeypatch.setattr(misc.AdaptState, "committed_points", None)
         adapt(state, oracle, AdaptStop(max_work=150.0))
         assert len(state.committed) >= 5
-        assert len(calls) == len(state.committed)
-        assert len(weights) == len(calls)  # candidates are scored without them
+        assert builds == []
+        assert len(weights) == len(state.committed)  # candidates are scored without them
+        # one cache read per entry probed in the loop; the root was read before it
+        probed = set(state.entry_values) - {E(1, 1, 1)}
+        assert len(reads) == len(set(reads)) == len(probed)
+        assert set(reads) == {(e.alpha, build_grid(e.beta, families).points.tobytes())
+                              for e in probed}
+        assert set(state.index_set) <= set(state.entry_values)
+
+    @pytest.mark.parametrize("budget", [150.0, 5000.0])
+    @pytest.mark.parametrize("kind", ["symmetric", "gaussian"])
+    def test_each_commit_equals_build(self, kind, budget):
+        families = {"symmetric": beam_families(),
+                    "gaussian": (WeightedGaussianLeja(1290.0, 40.0),
+                                 WeightedGaussianLeja(-2.5, 0.6))}[kind]
+        qois = ["u_1", "u_3", "e_20"]
+        oracle = beam_oracle()
+        state = init_adapt(oracle, families, qois)
+        while True:
+            commits = len(state.committed)
+            adapt(state, oracle, AdaptStop(max_work=budget, max_candidates=commits + 1))
+            if len(state.committed) == commits:
+                break
+            want = build(state.index_set, oracle, families, qois)
+            got = state.surrogate
+            assert got.index_set == want.index_set
+            assert got.coefficients == want.coefficients
+            assert got.values.keys() == want.values.keys()
+            for entry, values in want.values.items():
+                assert got.values[entry].shape == values.shape
+                assert got.values[entry].tobytes() == values.tobytes(), entry
+        assert len(state.committed) >= 5
+
+    def test_round_trip_after_adapt_is_bit_exact(self, tmp_path):
+        oracle = beam_oracle()
+        state = init_adapt(oracle, beam_families(), ["u_1", "u_3", "e_20"])
+        adapt(state, oracle, AdaptStop(max_work=300.0))
+        serialize(state.surrogate, tmp_path / "s.json")
+        loaded = deserialize(tmp_path / "s.json")
+        pts = random_beam_points(200, 14)
+        assert loaded.evaluate_many(pts).tobytes() == state.surrogate.evaluate_many(pts).tobytes()
 
     def test_deterministic_trajectory(self):
         runs = []
@@ -489,7 +576,9 @@ class TestSerialization:
          "missing grid values"),
         (lambda d: d.update(entries=[r for r in d["entries"] if r["beta"] != [1, 1]]),
          "downward-closed"),
-    ], ids=["extra_qoi", "missing_qoi", "missing_values", "not_downward_closed"])
+        (lambda d: [r["beta"].append(1) for r in d["entries"]], "expected dim 2"),
+    ], ids=["extra_qoi", "missing_qoi", "missing_values", "not_downward_closed",
+            "wrong_level_count"])
     def test_inconsistent_payload_rejected(self, tmp_path, edit, match):
         path = tmp_path / "s.json"
         serialize(self.build_sample(), path)

@@ -69,6 +69,12 @@ class TestDownwardClosed:
         with pytest.raises(ValueError):
             MultiIndexSet([E(0, 1)])
 
+    def test_constructor_rejects_other_dim(self):
+        with pytest.raises(ValueError, match="expected dim 3"):
+            MultiIndexSet([E(1, 1, 1)], dim=3)
+        with pytest.raises(ValueError, match="expected dim 2"):
+            MultiIndexSet([], dim=2).with_entry(E(1, 1, 1, 1))
+
     def test_entries_sorted_canonically(self):
         s = MultiIndexSet([E(1, 2, 1), E(1, 1, 1), E(1, 1, 2), E(2, 1, 1)])
         assert s.entries == (E(1, 1, 1), E(1, 1, 2), E(1, 2, 1), E(2, 1, 1))
