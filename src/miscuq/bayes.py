@@ -50,6 +50,7 @@ log = logging.getLogger(__name__)
 
 FD_STEP_REL = 1e-4          # central-difference step, relative to box width
 PENALTY_SCALE = 1e3         # out-of-box penalty stiffness, see find_map
+MAX_ITER = 2000             # Nelder-Mead iterations per start, see find_map
 SIGMA_FLOOR_REL = 1e-12     # noise floor relative to the largest observation
 
 
@@ -245,7 +246,7 @@ class MapResult(NamedTuple):
 
 
 def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int = 20,
-             seed=0, *, penalty_scale: float = PENALTY_SCALE, max_iter: int = 2000) -> MapResult:
+             seed=0) -> MapResult:
     """Multistart Nelder-Mead minimization of the observation misfit.
 
     Starts are prior samples, all advanced together: every round evaluates
@@ -253,7 +254,7 @@ def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int = 
     optimizer runs unconstrained, but a quadratic penalty
     ``mu * dist(v, box)^2`` discourages wandering far outside the
     parameter box, where the surrogate extrapolates with degrading
-    fidelity; ``mu = penalty_scale * misfit(center) / diam^2``.  Moderate
+    fidelity; ``mu = PENALTY_SCALE * misfit(center) / diam^2``.  Moderate
     overflow of the box is expected and allowed.  A start where the
     objective is not finite is logged and skipped.
 
@@ -268,7 +269,7 @@ def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int = 
     widths = hi - lo
     center = 0.5 * (lo + hi)
     diam_sq = float(widths @ widths)
-    mu = penalty_scale * base(center)[0] / diam_sq
+    mu = PENALTY_SCALE * base(center)[0] / diam_sq
 
     def objective(points):
         d = np.maximum(lo - points, 0.0) + np.maximum(points - hi, 0.0)
@@ -287,7 +288,7 @@ def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int = 
     starts = starts[ok]
     steps = np.vstack([np.zeros(space.dim), np.diag(0.05 * widths)])
     results = _simplex_search(objective, starts[:, None, :] + steps, 1e-15 * (1.0 + f0[ok]),
-                              1e-9 * float(widths.max()), max_iter)
+                              1e-9 * float(widths.max()), MAX_ITER)
     misfits = base(np.array([res.x for res in results]))
     records = [MultistartRecord(tuple(x0), tuple(res.x), float(m), res.fun, res.iterations)
                for x0, res, m in zip(starts, results, misfits)]
@@ -380,10 +381,6 @@ class GaussianPosterior:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
     def marginal_std(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
@@ -397,9 +394,9 @@ class GaussianPosterior:
 
 
 def calibrate(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int = 20,
-              seed=0, **map_options) -> GaussianPosterior:
+              seed=0) -> GaussianPosterior:
     """Full inverse step: MAP search, noise estimate, Laplace covariance."""
-    map_result = find_map(surrogate, obs, space, n_starts, seed, **map_options)
+    map_result = find_map(surrogate, obs, space, n_starts, seed)
     sig = estimate_sigma(surrogate, obs, map_result.point)
     lap = laplace_covariance(surrogate, obs, map_result.point, sig.sigma, space)
     return GaussianPosterior(map_result.point, lap.covariance, sig.sigma,

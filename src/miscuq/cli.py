@@ -343,18 +343,6 @@ def _posterior_from_json(doc: dict) -> GaussianPosterior:
                              warnings=tuple(doc.get("warnings", ())))
 
 
-def _prior_rows(space: ParamSpace):
-    for spec in space.params:
-        dist = spec.distribution
-        if isinstance(dist, Uniform):
-            mean, std = dist.center, dist.std
-            lo, hi = dist.lo, dist.hi
-        else:
-            mean, std = dist.mean, dist.std
-            lo, hi = dist.bounds()
-        yield spec.name, mean, std, lo, hi
-
-
 def cmd_calibrate(cfg: PipelineConfig) -> dict:
     """MAP + Laplace posterior from the built surrogate and observations."""
     if cfg.observations is None:
@@ -383,9 +371,12 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
 
     stds = posterior.marginal_std()
     rows = []
-    for name, mean, std, lo, hi in _prior_rows(cfg.space):
+    for spec in cfg.space.params:
+        dist = spec.distribution
+        mean, std = dist.center, dist.std
         cv = std / abs(mean) if mean != 0.0 else math.inf
-        rows.append(["prior", name] + [repr(float(x)) for x in (mean, std, cv, lo, hi)])
+        rows.append(["prior", spec.name] + [repr(float(x)) for x in
+                                            (mean, std, cv, *dist.bounds())])
     for n, name in enumerate(cfg.space.names):
         mean, std = float(posterior.mean[n]), float(stds[n])
         cv = std / abs(mean) if mean != 0.0 else math.inf

@@ -89,8 +89,7 @@ def _silverman_bandwidth(samples: np.ndarray, iqr: float | None) -> float:
     return 0.9 * scale * samples.size ** (-0.2)
 
 
-def kde(samples, bandwidth: float | None = None, grid_size: int = GRID_SIZE, *,
-        iqr: float | None = None) -> PdfEstimate:
+def kde(samples, bandwidth: float | None = None, *, iqr: float | None = None) -> PdfEstimate:
     """Gaussian-kernel KDE with Silverman's rule-of-thumb bandwidth.
 
     Default bandwidth: 0.9 min(std, IQR/1.34) S^(-1/5); the IQR is ``iqr``
@@ -117,23 +116,23 @@ def kde(samples, bandwidth: float | None = None, grid_size: int = GRID_SIZE, *,
         raise ValueError(f"need at least 2 samples, got {samples.size}")
     lo, hi = float(samples.min()), float(samples.max())
     if hi == lo:
-        grid = np.full(grid_size, lo)
-        return PdfEstimate(samples, 0.0, grid, np.zeros(grid_size), degenerate=True)
+        grid = np.full(GRID_SIZE, lo)
+        return PdfEstimate(samples, 0.0, grid, np.zeros(GRID_SIZE), degenerate=True)
     bw = float(bandwidth) if bandwidth is not None else _silverman_bandwidth(samples, iqr)
     if not bw > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bw}")
-    grid = np.linspace(lo - 3.0 * bw, hi + 3.0 * bw, grid_size)
-    dx = (grid[-1] - grid[0]) / (grid_size - 1)
-    pos = np.clip((samples - grid[0]) / dx, 0.0, grid_size - 1)
-    left = np.minimum(pos.astype(np.intp), grid_size - 2)
+    grid = np.linspace(lo - 3.0 * bw, hi + 3.0 * bw, GRID_SIZE)
+    dx = (grid[-1] - grid[0]) / (GRID_SIZE - 1)
+    pos = np.clip((samples - grid[0]) / dx, 0.0, GRID_SIZE - 1)
+    left = np.minimum(pos.astype(np.intp), GRID_SIZE - 2)
     frac = pos - left
-    counts = (np.bincount(left, weights=1.0 - frac, minlength=grid_size)
-              + np.bincount(left + 1, weights=frac, minlength=grid_size))
-    offsets = np.arange(-(grid_size - 1), grid_size) * (dx / bw)
+    counts = (np.bincount(left, weights=1.0 - frac, minlength=GRID_SIZE)
+              + np.bincount(left + 1, weights=frac, minlength=GRID_SIZE))
+    offsets = np.arange(-(GRID_SIZE - 1), GRID_SIZE) * (dx / bw)
     kernel = np.exp(-0.5 * offsets * offsets)
-    n_fft = 1 << (3 * grid_size - 3).bit_length()  # >= 3G - 2: no wrap-around
+    n_fft = 1 << (3 * GRID_SIZE - 3).bit_length()  # >= 3G - 2: no wrap-around
     conv = np.fft.irfft(np.fft.rfft(counts, n_fft) * np.fft.rfft(kernel, n_fft), n_fft)
-    density = np.maximum(conv[grid_size - 1:2 * grid_size - 1], 0.0)
+    density = np.maximum(conv[GRID_SIZE - 1:2 * GRID_SIZE - 1], 0.0)
     density /= samples.size * bw * np.sqrt(2.0 * np.pi)
     return PdfEstimate(samples, bw, grid, density)
 
@@ -146,15 +145,16 @@ def mode(pdf: PdfEstimate) -> float:
 
 
 def quantiles(samples, probs) -> np.ndarray:
-    """Empirical quantiles with linear interpolation between order statistics
-    (position (S-1) p + 1 among the sorted values, one-based)."""
-    samples = np.asarray(samples, dtype=float).reshape(-1)
-    if samples.size < 2:
-        raise ValueError(f"need at least 2 samples, got {samples.size}")
+    """Empirical quantiles along axis 0 with linear interpolation between
+    order statistics (position (S-1) p + 1 among the sorted values,
+    one-based); an (S, J) array gives one column of quantiles per QoI."""
+    samples = np.atleast_1d(np.asarray(samples, dtype=float))
+    if samples.shape[0] < 2:
+        raise ValueError(f"need at least 2 samples, got {samples.shape[0]}")
     probs = np.atleast_1d(np.asarray(probs, dtype=float))
     if np.any((probs <= 0.0) | (probs >= 1.0)):
         raise ValueError(f"probabilities must lie in (0, 1), got {probs}")
-    return np.quantile(samples, probs, method="linear")
+    return np.quantile(samples, probs, axis=0, method="linear")
 
 
 @dataclass(frozen=True)
@@ -175,12 +175,11 @@ class BandSummary:
 
 def summarize_bands(push: PushResult, bandwidth: float | None = None,
                     densities: tuple[str, ...] = ()) -> BandSummary:
-    """KDE mode and empirical 5%/95% quantiles (as in :func:`quantiles`) for
-    every QoI column; one quantile call also gives every column's IQR for
-    the KDE bandwidth.  The estimates of the QoIs named in ``densities`` are
-    kept in the summary."""
-    q05, q25, q75, q95 = np.quantile(push.samples, [0.05, 0.25, 0.75, 0.95], axis=0,
-                                     method="linear")
+    """KDE mode and empirical 5%/95% quantiles for every QoI column; one
+    :func:`quantiles` call also gives every column's IQR for the KDE
+    bandwidth.  The estimates of the QoIs named in ``densities`` are kept in
+    the summary."""
+    q05, q25, q75, q95 = quantiles(push.samples, [0.05, 0.25, 0.75, 0.95])
     modes = np.empty(len(push.qoi_names))
     kept = {}
     for j, name in enumerate(push.qoi_names):

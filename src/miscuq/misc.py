@@ -6,10 +6,11 @@ nested knot families; the sum is compiled once into a single interpolant on
 the box grid of the componentwise largest beta.  The knots are nested, so
 each entry's interpolant reaches the box grid through one small 1-D
 prolongation matrix per axis.  ``adapt`` grows the index set greedily:
-score every reduced-margin candidate by the surplus it would add at the
-probe points, commit the most profitable one, repeat until a stop criterion
-fires.  It keeps the oracle samples of every entry it probes, so a commit
-forms the new surrogate from them and the new combination weights alone.
+score each reduced-margin candidate once, when it enters the margin, by the
+surplus it would add at the probe points, commit the most profitable one,
+repeat until a stop criterion fires.  It keeps the oracle samples of every
+entry it probes, so a commit forms the new surrogate from them and the new
+combination weights alone.
 """
 
 from __future__ import annotations
@@ -168,17 +169,6 @@ class AdaptStop:
 
 
 @dataclass
-class _Probe:
-    entry: ExtIndex
-    delta_s: float
-    delta_w: float
-
-    @property
-    def profit(self) -> float:
-        return self.delta_s / self.delta_w
-
-
-@dataclass
 class AdaptState:
     """Mutable bookkeeping carried across adaptive iterations."""
 
@@ -195,6 +185,7 @@ class AdaptState:
     config_hash: str | None = None
     probe_values: dict = field(default_factory=dict)  # entry -> its interpolant at the probes
     entry_values: dict = field(default_factory=dict)  # entry -> its oracle samples
+    profits: dict[ExtIndex, float] = field(default_factory=dict)  # scored candidates
 
     def committed_points(self, alpha: int) -> set:
         """Union of grid point keys over entries of the set at one fidelity."""
@@ -248,30 +239,28 @@ def _new_points(beta) -> int:
 
 
 def _charge(state: AdaptState, oracle, entry: ExtIndex) -> None:
-    """Add an uncharged entry's new points to the work ledger.
+    """Add an entry's new points to the work ledger; each entry is charged
+    once, the root by ``init_adapt`` and a candidate when it is scored.
 
     The charged entries stay downward closed, so their new points are the
-    distinct (fidelity, point) pairs evaluated.  Charges never repeat, so the
-    ledger is a function of the adaptive trajectory alone: replaying a run
-    against a warm cache spends the same logical work and stops at the same place.
+    distinct (fidelity, point) pairs evaluated.  The ledger is a function of
+    the adaptive trajectory alone: replaying a run against a warm cache
+    spends the same logical work and stops at the same place.
     """
-    if entry in state.charged:
-        return
     state.charged.add(entry)
     work = oracle.cost_weight(entry.alpha) * _new_points(entry.beta)
     state.work_spent += work
     state.work_by_alpha[entry.alpha] = state.work_by_alpha.get(entry.alpha, 0.0) + work
 
 
-def init_adapt(oracle, families, qois, *, probe_count: int = PROBE_COUNT,
-               config_hash=None) -> AdaptState:
+def init_adapt(oracle, families, qois, *, config_hash=None) -> AdaptState:
     """Fresh adaptive state at the minimal index set [1, (1, ..., 1)]."""
     families = tuple(families)
     qois = tuple(qois)
     index_set = MultiIndexSet([ExtIndex(1, (1,) * len(families))])
     surrogate = build(index_set, oracle, families, qois, config_hash)
     state = AdaptState(index_set, surrogate, families, qois,
-                       _probe_grid(families, probe_count), config_hash=config_hash,
+                       _probe_grid(families, PROBE_COUNT), config_hash=config_hash,
                        entry_values=dict(surrogate.values))
     for entry in index_set:
         _charge(state, oracle, entry)
@@ -299,14 +288,16 @@ def _surplus(state: AdaptState, oracle, cand: ExtIndex) -> np.ndarray:
 def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
     """Run the greedy enlargement loop until a stop criterion fires.
 
-    Each iteration probes every reduced-margin candidate (its evaluations go
-    to the cache whether or not it is selected), scores it by the surplus it
-    would add at the probe points, and commits the candidate with the
-    highest profit ``|surplus| / (cost-weighted new points)``.  A commit
-    forms the new surrogate from the combination weights of the enlarged set
-    and the oracle samples kept when its entries were probed, with no oracle
-    or cache call.  Candidates whose evaluations fail are skipped for the
-    iteration.
+    Each iteration scores the reduced-margin candidates not scored yet (their
+    evaluations go to the cache whether or not they are selected) by the
+    surplus they would add at the probe points, and commits the candidate
+    with the highest profit ``|surplus| / (cost-weighted new points)``.  A
+    surplus depends only on the kept samples of the candidate's backward
+    shifts, so a profit stays valid until its candidate is committed and is
+    kept in ``state.profits``.  A commit forms the new surrogate from the
+    combination weights of the enlarged set and the oracle samples kept when
+    its entries were probed, with no oracle or cache call.  Candidates whose
+    evaluations fail are skipped for the iteration and tried again on the next.
     """
     while True:
         if stop.max_work is not None and state.work_spent >= stop.max_work:
@@ -321,9 +312,10 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
             log.info("adapt stop: empty reduced margin")
             break
         base_values = state.surrogate.evaluate_many(state.probe_points)
-        probes: list[_Probe] = []
         state.skipped = []
         for cand in margin:
+            if cand in state.profits:
+                continue
             try:
                 surplus = _surplus(state, oracle, cand)  # fails before anything is charged
             except BuildError as exc:
@@ -331,25 +323,26 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
                 log.info("adapt: candidate %s unavailable (%s)", cand, exc)
                 continue
             _charge(state, oracle, cand)
-            probes.append(_Probe(cand, float(np.abs(surplus).sum(axis=1).mean()),
-                                 oracle.cost_weight(cand.alpha) * _new_points(cand.beta)))
-        if not probes:
+            state.profits[cand] = (float(np.abs(surplus).sum(axis=1).mean())
+                                   / (oracle.cost_weight(cand.alpha) * _new_points(cand.beta)))
+        scored = [cand for cand in margin if cand in state.profits]
+        if not scored:
             log.info("adapt stop: no candidate available")
             break
-        best = min(probes, key=lambda pr: (-pr.profit, pr.entry))
+        best = min(scored, key=lambda cand: (-state.profits[cand], cand))
+        profit = state.profits[best]
         span = float((base_values.max(axis=0) - base_values.min(axis=0)).sum())
         floor = stop.profit_floor * span
-        if best.profit < floor or best.profit == 0.0:
-            log.info("adapt stop: best profit %.3g below floor %.3g", best.profit, floor)
+        if profit < floor or profit == 0.0:
+            log.info("adapt stop: best profit %.3g below floor %.3g", profit, floor)
             break
-        state.index_set = state.index_set.with_entry(best.entry)
+        state.index_set = state.index_set.with_entry(best)
         coeffs = combination_coefficients(state.index_set)
         state.surrogate = MiscSurrogate(state.index_set, coeffs,
                                         {e: state.entry_values[e] for e in sorted(coeffs)},
                                         state.families, state.qois, state.config_hash)
-        state.committed.append((best.entry, best.profit))
-        log.info("adapt: committed %s profit %.3g work %.3g",
-                 best.entry, best.profit, state.work_spent)
+        state.committed.append((best, profit))
+        log.info("adapt: committed %s profit %.3g work %.3g", best, profit, state.work_spent)
     return state
 
 

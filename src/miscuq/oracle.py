@@ -326,7 +326,7 @@ class ExternalProcessModel:
     """
 
     def __init__(self, command: str, workdir: str | Path | None = None, *, dim: int,
-                 fidelities, qoi_names=None, domain=None, lanes: int = 1,
+                 fidelities, domain=None, lanes: int = 1,
                  timeout: float = 60.0):
         if lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
@@ -334,7 +334,6 @@ class ExternalProcessModel:
         self.workdir = str(workdir) if workdir is not None else None
         self.dim = int(dim)
         self.fidelities = tuple(sorted(fidelities, key=lambda f: f.alpha))
-        self.qoi_names = tuple(qoi_names) if qoi_names is not None else None
         self.domain = tuple(domain) if domain is not None else None
         self.n_lanes = int(lanes)
         self.timeout = float(timeout)
@@ -395,12 +394,6 @@ class ExternalProcessModel:
             lane.close()
         self._lanes = []
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 class CachedOracle:
     """Front door for model evaluations: cache first, backend for misses.
@@ -427,10 +420,6 @@ class CachedOracle:
     @property
     def qoi_names(self):
         return getattr(self.backend, "qoi_names", None)
-
-    @property
-    def dim(self) -> int:
-        return self.backend.dim
 
     def cost_weight(self, alpha: int) -> float:
         return self._fidelities[alpha].cost_weight

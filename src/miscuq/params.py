@@ -1,4 +1,4 @@
-"""Uncertain-parameter spaces: marginal distributions, prior density, sampling.
+"""Uncertain-parameter spaces: marginal distributions, nominal boxes, sampling.
 
 Parameters are always the variables the rest of the toolkit sees; any
 nonlinear reparametrisation (e.g. working with the log of a physically
@@ -28,9 +28,6 @@ class Uniform:
         if not self.lo < self.hi:
             raise ValueError(f"uniform interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
-    def density(self, x: float) -> float:
-        return 1.0 / (self.hi - self.lo) if self.lo <= x <= self.hi else 0.0
-
     def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return gen.uniform(self.lo, self.hi, size=count)
 
@@ -57,10 +54,6 @@ class Gaussian:
         if not self.std > 0.0:
             raise ValueError(f"gaussian std must be positive, got {self.std}")
 
-    def density(self, x: float) -> float:
-        z = (x - self.mean) / self.std
-        return math.exp(-0.5 * z * z) / (self.std * math.sqrt(2.0 * math.pi))
-
     def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return gen.normal(self.mean, self.std, size=count)
 
@@ -85,8 +78,7 @@ class ParamSpec:
 class ParamSpace:
     """Ordered collection of mutually independent uncertain parameters.
 
-    Immutable after construction; all operations taking a point expect its
-    dimension to equal ``dim``.
+    Immutable after construction.
     """
 
     def __init__(self, params):
@@ -105,21 +97,6 @@ class ParamSpace:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
-
-    def _check_point(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected a point of dimension {self.dim}, got shape {v.shape}")
-        return v
-
-    def prior_density(self, v) -> float:
-        """Product of the marginal densities at ``v`` (zero outside any
-        uniform marginal's interval)."""
-        v = self._check_point(v)
-        out = 1.0
-        for spec, x in zip(self.params, v):
-            out *= spec.distribution.density(float(x))
-        return out
 
     def sample(self, count: int, seed) -> np.ndarray:
         """Draw ``count`` independent points, one marginal stream per column.

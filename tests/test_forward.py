@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from miscuq import forward
 from miscuq.bayes import GaussianPosterior
 from miscuq.forward import (
     BandSummary,
@@ -227,6 +228,18 @@ class TestQuantiles:
         with pytest.raises(ValueError):
             quantiles(np.arange(5.0), [1.0])
 
+    def test_columns_along_axis_0(self):
+        draws = np.random.default_rng(8).normal(size=(999, 3))
+        q = quantiles(draws, [0.05, 0.25, 0.95])
+        assert q.shape == (3, 3)
+        for j in range(3):
+            assert q[:, j].tobytes() == quantiles(draws[:, j], [0.05, 0.25, 0.95]).tobytes()
+
+    @pytest.mark.parametrize("samples", [2.0, [2.0], [[2.0, 3.0]]])
+    def test_needs_two_samples(self, samples):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            quantiles(samples, 0.5)
+
 
 class TestAffineEquivariance:
     def test_mode_and_quantiles_transform_together(self):
@@ -262,6 +275,14 @@ class TestBands:
                                for j in range(push.samples.shape[1])])
         assert np.array_equal(bands.q05, per_column[:, 0])
         assert np.array_equal(bands.q95, per_column[:, 1])
+
+    def test_one_quantile_call(self, monkeypatch):
+        calls = []
+        original = forward.quantiles
+        monkeypatch.setattr(forward, "quantiles",
+                            lambda *a: calls.append(a) or original(*a))
+        summarize_bands(self.make_push())
+        assert len(calls) == 1
 
     def test_band_modes_equal_standalone_kde(self):
         # the shared quantile call must give the bandwidth kde computes alone;

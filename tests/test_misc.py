@@ -1,6 +1,7 @@
 """Combination surrogates: build, telescoping, adaptivity, serialization."""
 
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,6 +81,15 @@ def beam_families():
 def random_beam_points(count, seed):
     rng = np.random.default_rng(seed)
     return np.column_stack([rng.uniform(1130.0, 1450.0, count), rng.uniform(-5.0, 0.0, count)])
+
+
+def count_surplus_calls(monkeypatch):
+    """Counter of ``_surplus`` calls per candidate, successful or not."""
+    calls = Counter()
+    monkeypatch.setattr(misc, "_surplus",
+                        lambda state, oracle, cand: calls.update([cand]) or _surplus(
+                            state, oracle, cand))
+    return calls
 
 
 def charged_points(state):
@@ -425,7 +435,7 @@ class TestAdapt:
         reference = sum(oracle.cost_weight(a) for a, _ in charged_points(state))
         assert state.work_spent == pytest.approx(reference, rel=1e-12, abs=0)
 
-    def test_failed_candidates_skipped(self):
+    def test_failed_candidates_skipped(self, monkeypatch):
         def f(v, q):
             return v[0] ** 2 + v[1]
 
@@ -444,10 +454,45 @@ class TestAdapt:
 
         oracle = CachedOracle(Flaky({1: f, 2: f}, 2, ["q"], costs=(1.0, 36.0)))
         state = init_adapt(oracle, unit_families(2), ["q"])
+        calls = count_surplus_calls(monkeypatch)
+        margins = []
+        monkeypatch.setattr(misc, "reduced_margin",
+                            lambda index_set: margins.append(1) or reduced_margin(index_set))
         adapt(state, oracle, AdaptStop(max_work=15.0))
         assert all(e.alpha == 1 for e in state.index_set)
         assert any(cand.alpha == 2 for cand, _ in state.skipped)
         assert len(state.index_set) > 1
+        # a failed candidate keeps no profit and is tried again on every
+        # iteration that scores the margin it stays in
+        assert E(2, 1, 1) not in state.profits
+        assert calls[E(2, 1, 1)] == len(margins) > 1
+        assert all(calls[cand] == 1 for cand in state.profits)
+
+    def test_each_candidate_scored_once(self, monkeypatch):
+        oracle = beam_oracle()
+        state = init_adapt(oracle, beam_families(), ["u_1", "u_2"])
+        calls = count_surplus_calls(monkeypatch)
+        adapt(state, oracle, AdaptStop(max_work=150.0))
+        assert len(state.committed) >= 5
+        assert calls.keys() == state.profits.keys()
+        assert set(calls.values()) == {1}
+        assert {e for e, _ in state.committed} <= state.profits.keys()
+
+    def test_committed_profit_reproduced_by_rescoring(self):
+        oracle = beam_oracle()
+        state = init_adapt(oracle, beam_families(), ["u_1", "u_3", "e_20"])
+        adapt(state, oracle, AdaptStop(max_work=300.0))
+        assert len(state.committed) >= 5
+        # score from the kept samples alone, as on the iteration each entry
+        # entered the margin; the profit a commit records must still hold
+        state.probe_values = {}
+        kept = set(state.entry_values)
+        for entry, profit in state.committed:
+            surplus = _surplus(state, oracle, entry)
+            rescored = (float(np.abs(surplus).sum(axis=1).mean())
+                        / (oracle.cost_weight(entry.alpha) * _new_points(entry.beta)))
+            assert rescored == profit, entry
+        assert set(state.entry_values) == kept  # no entry was evaluated again
 
     def test_commits_without_rebuilding(self, monkeypatch):
         oracle = beam_oracle()

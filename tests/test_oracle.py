@@ -6,6 +6,7 @@ import math
 import sys
 import textwrap
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -87,8 +88,9 @@ GARBAGE_SCRIPT = """\
 
 def external(command, lanes=1, fidelities=(FidelitySpec(1, 1.0), FidelitySpec(2, 36.0)),
              timeout=10.0):
-    return ExternalProcessModel(command, dim=1, fidelities=fidelities, lanes=lanes,
-                                timeout=timeout)
+    """A backend whose lanes are closed on leaving the ``with`` block."""
+    return closing(ExternalProcessModel(command, dim=1, fidelities=fidelities, lanes=lanes,
+                                        timeout=timeout))
 
 
 class TestBeamAnalogModel:

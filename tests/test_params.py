@@ -1,6 +1,4 @@
-"""Parameter-space construction, prior densities, and sampling streams."""
-
-import math
+"""Parameter-space construction and sampling streams."""
 
 import numpy as np
 import pytest
@@ -30,46 +28,6 @@ class TestValidation:
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             ParamSpace([])
-
-
-class TestPriorDensity:
-    def test_product_of_uniform_densities(self):
-        space = make_space(Uniform(-5.0, 0.0), Uniform(1130.0, 1450.0))
-        assert space.prior_density([-3.0, 1290.0]) == pytest.approx(1.0 / (5.0 * 320.0))
-
-    def test_zero_outside_support(self):
-        space = make_space(Uniform(-5.0, 0.0), Uniform(1130.0, 1450.0))
-        assert space.prior_density([1.0, 1290.0]) == 0.0
-
-    def test_standard_normal_peak(self):
-        space = make_space(Gaussian(0.0, 1.0))
-        assert space.prior_density([0.0]) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi))
-
-    def test_dimension_mismatch_rejected(self):
-        space = make_space(Uniform(0.0, 1.0))
-        with pytest.raises(ValueError):
-            space.prior_density([0.5, 0.5])
-
-    @pytest.mark.parametrize("dist", [Uniform(-2.0, 3.0), Gaussian(1.0, 0.5)])
-    def test_density_integrates_to_one_1d(self, dist):
-        space = make_space(dist)
-        lo, hi = dist.bounds()
-        if isinstance(dist, Gaussian):
-            lo, hi = dist.mean - 8 * dist.std, dist.mean + 8 * dist.std
-        xs = np.linspace(lo, hi, 20001)
-        mid = 0.5 * (xs[1:] + xs[:-1])
-        total = sum(space.prior_density([x]) for x in mid) * (xs[1] - xs[0])
-        assert total == pytest.approx(1.0, abs=1e-3)
-
-    def test_density_integrates_to_one_2d(self):
-        space = make_space(Uniform(0.0, 2.0), Uniform(-1.0, 1.0))
-        xs = np.linspace(0.0, 2.0, 201)
-        ys = np.linspace(-1.0, 1.0, 201)
-        mx = 0.5 * (xs[1:] + xs[:-1])
-        my = 0.5 * (ys[1:] + ys[:-1])
-        total = sum(space.prior_density([x, y]) for x in mx for y in my)
-        total *= (xs[1] - xs[0]) * (ys[1] - ys[0])
-        assert total == pytest.approx(1.0, abs=1e-3)
 
 
 class TestSampling:

@@ -12,13 +12,16 @@ For every workload of ``BENCHMARK.json`` the two checkouts run
 (``T`` is the benchmark's ``run_seconds``) one after the other, ``--pairs``
 times; pair ``i`` uses seed ``S + i`` on both sides, and the side that runs
 first alternates from pair to pair so that a slow drift of the machine
-loads both sides alike.  The record, ``BENCH_<label>.json`` at the root of
-this repository, holds per workload and end-to-end metric (the
-``end_to_end`` list of ``BENCHMARK.json``) the median, the quartiles and
-the number of runs of each side, the ratio of the medians, the number of
-pairs the change won (ties count for neither side), every run's value, the
-failed-check counts, and per side the environment line that
-``perfbench/run.py`` printed for its first run.
+loads both sides alike.  Before the first pair, ``src`` and ``perfbench``
+of both checkouts are byte-compiled (``python3 -m compileall -q``), so no
+stage process pays for recompiling a module whose ``__pycache__`` entry is
+stale, as each would under ``PYTHONDONTWRITEBYTECODE=1``.  The record,
+``BENCH_<label>.json`` at the root of this repository, holds per workload
+and end-to-end metric (the ``end_to_end`` list of ``BENCHMARK.json``) the
+median, the quartiles and the number of runs of each side, the ratio of
+the medians, the number of pairs the change won (ties count for neither
+side), every run's value, the failed-check counts, and per side the
+environment line that ``perfbench/run.py`` printed for its first run.
 
 Each side is identified by its ``HEAD`` commit (null outside git) and by
 the git tree ids of the directories a run reads (``src``, ``perfbench``,
@@ -55,6 +58,12 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return {**json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+def compile_bytecode(checkout: Path) -> None:
+    """Refresh the bytecode of the code a run imports."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=checkout, check=True)
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values),
@@ -83,6 +92,8 @@ def compare(checkouts: dict, pairs: int, seed: int) -> dict:
               "pairs": pairs, "seeds": [seed + i for i in range(pairs)],
               "order": "alternating: the parent runs first in even-numbered pairs",
               "environment": {}, "workloads": {}}
+    for path in checkouts.values():
+        compile_bytecode(path)
     for workload in (w["name"] for w in BENCHMARK["workloads"]):
         runs = {side: [] for side in SIDES}
         for i in range(pairs):
