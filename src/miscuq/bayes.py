@@ -63,6 +63,9 @@ class ObservationSet:
     def __post_init__(self) -> None:
         if len(self.entries) < 1:
             raise ValueError("need at least one observation")
+        bad = [n for n, v in self.entries if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite observed values for {bad}")
 
     @property
     def K(self) -> int:
@@ -87,6 +90,9 @@ class ObservationSet:
             rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
         if not rows or [c.strip() for c in rows[0][:2]] != ["qoi", "value"]:
             raise ValueError(f"{path}: expected header 'qoi,value'")
+        short = [r for r in rows[1:] if len(r) < 2]
+        if short:
+            raise ValueError(f"{path}: row {short[0]!r} has no value column")
         return cls.from_pairs((r[0].strip(), float(r[1])) for r in rows[1:])
 
 

@@ -71,6 +71,14 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _typed(value, kind, where: str):
+    """``value`` if it is a ``kind`` (dict or list), else ConfigError."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where}: expected a {'mapping' if kind is dict else kind.__name__}, "
+                          f"got {value!r}")
+    return value
+
+
 def _number(cast, value, where: str, minimum=None):
     """``cast(value)``, with parse and range failures as ConfigError."""
     try:
@@ -110,8 +118,9 @@ def _parse_stop(doc, where: str) -> AdaptStop:
 
 def _parse_space(docs) -> ParamSpace:
     specs = []
-    for i, doc in enumerate(docs):
+    for i, doc in enumerate(_typed(docs, list, "parameters")):
         where = f"parameters[{i}]"
+        _typed(doc, dict, where)
         name = str(_require(doc, "name", where))
         kind = str(_require(doc, "distribution", where)).lower()
         try:
@@ -174,17 +183,15 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
         doc["seed"] = _number(int, seed, "--seed", minimum=0)
     if out is not None:
         doc["output_dir"] = str(out)
-    oracle_doc = _require(doc, "oracle", "config")
-    if not isinstance(oracle_doc, dict):
-        raise ConfigError(f"oracle: expected a mapping, got {oracle_doc!r}")
+    oracle_doc = _typed(_require(doc, "oracle", "config"), dict, "oracle")
     if lanes is not None:
         oracle_doc["lanes"] = _number(int, lanes, "--lanes")
     doc["oracle"] = oracle_doc
     if "builtin" not in oracle_doc and "command" not in oracle_doc:
         raise ConfigError("oracle: need either 'builtin: <name>' or 'command: <line>'")
 
-    calib = _require(doc, "calibration", "config")
-    fwd = _require(doc, "forward", "config")
+    calib = _typed(_require(doc, "calibration", "config"), dict, "calibration")
+    fwd = _typed(_require(doc, "forward", "config"), dict, "forward")
     cfg = PipelineConfig(
         seed=_number(int, _require(doc, "seed", "config"), "seed", minimum=0),
         out_dir=Path(str(_require(doc, "output_dir", "config"))),
@@ -199,7 +206,7 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
         forward_samples=_number(int, fwd.get("samples", forward.DEFAULT_SAMPLES),
                                 "forward.samples", minimum=2),
         forward_stop=_parse_stop(fwd.get("budget"), "forward.budget"),
-        density_qois=tuple(fwd.get("densities", ())),
+        density_qois=tuple(_typed(fwd.get("densities", []), list, "forward.densities")),
         kde_bandwidth=(_number(float, fwd["bandwidth"], "forward.bandwidth")
                        if "bandwidth" in fwd else None),
         config_hash="",
@@ -289,11 +296,11 @@ def cmd_build(cfg: PipelineConfig) -> dict:
             points_sets.setdefault(entry.alpha, set()).update(
                 map(tuple, build_grid(entry.beta, state.surrogate.families).points.tolist()))
         points_by_alpha = {a: len(keys) for a, keys in sorted(points_sets.items())}
-        # evaluation counts derive from the adaptive trajectory (charged
-        # entries' new points x QoIs), not from the shared cache, so reruns
-        # against a warm cache report identical numbers
+        # evaluation counts derive from the adaptive trajectory (the kept,
+        # charged entries' new points x QoIs), not from the shared cache, so
+        # reruns against a warm cache report identical numbers
         evals_by_alpha: dict[int, int] = {}
-        for e in state.charged:
+        for e in sorted(state.entry_values):
             n = misc._new_points(e.beta) * len(cfg.calibration_qois)
             evals_by_alpha[e.alpha] = evals_by_alpha.get(e.alpha, 0) + n
         report = {

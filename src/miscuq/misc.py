@@ -8,9 +8,9 @@ each entry's interpolant reaches the box grid through one small 1-D
 prolongation matrix per axis.  ``adapt`` grows the index set greedily:
 score each reduced-margin candidate once, when it enters the margin, by the
 surplus it would add at the probe points, commit the most profitable one,
-repeat until a stop criterion fires.  It keeps the oracle samples of every
-entry it probes, so a commit forms the new surrogate from them and the new
-combination weights alone.
+repeat until a stop criterion fires.  A commit only updates the combination
+weights, and the samples of every probed entry are kept, so each ``adapt``
+call compiles the surrogate once, when its loop ends.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import artifacts
 from .interp import TensorInterpolant, _axis_basis, _basis_matrix, build_grid
 from .leja import SymmetricLeja, WeightedGaussianLeja, level_to_knots
-from .multiindex import ExtIndex, MultiIndexSet, combination_coefficients, reduced_margin
+from .multiindex import ExtIndex, MultiIndexSet, combination_coefficients, reduced_margin, weight_changes
 from .oracle import point_key
 
 __all__ = [
@@ -78,7 +77,7 @@ class MiscSurrogate:
     compiled: TensorInterpolant = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        max_beta = np.max([e.beta for e in self.coefficients] or [(1,) * self.dim], axis=0)
+        max_beta = np.max([e.beta for e in self.coefficients], axis=0)
         box = build_grid(max_beta, self.families)
         total = np.zeros((len(box), len(self.qoi_names)))
         for entry, c in sorted(self.coefficients.items()):
@@ -177,14 +176,13 @@ class AdaptState:
     families: tuple
     qois: tuple[str, ...]
     probe_points: np.ndarray
-    charged: set = field(default_factory=set)      # entries whose new points are paid for
     work_spent: float = 0.0
     work_by_alpha: dict = field(default_factory=dict)
     committed: list = field(default_factory=list)  # (entry, profit) history
     skipped: list = field(default_factory=list)    # (entry, error) from the last pass
     config_hash: str | None = None
     probe_values: dict = field(default_factory=dict)  # entry -> its interpolant at the probes
-    entry_values: dict = field(default_factory=dict)  # entry -> its oracle samples
+    entry_values: dict = field(default_factory=dict)  # charged entry -> its oracle samples
     profits: dict[ExtIndex, float] = field(default_factory=dict)  # scored candidates
 
     def committed_points(self, alpha: int) -> set:
@@ -242,12 +240,11 @@ def _charge(state: AdaptState, oracle, entry: ExtIndex) -> None:
     """Add an entry's new points to the work ledger; each entry is charged
     once, the root by ``init_adapt`` and a candidate when it is scored.
 
-    The charged entries stay downward closed, so their new points are the
-    distinct (fidelity, point) pairs evaluated.  The ledger is a function of
-    the adaptive trajectory alone: replaying a run against a warm cache
-    spends the same logical work and stops at the same place.
+    The charged entries (the keys of ``state.entry_values``) stay downward
+    closed, so their new points are the distinct (fidelity, point) pairs
+    evaluated.  The ledger is a function of the adaptive trajectory alone: a
+    replay against a warm cache spends the same work and stops at the same place.
     """
-    state.charged.add(entry)
     work = oracle.cost_weight(entry.alpha) * _new_points(entry.beta)
     state.work_spent += work
     state.work_by_alpha[entry.alpha] = state.work_by_alpha.get(entry.alpha, 0.0) + work
@@ -268,20 +265,18 @@ def init_adapt(oracle, families, qois, *, config_hash=None) -> AdaptState:
 
 
 def _surplus(state: AdaptState, oracle, cand: ExtIndex) -> np.ndarray:
-    """Change of the surrogate at the probe points if ``cand`` joined the set:
-    the weight of each valid ``cand - s``, s in {0,1}^(1+N), changes by
-    (-1)^|s| and no other does.  BuildError if ``cand``'s evaluations fail."""
+    """Change of the surrogate at the probe points if ``cand`` joined the set,
+    from the weight changes ``cand`` makes; every entry it reaches keeps its
+    interpolant at the probes.  BuildError if ``cand``'s evaluations fail."""
     out = np.zeros((len(state.probe_points), len(state.qois)))
-    # shifts in descending order put the entries in ascending order
-    for s in product(*((1, 0) if c > 1 else (0,) for c in cand.as_vector())):
-        entry = cand.shifted(tuple(-o for o in s))
+    for entry, sign in weight_changes(cand):
         if entry not in state.probe_values:
             if entry not in state.entry_values:
                 state.entry_values[entry] = _eval_entry(oracle, entry, state.families, state.qois)
             grid = build_grid(entry.beta, state.families)
             state.probe_values[entry] = TensorInterpolant(
                 grid, state.entry_values[entry]).evaluate_many(state.probe_points)
-        out += (-1) ** sum(s) * state.probe_values[entry]
+        out += sign * state.probe_values[entry]
     return out
 
 
@@ -294,11 +289,13 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
     with the highest profit ``|surplus| / (cost-weighted new points)``.  A
     surplus depends only on the kept samples of the candidate's backward
     shifts, so a profit stays valid until its candidate is committed and is
-    kept in ``state.profits``.  A commit forms the new surrogate from the
-    combination weights of the enlarged set and the oracle samples kept when
-    its entries were probed, with no oracle or cache call.  Candidates whose
-    evaluations fail are skipped for the iteration and tried again on the next.
+    kept in ``state.profits``.  A commit applies ``weight_changes`` to the
+    carried weights, and the floor is relative to the span of their sum over
+    the probe values.  If anything was committed, the loop's end forms one new
+    ``state.surrogate`` from the kept samples, with no oracle or cache call.
+    Candidates whose evaluations fail are skipped and tried again next time.
     """
+    coeffs = dict(state.surrogate.coefficients)
     while True:
         if stop.max_work is not None and state.work_spent >= stop.max_work:
             log.info("adapt stop: work %.3g >= budget %.3g", state.work_spent, stop.max_work)
@@ -311,7 +308,6 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
         if not margin:
             log.info("adapt stop: empty reduced margin")
             break
-        base_values = state.surrogate.evaluate_many(state.probe_points)
         state.skipped = []
         for cand in margin:
             if cand in state.profits:
@@ -331,18 +327,22 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
             break
         best = min(scored, key=lambda cand: (-state.profits[cand], cand))
         profit = state.profits[best]
+        base_values = sum(c * state.probe_values[e] for e, c in sorted(coeffs.items()) if c)
         span = float((base_values.max(axis=0) - base_values.min(axis=0)).sum())
         floor = stop.profit_floor * span
         if profit < floor or profit == 0.0:
             log.info("adapt stop: best profit %.3g below floor %.3g", profit, floor)
             break
         state.index_set = state.index_set.with_entry(best)
-        coeffs = combination_coefficients(state.index_set)
-        state.surrogate = MiscSurrogate(state.index_set, coeffs,
-                                        {e: state.entry_values[e] for e in sorted(coeffs)},
-                                        state.families, state.qois, state.config_hash)
+        for e, sign in weight_changes(best):
+            coeffs[e] = coeffs.get(e, 0) + sign
         state.committed.append((best, profit))
         log.info("adapt: committed %s profit %.3g work %.3g", best, profit, state.work_spent)
+    if state.index_set != state.surrogate.index_set:  # something was committed
+        coeffs = {e: c for e, c in sorted(coeffs.items()) if c}
+        state.surrogate = MiscSurrogate(state.index_set, coeffs,
+                                        {e: state.entry_values[e] for e in coeffs},
+                                        state.families, state.qois, state.config_hash)
     return state
 
 
@@ -438,6 +438,8 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
                                                f"expected {size} points x {len(qois)} QoIs")
                 values[entry] = flat.reshape(size, len(qois))
         index_set = MultiIndexSet(entries, dim=dim)
+        if not entries:
+            raise SurrogateFormatError(f"{path}: the index set is empty")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SurrogateFormatError):
             raise

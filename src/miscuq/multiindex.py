@@ -15,6 +15,7 @@ __all__ = [
     "MultiIndexSet",
     "is_downward_closed",
     "combination_coefficients",
+    "weight_changes",
     "reduced_margin",
 ]
 
@@ -114,27 +115,24 @@ def _as_index_set(entries) -> MultiIndexSet:
     return MultiIndexSet(entries)
 
 
-def combination_coefficients(index_set) -> dict[ExtIndex, int]:
-    """Integer combination weights; zero-weight entries are omitted.
+def weight_changes(cand: ExtIndex):
+    """``(entry, (-1)^|s|)`` for each valid ``cand - s``, s in {0,1}^(1+N), in
+    ascending entry order: the only weight changes when ``cand`` joins a set
+    it keeps downward closed.  The sign includes the fidelity shift, which
+    makes the sum telescope over fidelity and grid levels alike."""
+    # shifts in descending order put the entries in ascending order
+    for s in product(*((1, 0) if c > 1 else (0,) for c in cand.as_vector())):
+        yield cand.shifted(tuple(-o for o in s)), -1 if sum(s) % 2 else 1
 
-    The weight of [alpha, beta] sums (-1)^(i + |j|_1) over the unit shifts
-    (i, j) in {0,1}^(1+N) for which [alpha+i, beta+j] is in the set.  The
-    sign includes the fidelity shift i, which is what makes the weighted sum
-    of tensor interpolants telescope over both the fidelity and the grid
-    levels (verified against a difference-operator expansion in the tests).
-    """
-    index_set = _as_index_set(index_set)
-    members = set(index_set.entries)
+
+def combination_coefficients(index_set) -> dict[ExtIndex, int]:
+    """Integer combination weights, zeros omitted: the sum of ``weight_changes``
+    over the set in canonical order, each prefix of which is downward closed."""
     coeffs: dict[ExtIndex, int] = {}
-    shifts = list(product((0, 1), repeat=1 + index_set.dim))
-    for e in index_set:
-        c = 0
-        for offsets in shifts:
-            if e.shifted(offsets) in members:
-                c += -1 if sum(offsets) % 2 else 1
-        if c != 0:
-            coeffs[e] = c
-    return coeffs
+    for cand in _as_index_set(index_set):
+        for e, sign in weight_changes(cand):
+            coeffs[e] = coeffs.get(e, 0) + sign
+    return {e: c for e, c in coeffs.items() if c}
 
 
 def reduced_margin(index_set) -> tuple[ExtIndex, ...]:

@@ -465,6 +465,15 @@ class TestObservationCsv:
         assert obs.names == ("u_1", "u_2")
         assert obs.values.tolist() == [0.25, -0.0015]
 
+    @pytest.mark.parametrize("row, match", [("u_2", "no value column"),
+                                            ("u_2,nan", "non-finite"),
+                                            ("u_2,-inf", "non-finite")])
+    def test_bad_row_rejected(self, tmp_path, row, match):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"qoi,value\nu_1,0.25\n{row}\n")
+        with pytest.raises(ValueError, match=match):
+            ObservationSet.from_csv(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("name,val\nu_1,0.25\n")

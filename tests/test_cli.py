@@ -151,6 +151,11 @@ class TestConfigLoading:
         ("calibration.qois", []),
         ("forward.qois", {"prefix": "e_", "count": 0}),
         ("calibration.qois", {"prefix": "u_", "count": -2}),
+        ("calibration", 5),
+        ("forward", 5),
+        ("parameters", 5),
+        ("parameters", [5]),
+        ("forward.densities", 5),
     ])
     def test_bad_scalar_is_config_error(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[0]):
@@ -265,6 +270,18 @@ class TestCalibrateAndForward:
         (cfg.config_dir / "obs.csv").write_text("qoi,value\nnope,1.0\n")
         with pytest.raises(ConfigError, match="nope"):
             cmd_calibrate(cfg)
+
+    @pytest.mark.parametrize("row, match", [("u_1", "no value column"),
+                                            ("u_1,nan", "non-finite")],
+                             ids=["no_value", "nan"])
+    def test_bad_observation_row_exits_with_config_code(self, tmp_path, caplog, row, match):
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        cmd_build(cfg)
+        (cfg.config_dir / "obs.csv").write_text(f"qoi,value\nu_2,0.1\n{row}\n")
+        assert main(["calibrate", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert match in caplog.text
+        assert not (cfg.out_dir / "posterior.json").exists()
 
     def test_forward_without_posterior_fails(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

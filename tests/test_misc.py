@@ -13,6 +13,7 @@ from miscuq.leja import SymmetricLeja, WeightedGaussianLeja
 from miscuq.misc import (
     AdaptStop,
     BuildError,
+    MiscSurrogate,
     SurrogateFormatError,
     _new_points,
     _surplus,
@@ -94,8 +95,8 @@ def count_surplus_calls(monkeypatch):
 
 def charged_points(state):
     """Reference ledger: the distinct (fidelity, point) pairs on the grids
-    of the charged entries."""
-    return {(e.alpha, point_key(p)) for e in state.charged
+    of the charged entries, whose samples are kept."""
+    return {(e.alpha, point_key(p)) for e in state.entry_values
             for p in build_grid(e.beta, state.families).points}
 
 
@@ -418,7 +419,7 @@ class TestAdapt:
         oracle = beam_oracle()
         state = init_adapt(oracle, beam_families(), ["u_1"])
         adapt(state, oracle, AdaptStop(max_work=80.0))
-        assert is_downward_closed(state.charged)
+        assert is_downward_closed(state.entry_values)
         assert state.work_spent == sum(state.work_by_alpha.values())
         # integer cost weights: the ledger is exact
         assert state.work_spent == sum(oracle.cost_weight(a) for a, _ in charged_points(state))
@@ -431,7 +432,7 @@ class TestAdapt:
         oracle = CachedOracle(AnalyticModel({1: f, 2: f}, 2, ["q", "r"], costs=(0.1, 3.7)))
         state = init_adapt(oracle, unit_families(2), ["q", "r"])
         adapt(state, oracle, AdaptStop(max_work=25.0))
-        assert {e.alpha for e in state.charged} == {1, 2}
+        assert {e.alpha for e in state.entry_values} == {1, 2}
         reference = sum(oracle.cost_weight(a) for a, _ in charged_points(state))
         assert state.work_spent == pytest.approx(reference, rel=1e-12, abs=0)
 
@@ -498,25 +499,54 @@ class TestAdapt:
         oracle = beam_oracle()
         families = beam_families()
         state = init_adapt(oracle, families, ["u_1", "u_2"])
-        builds, weights, reads = [], [], []
+        builds, weights, surrogates, reads = [], [], [], []
         original_read = CachedOracle.eval_batch
         monkeypatch.setattr(misc, "build", lambda *a, **k: builds.append(1) or build(*a, **k))
         monkeypatch.setattr(misc, "combination_coefficients",
                             lambda s: weights.append(1) or combination_coefficients(s))
+        monkeypatch.setattr(misc, "MiscSurrogate",
+                            lambda *a: surrogates.append(1) or MiscSurrogate(*a))
         monkeypatch.setattr(CachedOracle, "eval_batch", lambda self, alpha, pts, qois: (
             reads.append((alpha, np.asarray(pts).tobytes()))
             or original_read(self, alpha, pts, qois)))
         monkeypatch.setattr(misc.AdaptState, "committed_points", None)
+        adapt(state, oracle, AdaptStop(max_work=150.0, max_candidates=3))
+        assert len(state.committed) == 3 and len(surrogates) == 1
         adapt(state, oracle, AdaptStop(max_work=150.0))
-        assert len(state.committed) >= 5
-        assert builds == []
-        assert len(weights) == len(state.committed)  # candidates are scored without them
+        assert len(state.committed) >= 5 and len(surrogates) == 2
+        adapt(state, oracle, AdaptStop(max_work=150.0))  # commits nothing, compiles nothing
+        assert len(surrogates) == 2
+        assert builds == [] and weights == []  # weights are carried, not recomputed
         # one cache read per entry probed in the loop; the root was read before it
         probed = set(state.entry_values) - {E(1, 1, 1)}
         assert len(reads) == len(set(reads)) == len(probed)
         assert set(reads) == {(e.alpha, build_grid(e.beta, families).points.tobytes())
                               for e in probed}
         assert set(state.index_set) <= set(state.entry_values)
+
+    def test_probe_sum_floor_agrees_with_compiled(self):
+        # the floor comes from the carried weights and the probe values; the
+        # compiled surrogate of the same set must give the same decisions
+        oracle = beam_oracle()
+        families = beam_families()
+        qois = ["u_1", "u_2", "u_3", "e_40", "e_80"]
+        stop = AdaptStop(max_work=5000.0, profit_floor=1e-6)
+        state = init_adapt(oracle, families, qois)
+        adapt(state, oracle, stop)
+        assert len(state.committed) >= 10 and state.work_spent < stop.max_work
+
+        def floor(index_set):
+            values = build(index_set, oracle, families, qois).evaluate_many(state.probe_points)
+            return stop.profit_floor * float((values.max(axis=0) - values.min(axis=0)).sum())
+
+        index_set = MultiIndexSet([E(1, 1, 1)])
+        for entry, profit in state.committed:
+            assert profit >= floor(index_set), entry
+            index_set = index_set.with_entry(entry)
+        assert index_set == state.index_set
+        # the loop stopped at the floor: the best candidate left falls below it
+        margin = [c for c in reduced_margin(index_set) if c.alpha in (1, 2)]
+        assert max(state.profits[c] for c in margin) < floor(index_set)
 
     @pytest.mark.parametrize("budget", [150.0, 5000.0])
     @pytest.mark.parametrize("kind", ["symmetric", "gaussian"])
@@ -622,8 +652,9 @@ class TestSerialization:
         (lambda d: d.update(entries=[r for r in d["entries"] if r["beta"] != [1, 1]]),
          "downward-closed"),
         (lambda d: [r["beta"].append(1) for r in d["entries"]], "expected dim 2"),
+        (lambda d: d.update(entries=[]), "index set is empty"),
     ], ids=["extra_qoi", "missing_qoi", "missing_values", "not_downward_closed",
-            "wrong_level_count"])
+            "wrong_level_count", "no_entries"])
     def test_inconsistent_payload_rejected(self, tmp_path, edit, match):
         path = tmp_path / "s.json"
         serialize(self.build_sample(), path)

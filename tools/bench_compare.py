@@ -2,20 +2,20 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_compare.py --parent ../old --change . --label NAME \
-        [--pairs 3] [--seed 31]
+    python3 tools/bench_compare.py --parent ../old --change . --label NAME [--seed 31]
 
 For every workload of ``BENCHMARK.json`` the two checkouts run
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-(``T`` is the benchmark's ``run_seconds``) one after the other, ``--pairs``
-times; pair ``i`` uses seed ``S + i`` on both sides, and the side that runs
-first alternates from pair to pair so that a slow drift of the machine
-loads both sides alike.  Before the first pair, ``src`` and ``perfbench``
-of both checkouts are byte-compiled (``python3 -m compileall -q``), so no
-stage process pays for recompiling a module whose ``__pycache__`` entry is
-stale, as each would under ``PYTHONDONTWRITEBYTECODE=1``.  The record,
+(``T`` is the benchmark's ``run_seconds``) one after the other, ``PAIRS``
+(10) times: a claimed gain must win at least nine of ten pairs.  Pair ``i``
+uses seed ``S + i`` on both sides, and the side that runs first alternates
+from pair to pair so that a slow drift of the machine loads both sides
+alike.  Before the first pair, ``src`` and ``perfbench`` of both checkouts
+are byte-compiled (``python3 -m compileall -q``), so no stage process pays
+for recompiling a module whose ``__pycache__`` entry is stale, as each
+would under ``PYTHONDONTWRITEBYTECODE=1``.  The record,
 ``BENCH_<label>.json`` at the root of this repository, holds per workload
 and end-to-end metric (the ``end_to_end`` list of ``BENCHMARK.json``) the
 median, the quartiles and the number of runs of each side, the ratio of
@@ -44,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SIDES = ("parent", "change")
 RUN_DIRS = ("src", "perfbench", "docs")
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -85,18 +86,18 @@ def identity(checkout: Path) -> dict:
     return {"head": head.stdout.strip() if head.returncode == 0 else None, "trees": trees}
 
 
-def compare(checkouts: dict, pairs: int, seed: int) -> dict:
+def compare(checkouts: dict, seed: int) -> dict:
     record = {"command": f"python3 perfbench/run.py --workload W --seed S "
                          f"--seconds {BENCHMARK['run_seconds']} --trace 0",
               "commits": {side: identity(path) for side, path in checkouts.items()},
-              "pairs": pairs, "seeds": [seed + i for i in range(pairs)],
+              "pairs": PAIRS, "seeds": [seed + i for i in range(PAIRS)],
               "order": "alternating: the parent runs first in even-numbered pairs",
               "environment": {}, "workloads": {}}
     for path in checkouts.values():
         compile_bytecode(path)
     for workload in (w["name"] for w in BENCHMARK["workloads"]):
         runs = {side: [] for side in SIDES}
-        for i in range(pairs):
+        for i in range(PAIRS):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 out = run_once(checkouts[side], workload, seed + i)
                 runs[side].append(out["result"])
@@ -129,13 +130,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="checkout before the change")
     parser.add_argument("--change", required=True, type=Path, help="checkout with the change")
     parser.add_argument("--label", required=True, help="names the record BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--seed", type=int, default=31)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    record = compare(checkouts, args.pairs, args.seed)
+    record = compare(checkouts, args.seed)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(out)
