@@ -83,8 +83,10 @@ def _number(cast, value, where: str, minimum=None):
     """``cast(value)``, with parse and range failures as ConfigError."""
     try:
         x = cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
+    if cast is int and isinstance(value, float) and x != value:  # int(1.5) is 1
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if minimum is not None and not x >= minimum:  # also rejects NaN
         raise ConfigError(f"{where} must be >= {minimum}, got {x}")
     return x
@@ -212,8 +214,9 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
         config_hash="",
         config_dir=path.resolve().parent,
     )
-    if cfg.kde_bandwidth is not None and not cfg.kde_bandwidth > 0.0:
-        raise ConfigError(f"forward.bandwidth must be positive, got {cfg.kde_bandwidth}")
+    if cfg.kde_bandwidth is not None and not 0.0 < cfg.kde_bandwidth < math.inf:
+        raise ConfigError(f"forward.bandwidth must be positive and finite, "
+                          f"got {cfg.kde_bandwidth}")
     unknown = [q for q in cfg.density_qois if q not in cfg.forward_qois]
     if unknown:
         raise ConfigError(f"forward.densities lists QoIs outside forward.qois: {unknown}")
@@ -233,8 +236,8 @@ def _make_oracle(cfg: PipelineConfig, cache_path: Path | None):
         if not fid_docs:
             raise ConfigError("oracle.command needs an explicit 'fidelities' list")
         try:
-            fidelities = tuple(FidelitySpec(int(f["alpha"]), float(f["cost_weight"]))
-                               for f in fid_docs)
+            fidelities = tuple(FidelitySpec(_number(int, f["alpha"], "oracle.fidelities.alpha"),
+                                            float(f["cost_weight"])) for f in fid_docs)
             domain = doc.get("domain")
             if domain is not None:
                 domain = tuple((float(d["lo"]), float(d["hi"])) for d in domain)
@@ -242,6 +245,8 @@ def _make_oracle(cfg: PipelineConfig, cache_path: Path | None):
             raise ConfigError(f"bad oracle.fidelities or oracle.domain entry: {exc}") from exc
         workdir = cfg.resolve(doc["workdir"]) if "workdir" in doc else None
         timeout = _number(float, doc.get("timeout", 60.0), "oracle.timeout")
+        if not 0.0 < timeout < math.inf:
+            raise ConfigError(f"oracle.timeout must be positive and finite, got {timeout}")
         backend = ExternalProcessModel(
             str(doc["command"]), workdir, dim=cfg.space.dim, fidelities=fidelities,
             domain=domain, lanes=cfg.lanes, timeout=timeout)
@@ -277,6 +282,22 @@ def _adaptive_surrogate(cfg, oracle, families, qois, stop):
     state = misc.init_adapt(oracle, families, qois, config_hash=cfg.config_hash)
     misc.adapt(state, oracle, stop)
     return state
+
+
+def _read_artifact(path: Path, keys, parse=None):
+    """The JSON mapping an earlier stage wrote to ``path``, passed through
+    ``parse`` if given.  A file that cannot be read, is not a mapping, lacks
+    one of ``keys`` or fails ``parse`` is a ConfigError naming it."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON mapping, got {type(doc).__name__}")
+        missing = [k for k in keys if k not in doc]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        return doc if parse is None else parse(doc)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -406,10 +427,8 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     posterior_path = cfg.out_dir / POSTERIOR_FILE
     if not posterior_path.exists():
         raise ConfigError(f"posterior file {posterior_path} not found; run 'calibrate' first")
-    try:
-        posterior = _posterior_from_json(json.loads(posterior_path.read_text(encoding="utf-8")))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot read posterior file {posterior_path}: {exc}") from exc
+    posterior = _read_artifact(posterior_path, ("mean", "covariance", "sigma_meas"),
+                               _posterior_from_json)
 
     oracle = _make_oracle(cfg, cfg.out_dir / CACHE_FILE)
     try:
@@ -468,9 +487,12 @@ def cmd_report(cfg: PipelineConfig) -> dict:
                if not (out / f).exists()]
     if missing:
         raise ConfigError(f"cannot report: missing artifacts {missing} in {out}")
-    build_report = json.loads((out / BUILD_REPORT_FILE).read_text(encoding="utf-8"))
-    posterior_doc = json.loads((out / POSTERIOR_FILE).read_text(encoding="utf-8"))
-    reduction_doc = json.loads((out / REDUCTION_FILE).read_text(encoding="utf-8"))
+    build_report = _read_artifact(out / BUILD_REPORT_FILE, (
+        "work_spent", "evaluations_total", "surrogate_points_by_fidelity"))
+    posterior_doc = _read_artifact(out / POSTERIOR_FILE, (
+        "parameters", "mean", "covariance", "sigma_meas"))
+    reduction_doc = _read_artifact(out / REDUCTION_FILE, (
+        "reduction_percent", "prior_extrapolated_fraction", "posterior_extrapolated_fraction"))
 
     rows = [("config_hash", cfg.config_hash),
             ("work_spent", build_report["work_spent"]),

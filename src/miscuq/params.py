@@ -25,6 +25,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"uniform bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"uniform interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -51,6 +53,8 @@ class Gaussian:
     std: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+            raise ValueError(f"gaussian mean and std must be finite, got {self.mean}, {self.std}")
         if not self.std > 0.0:
             raise ValueError(f"gaussian std must be positive, got {self.std}")
 

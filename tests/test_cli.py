@@ -156,6 +156,16 @@ class TestConfigLoading:
         ("parameters", 5),
         ("parameters", [5]),
         ("forward.densities", 5),
+        ("parameters.0.hi", float("inf")),
+        ("parameters.0.lo", float("-inf")),
+        ("seed", 1.5),
+        ("calibration.n_starts", 2.7),
+        ("forward.samples", 400.5),
+        ("oracle", {"builtin": "beam-analog", "lanes": 1.5}),
+        ("forward.qois", {"prefix": "e_", "count": 8.5}),
+        ("calibration.budget", {"max_candidates": 2.5}),
+        ("seed", float("inf")),
+        ("forward.bandwidth", float("inf")),
     ])
     def test_bad_scalar_is_config_error(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[0]):
@@ -396,12 +406,49 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("setting", [
         {"timeout": "abc"},
         {"domain": [{"lo": "a", "hi": 1.0}, {"lo": 0.0, "hi": 1.0}]},
+        {"timeout": -1},
+        {"timeout": 0},
+        {"timeout": float("nan")},
+        {"timeout": float("inf")},
+        {"fidelities": [{"alpha": 1.5, "cost_weight": 1.0}]},
     ])
     def test_bad_external_oracle_setting_exits_with_config_code(self, tmp_path, setting):
         oracle = {"command": f"{sys.executable} -c 'pass'",
                   "fidelities": [{"alpha": 1, "cost_weight": 1.0}], **setting}
         path = write_config(tmp_path, {"oracle": oracle})
         assert main(["build", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("stage, name, text", [
+        ("report", "build_report.json", "{not json"),
+        ("report", "reduction.json", json.dumps({"prior_extrapolated_fraction": 0.0,
+                                                 "posterior_extrapolated_fraction": 0.0})),
+        ("forward", "posterior.json", "[1, 2]"),
+        ("report", "posterior.json", "[1, 2]"),
+        ("report", "reduction.json", json.dumps(["reduction_percent", "prior_extrapolated_fraction",
+                                                 "posterior_extrapolated_fraction"])),
+    ], ids=["build_report_not_json", "reduction_lacks_key", "forward_posterior_list",
+            "report_posterior_list", "reduction_list_of_keys"])
+    def test_malformed_stage_artifact_exits_with_config_code(self, tmp_path, caplog,
+                                                             stage, name, text):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        artifacts = {
+            "build_report.json": {"work_spent": 1.0, "evaluations_total": 5,
+                                  "surrogate_points_by_fidelity": {"1": 1}},
+            "posterior.json": {"parameters": ["a", "b"], "mean": [0.0, 0.0],
+                               "covariance": [1.0, 0.0, 0.0, 1.0], "sigma_meas": 1.0},
+            "reduction.json": {"reduction_percent": 50.0, "prior_extrapolated_fraction": 0.0,
+                               "posterior_extrapolated_fraction": 0.0},
+        }
+        for artifact, doc in artifacts.items():
+            (out / artifact).write_text(json.dumps(doc))
+        assert main(["report", "--config", str(path), "--quiet"]) == EXIT_OK
+        (out / name).write_text(text)
+        caplog.clear()
+        assert main([stage, "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and name in errors[0], errors
 
     def test_negative_budget_exits_with_config_code(self, tmp_path):
         path = write_config(tmp_path, {"calibration.budget": {"max_work": -5.0}})
@@ -441,6 +488,16 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, miscuq.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
+
+
+def test_bare_package_import_loads_no_numpy():
+    # the package re-exports nothing, so importing it loads none of its modules
+    import subprocess
+    code = ("import sys, miscuq\n"
+            "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'\n"
+            "                or m.startswith('miscuq.')) or None)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_stage_processes_leave_scipy_unloaded(tmp_path):

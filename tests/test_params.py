@@ -21,6 +21,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             Gaussian(0.0, 0.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+    def test_uniform_needs_finite_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            Uniform(lo, hi)
+
+    @pytest.mark.parametrize("mean, std", [(np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf)])
+    def test_gaussian_needs_finite_mean_and_std(self, mean, std):
+        with pytest.raises(ValueError, match="finite"):
+            Gaussian(mean, std)
+
     def test_names_must_be_unique(self):
         with pytest.raises(ValueError):
             ParamSpace([ParamSpec("a", Uniform(0, 1)), ParamSpec("a", Uniform(0, 1))])
