@@ -365,6 +365,8 @@ def _posterior_to_json(posterior: GaussianPosterior, cfg) -> dict:
 
 def _posterior_from_json(doc: dict) -> GaussianPosterior:
     mean = np.asarray(doc["mean"], dtype=float)
+    if mean.ndim != 1:
+        raise ValueError(f"mean must be a list of numbers, got {doc['mean']!r}")
     cov = np.asarray(doc["covariance"], dtype=float).reshape(mean.size, mean.size)
     return GaussianPosterior(mean, cov, float(doc["sigma_meas"]),
                              sigma_floored=bool(doc.get("sigma_floored", False)),
@@ -489,8 +491,12 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         raise ConfigError(f"cannot report: missing artifacts {missing} in {out}")
     build_report = _read_artifact(out / BUILD_REPORT_FILE, (
         "work_spent", "evaluations_total", "surrogate_points_by_fidelity"))
-    posterior_doc = _read_artifact(out / POSTERIOR_FILE, (
-        "parameters", "mean", "covariance", "sigma_meas"))
+    _typed(build_report["surrogate_points_by_fidelity"], dict,
+           f"{out / BUILD_REPORT_FILE}: surrogate_points_by_fidelity")
+    names, posterior = _read_artifact(out / POSTERIOR_FILE, (
+        "parameters", "mean", "covariance", "sigma_meas"),
+        lambda doc: (doc["parameters"], _posterior_from_json(doc)))
+    _typed(names, list, f"{out / POSTERIOR_FILE}: parameters")
     reduction_doc = _read_artifact(out / REDUCTION_FILE, (
         "reduction_percent", "prior_extrapolated_fraction", "posterior_extrapolated_fraction"))
 
@@ -499,12 +505,11 @@ def cmd_report(cfg: PipelineConfig) -> dict:
             ("evaluations_total", build_report["evaluations_total"])]
     for a, n in sorted(build_report["surrogate_points_by_fidelity"].items()):
         rows.append((f"surrogate_points_alpha_{a}", n))
-    for name, m in zip(posterior_doc["parameters"], posterior_doc["mean"]):
-        rows.append((f"posterior_mean_{name}", m))
-    cov = np.asarray(posterior_doc["covariance"]).reshape(len(posterior_doc["mean"]), -1)
-    for i, name in enumerate(posterior_doc["parameters"]):
-        rows.append((f"posterior_std_{name}", math.sqrt(max(cov[i, i], 0.0))))
-    rows.append(("sigma_meas", posterior_doc["sigma_meas"]))
+    for name, m in zip(names, posterior.mean):
+        rows.append((f"posterior_mean_{name}", float(m)))
+    for name, std in zip(names, posterior.marginal_std()):
+        rows.append((f"posterior_std_{name}", float(std)))
+    rows.append(("sigma_meas", posterior.sigma_meas))
     rows.append(("reduction_percent", reduction_doc["reduction_percent"]))
     rows.append(("prior_extrapolated_fraction", reduction_doc["prior_extrapolated_fraction"]))
     rows.append(("posterior_extrapolated_fraction",

@@ -11,12 +11,14 @@ Wire protocol for external oracles (newline-delimited JSON, UTF-8):
 Requests arrive on the child's standard input, responses leave on standard
 output, anything on standard error is treated as free-form logging.
 
-The cache file is an append-only JSON-lines log; point coordinates and
-values are stored as hex-encoded binary doubles so a cache hit is
-bit-identical to the original evaluation.  Only finite values are cached: a
-non-finite value fails its point.  A last line without its newline (an
-append cut short by a crash) is dropped on load; any other unreadable
-record is an error.
+The cache file is an append-only JSON-lines log with one record per answered
+request, ``{"alpha": <int>, "point": [<hex>...], "values": {<qoi>: <hex>}}``;
+a later record for the same point adds its QoIs.  Point coordinates and
+values are hex-encoded binary doubles so a cache hit is bit-identical to the
+original evaluation.  Only finite values are cached: a non-finite value
+fails its point.  A last line without its newline (an append cut short by a
+crash) is dropped on load; any other unreadable record, a record of another
+layout included, is an error.
 """
 
 from __future__ import annotations
@@ -100,11 +102,11 @@ def point_key(v) -> tuple[str, ...]:
 
 
 class EvalCache:
-    """Map (fidelity, point, qoi) -> value, persisted as an append-only log."""
+    """Map (fidelity, point) -> {qoi: value}, persisted as an append-only log."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._store: dict[tuple[int, tuple[str, ...], str], float] = {}
+        self._store: dict[tuple[int, tuple[str, ...]], dict[str, float]] = {}
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -123,34 +125,35 @@ class EvalCache:
                 continue
             try:
                 rec = json.loads(line)
-                key = (int(rec["alpha"]), tuple(rec["point"]), rec["qoi"])
-                value = float.fromhex(rec["value"])
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite value {value}")
-                self._store[key] = value
-            except (ValueError, KeyError, TypeError) as exc:
-                raise OracleError(f"corrupt cache record at {self.path}:{lineno}: {exc}") from exc
+                values = {q: float.fromhex(v) for q, v in rec["values"].items()}
+                if not all(map(math.isfinite, values.values())):
+                    raise ValueError("non-finite value")
+                self._store.setdefault((int(rec["alpha"]), tuple(rec["point"])), {}).update(values)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise OracleError(f"corrupt cache record at {self.path}:{lineno} (expected "
+                                  f'{{"alpha", "point", "values": {{qoi: hex}}}}): {exc}') from exc
 
-    def get(self, alpha: int, key: tuple[str, ...], qoi: str) -> float | None:
-        return self._store.get((alpha, key, qoi))
+    def get(self, alpha: int, key: tuple[str, ...]) -> dict[str, float]:
+        return self._store.get((alpha, key), {})
 
     def put_many(self, records) -> None:
-        """records: iterable of (alpha, point key, qoi, value); appends to disk."""
+        """records: iterable of (alpha, point key, {qoi: value}), one per
+        answered request; appends one line each to disk."""
         records = list(records)
-        for alpha, key, qoi, value in records:
-            self._store[(alpha, key, qoi)] = float(value)
+        for alpha, key, values in records:
+            self._store.setdefault((alpha, key), {}).update((q, float(v)) for q, v in values.items())
         if self.path is not None and records:
             with open(self.path, "a", encoding="utf-8") as fh:
-                for alpha, key, qoi, value in records:
-                    fh.write(json.dumps({"alpha": alpha, "point": list(key), "qoi": qoi,
-                                         "value": float(value).hex()}) + "\n")
+                for alpha, key, values in records:
+                    fh.write(json.dumps({"alpha": alpha, "point": list(key), "values": {
+                        q: float(v).hex() for q, v in values.items()}}) + "\n")
 
     def __len__(self) -> int:
-        return len(self._store)
+        return sum(map(len, self._store.values()))
 
     def points_by_alpha(self) -> dict[int, set[tuple[str, ...]]]:
         out: dict[int, set[tuple[str, ...]]] = {}
-        for alpha, key, _ in self._store:
+        for alpha, key in self._store:
             out.setdefault(alpha, set()).add(key)
         return out
 
@@ -450,7 +453,8 @@ class CachedOracle:
             if not self._in_domain(p):
                 errors[i] = f"point {tuple(p)} outside the oracle domain"
                 continue
-            needed = tuple(q for q in qois if self.cache.get(alpha, key, q) is None)
+            cached = self.cache.get(alpha, key)
+            needed = tuple(q for q in qois if q not in cached)
             if needed:
                 req = EvalRequest(self._next_id, alpha, tuple(float(x) for x in p), needed)
                 self._next_id += 1
@@ -467,8 +471,7 @@ class CachedOracle:
             for i, req in request_for_point.items():
                 rep = replies[req.id]
                 if rep.ok:
-                    new_records.extend(
-                        (alpha, keys[i], q, v) for q, v in zip(req.qois, rep.values))
+                    new_records.append((alpha, keys[i], dict(zip(req.qois, rep.values))))
                 else:
                     errors[i] = rep.error
             self.cache.put_many(new_records)
@@ -478,7 +481,8 @@ class CachedOracle:
             if i in errors:
                 out.append(EvalResult(error=errors[i]))
             else:
-                out.append(EvalResult(values=tuple(self.cache.get(alpha, key, q) for q in qois)))
+                cached = self.cache.get(alpha, key)
+                out.append(EvalResult(values=tuple(cached[q] for q in qois)))
         return out
 
     def close(self) -> None:

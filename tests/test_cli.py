@@ -426,8 +426,21 @@ class TestMainExitCodes:
         ("report", "posterior.json", "[1, 2]"),
         ("report", "reduction.json", json.dumps(["reduction_percent", "prior_extrapolated_fraction",
                                                  "posterior_extrapolated_fraction"])),
+        ("report", "posterior.json", json.dumps({"parameters": ["a", "b"], "mean": "abc",
+                                                 "covariance": [1.0], "sigma_meas": 1.0})),
+        ("report", "posterior.json", json.dumps({"parameters": ["a", "b"], "mean": [0.0, 0.0],
+                                                 "covariance": [1.0], "sigma_meas": 1.0})),
+        ("report", "posterior.json", json.dumps({"parameters": ["a"], "mean": [[0.0]],
+                                                 "covariance": [1.0], "sigma_meas": 1.0})),
+        ("report", "posterior.json", json.dumps({"parameters": "ab", "mean": [0.0, 0.0],
+                                                 "covariance": [1.0, 0.0, 0.0, 1.0],
+                                                 "sigma_meas": 1.0})),
+        ("report", "build_report.json", json.dumps({"work_spent": 1.0, "evaluations_total": 5,
+                                                    "surrogate_points_by_fidelity": []})),
     ], ids=["build_report_not_json", "reduction_lacks_key", "forward_posterior_list",
-            "report_posterior_list", "reduction_list_of_keys"])
+            "report_posterior_list", "reduction_list_of_keys", "posterior_mean_not_numbers",
+            "posterior_covariance_too_short", "posterior_mean_nested", "parameters_not_a_list",
+            "points_by_fidelity_not_a_mapping"])
     def test_malformed_stage_artifact_exits_with_config_code(self, tmp_path, caplog,
                                                              stage, name, text):
         path = write_config(tmp_path)

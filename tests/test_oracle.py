@@ -11,6 +11,7 @@ from contextlib import closing
 import numpy as np
 import pytest
 
+from miscuq.cli import cmd_build, load_config
 from miscuq.oracle import (
     BeamAnalogModel,
     CachedOracle,
@@ -23,6 +24,7 @@ from miscuq.oracle import (
     builtin_model,
     point_key,
 )
+from test_cli import write_config
 
 PY = sys.executable
 
@@ -143,10 +145,23 @@ class TestEvalCache:
         path = tmp_path / "cache.jsonl"
         cache = EvalCache(path)
         key = point_key((1290.0, -2.5 + 1e-17))
-        cache.put_many([(1, key, "u_1", 0.1 + 0.2)])
+        cache.put_many([(1, key, {"u_1": 0.1 + 0.2, "e_3": -1e-300})])
         reloaded = EvalCache(path)
-        assert reloaded.get(1, key, "u_1") == 0.1 + 0.2
-        assert len(reloaded) == 1
+        assert reloaded.get(1, key) == {"u_1": 0.1 + 0.2, "e_3": -1e-300}
+        assert len(reloaded) == 2
+        assert len(path.read_text().splitlines()) == 1
+
+    def test_later_record_adds_qois_to_its_point(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = point_key((1.0,))
+        EvalCache(path).put_many([(1, key, {"u_1": 1.0, "u_2": 2.0})])
+        EvalCache(path).put_many([(1, key, {"u_2": 3.0, "e_1": 4.0}), (2, key, {"u_1": 5.0})])
+        reloaded = EvalCache(path)
+        assert reloaded.get(1, key) == {"u_1": 1.0, "u_2": 3.0, "e_1": 4.0}
+        assert reloaded.get(2, key) == {"u_1": 5.0}
+        assert reloaded.get(1, point_key((2.0,))) == {}
+        assert len(reloaded) == 4
+        assert reloaded.points_by_alpha() == {1: {key}, 2: {key}}
 
     def test_distinguishes_signed_zero(self):
         assert point_key((0.0,)) != point_key((-0.0,))
@@ -157,34 +172,48 @@ class TestEvalCache:
         with pytest.raises(OracleError):
             EvalCache(path)
 
+    @pytest.mark.parametrize("rec", [
+        {"alpha": 1, "point": ["0x0.0p+0"], "qoi": "u_1", "value": "0x1.0p+0"},
+        {"alpha": 1, "point": ["0x0.0p+0"], "values": ["0x1.0p+0"]},
+    ], ids=["per_qoi_layout", "values_not_a_mapping"])
+    def test_record_of_another_layout_rejected(self, tmp_path, rec):
+        path = tmp_path / "cache.jsonl"
+        EvalCache(path).put_many([(1, point_key((1.0,)), {"u_1": 1.0})])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        with pytest.raises(OracleError, match=r'cache.jsonl:2 \(expected \{"alpha", "point", '
+                                              r'"values": \{qoi: hex\}\}\)'):
+            EvalCache(path)
+
     def test_torn_last_record_dropped_and_truncated(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         cache = EvalCache(path)
-        cache.put_many([(1, point_key((float(i),)), "u_1", float(i)) for i in range(3)])
+        cache.put_many([(1, point_key((float(i),)), {"u_1": float(i), "u_2": -float(i)})
+                        for i in range(3)])
         good = path.read_bytes()
         path.write_bytes(good + good.splitlines(keepends=True)[0][:17])
         with caplog.at_level("WARNING", logger="miscuq.oracle"):
             reloaded = EvalCache(path)
-        assert len(reloaded) == 3
+        assert len(reloaded) == 6
         assert "torn" in caplog.text
         assert path.read_bytes() == good
-        reloaded.put_many([(1, point_key((9.0,)), "u_1", 9.0)])
-        assert EvalCache(path).get(1, point_key((9.0,)), "u_1") == 9.0
+        reloaded.put_many([(1, point_key((9.0,)), {"u_1": 9.0})])
+        assert EvalCache(path).get(1, point_key((9.0,))) == {"u_1": 9.0}
 
     def test_corrupt_middle_record_rejected(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EvalCache(path)
-        cache.put_many([(1, point_key((0.0,)), "u_1", 0.0)])
+        cache.put_many([(1, point_key((0.0,)), {"u_1": 0.0})])
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"alpha": 1, "point": ["0x0.0p+0"], "qo\n')
-        cache.put_many([(1, point_key((1.0,)), "u_1", 1.0)])
+            fh.write('{"alpha": 1, "point": ["0x0.0p+0"], "val\n')
+        cache.put_many([(1, point_key((1.0,)), {"u_1": 1.0})])
         with pytest.raises(OracleError, match=":2"):
             EvalCache(path)
 
     def test_non_finite_cached_value_rejected(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        rec = {"alpha": 1, "point": list(point_key((0.0,))), "qoi": "u_1",
-               "value": float("nan").hex()}
+        rec = {"alpha": 1, "point": list(point_key((0.0,))),
+               "values": {"u_1": "0x1.0p+0", "u_2": float("nan").hex()}}
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(OracleError, match="non-finite"):
             EvalCache(path)
@@ -247,6 +276,26 @@ class TestCachedOracle:
 
         with pytest.raises(ValueError):
             CachedOracle(Flat())
+
+    @pytest.mark.parametrize("n_qois", [1, 120])
+    def test_cold_batch_looks_each_point_up_at_most_twice(self, monkeypatch, n_qois):
+        gets = []
+        original = EvalCache.get
+        monkeypatch.setattr(EvalCache, "get",
+                            lambda self, *args: gets.append(args) or original(self, *args))
+        oracle = CachedOracle(BeamAnalogModel())
+        pts = [(1130.0 + 10.0 * i, -2.5) for i in range(7)]
+        qois = [f"e_{j}" for j in range(1, n_qois + 1)]
+        results = oracle.eval_batch(1, pts, qois)
+        assert all(r.ok and len(r.values) == n_qois for r in results)
+        assert oracle.backend_points == {1: len(pts)}
+        assert len(gets) <= 2 * len(pts)
+
+    def test_cold_build_writes_one_cache_line_per_backend_request(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        build = cmd_build(cfg)
+        lines = (cfg.out_dir / "cache.jsonl").read_text().splitlines()
+        assert len(lines) == sum(build["backend_points"].values()) > 0
 
 
 class TestExternalOracle:

@@ -1,23 +1,31 @@
-"""The benchmark's traced functions (``TARGETS`` in ``perfbench/spans.py``)
-and the surrogate surface it reads still exist in ``miscuq``, so a refactor
-cannot silently break ``perfbench/run.py --trace 1``."""
+"""The benchmark's traced functions (``TARGETS`` in ``perfbench/spans.py``),
+the surrogate surface it reads and the cache layout it counts requests from
+still match ``miscuq``, so a refactor cannot silently break
+``perfbench/run.py``."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from miscuq.cli import cmd_build, cmd_calibrate, cmd_forward, load_config
 from miscuq.misc import MiscSurrogate
+from test_cli import make_observations, write_config
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def span_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+    return bench_module("spans").TARGETS
 
 
 @pytest.mark.parametrize("name, module, attr", span_targets())
@@ -32,3 +40,19 @@ def test_surrogate_surface_read_by_the_benchmark():
     fields = MiscSurrogate.__dataclass_fields__
     assert {"coefficients", "families", "qoi_names"} <= set(fields)
     assert callable(MiscSurrogate.evaluate_many)
+
+
+def test_benchmark_counts_each_stage_requests_from_the_cache(tmp_path, monkeypatch):
+    # run.py imports its sibling as a top-level module
+    monkeypatch.setitem(sys.modules, "spans", bench_module("spans"))
+    run = bench_module("run")
+    cfg = load_config(write_config(tmp_path))
+    build = cmd_build(cfg)
+    seen = len(run.cache_records(cfg.out_dir))
+    make_observations(cfg)
+    cmd_calibrate(cfg)
+    fwd = cmd_forward(cfg)
+    records = run.cache_records(cfg.out_dir)
+    assert run.backend_requests(records[:seen]) == build["backend_points"]
+    assert run.backend_requests(records[seen:]) == fwd["backend_points"]
+    assert build["backend_points"] and fwd["backend_points"]
