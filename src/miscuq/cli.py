@@ -26,7 +26,8 @@ from .bayes import GaussianPosterior, ObservationSet
 from .interp import build_grid
 from .leja import SymmetricLeja, WeightedGaussianLeja
 from .misc import AdaptStop
-from .oracle import CachedOracle, EvalCache, ExternalProcessModel, FidelitySpec, OracleError, builtin_model
+from .oracle import (BeamAnalogModel, CachedOracle, EvalCache, ExternalProcessModel, FidelitySpec,
+                     OracleError, builtin_model)
 from .params import Gaussian, ParamSpace, ParamSpec, Uniform
 
 __all__ = ["main", "load_config", "cmd_build", "cmd_calibrate", "cmd_forward", "cmd_report",
@@ -141,13 +142,38 @@ def _parse_space(docs) -> ParamSpace:
         raise ConfigError(str(exc)) from exc
 
 
+def _parse_backend(doc: dict, dim: int, base: Path):
+    """The backend the ``oracle`` section describes; a relative ``workdir``
+    is taken from ``base``.  Lanes start on the first dispatch, not here."""
+    if ("builtin" in doc) == ("command" in doc):
+        raise ConfigError("oracle: need exactly one of 'builtin: <name>' and 'command: <line>'")
+    lanes = _number(int, doc.get("lanes", 1), "oracle.lanes", minimum=1)
+    try:
+        if "builtin" in doc:
+            backend = builtin_model(str(doc["builtin"]))
+        else:
+            fidelities, domain = doc.get("fidelities") or (), doc.get("domain")
+            backend = ExternalProcessModel(
+                str(doc["command"]), base / str(doc["workdir"]) if "workdir" in doc else None,
+                dim=dim, lanes=lanes, timeout=doc.get("timeout", 60.0),
+                fidelities=[FidelitySpec(_number(int, f["alpha"], "oracle.fidelities.alpha"),
+                                         float(f["cost_weight"])) for f in fidelities],
+                domain=None if domain is None else [(float(d["lo"]), float(d["hi"]))
+                                                    for d in domain])
+    except (KeyError, TypeError, ValueError, OracleError) as exc:
+        raise ConfigError(f"bad oracle section: {exc}") from exc
+    if backend.dim != dim:
+        raise ConfigError(f"builtin model {backend.name!r} has dimension {backend.dim}, "
+                          f"config declares {dim} parameters")
+    return backend
+
+
 @dataclass
 class PipelineConfig:
     seed: int
     out_dir: Path
     space: ParamSpace
-    oracle_doc: dict
-    lanes: int
+    backend: BeamAnalogModel | ExternalProcessModel
     calibration_qois: tuple[str, ...]
     observations: Path | None
     n_starts: int
@@ -158,11 +184,6 @@ class PipelineConfig:
     density_qois: tuple[str, ...]
     kde_bandwidth: float | None
     config_hash: str
-    config_dir: Path
-
-    def resolve(self, path: str | Path) -> Path:
-        path = Path(path)
-        return path if path.is_absolute() else self.config_dir / path
 
 
 def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> PipelineConfig:
@@ -170,6 +191,8 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
 
     ``seed``, ``out`` and ``lanes`` are command-line overrides; the
     provenance hash covers the effective (post-override) configuration.
+    Relative ``observations`` and ``oracle.workdir`` paths are taken from
+    the config file's directory.
     """
     path = Path(path)
     if not path.exists():
@@ -189,19 +212,18 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
     if lanes is not None:
         oracle_doc["lanes"] = _number(int, lanes, "--lanes")
     doc["oracle"] = oracle_doc
-    if "builtin" not in oracle_doc and "command" not in oracle_doc:
-        raise ConfigError("oracle: need either 'builtin: <name>' or 'command: <line>'")
 
+    base = path.resolve().parent
     calib = _typed(_require(doc, "calibration", "config"), dict, "calibration")
     fwd = _typed(_require(doc, "forward", "config"), dict, "forward")
+    space = _parse_space(_require(doc, "parameters", "config"))
     cfg = PipelineConfig(
         seed=_number(int, _require(doc, "seed", "config"), "seed", minimum=0),
         out_dir=Path(str(_require(doc, "output_dir", "config"))),
-        space=_parse_space(_require(doc, "parameters", "config")),
-        oracle_doc=oracle_doc,
-        lanes=_number(int, oracle_doc.get("lanes", 1), "oracle.lanes", minimum=1),
+        space=space,
+        backend=_parse_backend(oracle_doc, space.dim, base),
         calibration_qois=_expand_qois(_require(calib, "qois", "calibration"), "calibration.qois"),
-        observations=Path(str(calib["observations"])) if "observations" in calib else None,
+        observations=base / str(calib["observations"]) if "observations" in calib else None,
         n_starts=_number(int, calib.get("n_starts", 20), "calibration.n_starts", minimum=1),
         build_stop=_parse_stop(calib.get("budget"), "calibration.budget"),
         forward_qois=_expand_qois(_require(fwd, "qois", "forward"), "forward.qois"),
@@ -212,46 +234,21 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
         kde_bandwidth=(_number(float, fwd["bandwidth"], "forward.bandwidth")
                        if "bandwidth" in fwd else None),
         config_hash="",
-        config_dir=path.resolve().parent,
     )
     if cfg.kde_bandwidth is not None and not 0.0 < cfg.kde_bandwidth < math.inf:
         raise ConfigError(f"forward.bandwidth must be positive and finite, "
                           f"got {cfg.kde_bandwidth}")
+    declared = getattr(cfg.backend, "qoi_names", None)  # an external backend declares none
+    for where, qois in (("calibration.qois", cfg.calibration_qois),
+                        ("forward.qois", cfg.forward_qois)):
+        unknown = [q for q in qois if declared is not None and q not in declared]
+        if unknown:
+            raise ConfigError(f"{where} lists QoIs the oracle does not declare: {unknown}")
     unknown = [q for q in cfg.density_qois if q not in cfg.forward_qois]
     if unknown:
         raise ConfigError(f"forward.densities lists QoIs outside forward.qois: {unknown}")
     cfg.config_hash = _config_hash(doc)
     return cfg
-
-
-def _make_oracle(cfg: PipelineConfig, cache_path: Path | None):
-    doc = cfg.oracle_doc
-    if "builtin" in doc:
-        backend = builtin_model(str(doc["builtin"]))
-        if backend.dim != cfg.space.dim:
-            raise ConfigError(f"builtin model {backend.name!r} has dimension {backend.dim}, "
-                              f"config declares {cfg.space.dim} parameters")
-    else:
-        fid_docs = doc.get("fidelities")
-        if not fid_docs:
-            raise ConfigError("oracle.command needs an explicit 'fidelities' list")
-        try:
-            fidelities = tuple(FidelitySpec(_number(int, f["alpha"], "oracle.fidelities.alpha"),
-                                            float(f["cost_weight"])) for f in fid_docs)
-            domain = doc.get("domain")
-            if domain is not None:
-                domain = tuple((float(d["lo"]), float(d["hi"])) for d in domain)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad oracle.fidelities or oracle.domain entry: {exc}") from exc
-        workdir = cfg.resolve(doc["workdir"]) if "workdir" in doc else None
-        timeout = _number(float, doc.get("timeout", 60.0), "oracle.timeout")
-        if not 0.0 < timeout < math.inf:
-            raise ConfigError(f"oracle.timeout must be positive and finite, got {timeout}")
-        backend = ExternalProcessModel(
-            str(doc["command"]), workdir, dim=cfg.space.dim, fidelities=fidelities,
-            domain=domain, lanes=cfg.lanes, timeout=timeout)
-    cache = EvalCache(cache_path)
-    return CachedOracle(backend, cache)
 
 
 def _prior_families(space: ParamSpace):
@@ -306,8 +303,11 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def cmd_build(cfg: PipelineConfig) -> dict:
     """Adaptive build of the calibration surrogate over the prior space."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    oracle = _make_oracle(cfg, cfg.out_dir / CACHE_FILE)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
+    oracle = CachedOracle(cfg.backend, EvalCache(cfg.out_dir / CACHE_FILE))
     try:
         state = _adaptive_surrogate(cfg, oracle, _prior_families(cfg.space),
                                     cfg.calibration_qois, cfg.build_stop)
@@ -377,17 +377,16 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
     """MAP + Laplace posterior from the built surrogate and observations."""
     if cfg.observations is None:
         raise ConfigError("calibration.observations is required for the calibrate step")
-    obs_path = cfg.resolve(cfg.observations)
-    if not obs_path.exists():
-        raise ConfigError(f"observations file {obs_path} does not exist")
+    if not cfg.observations.exists():
+        raise ConfigError(f"observations file {cfg.observations} does not exist")
     surrogate_path = cfg.out_dir / SURROGATE_FILE
     if not surrogate_path.exists():
         raise ConfigError(f"surrogate file {surrogate_path} not found; run 'build' first")
     surrogate = misc.deserialize(surrogate_path, expect_dim=cfg.space.dim)
     try:
-        obs = ObservationSet.from_csv(obs_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        obs = ObservationSet.from_csv(cfg.observations)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"calibration.observations: {exc}") from exc
     missing = [n for n in obs.names if n not in surrogate.qoi_names]
     if missing:
         raise ConfigError(f"observations reference QoIs missing from the surrogate: {missing}")
@@ -432,7 +431,7 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     posterior = _read_artifact(posterior_path, ("mean", "covariance", "sigma_meas"),
                                _posterior_from_json)
 
-    oracle = _make_oracle(cfg, cfg.out_dir / CACHE_FILE)
+    oracle = CachedOracle(cfg.backend, EvalCache(cfg.out_dir / CACHE_FILE))
     try:
         prior_state = _adaptive_surrogate(cfg, oracle, _prior_families(cfg.space),
                                           cfg.forward_qois, cfg.forward_stop)

@@ -70,8 +70,19 @@ class FidelitySpec:
     def __post_init__(self) -> None:
         if self.alpha < 1:
             raise ValueError(f"fidelity level must be >= 1, got {self.alpha}")
-        if not self.cost_weight > 0.0:
-            raise ValueError(f"cost weight must be positive, got {self.cost_weight}")
+        if not 0.0 < self.cost_weight < math.inf:
+            raise ValueError(f"cost weight must be positive and finite, got {self.cost_weight}")
+
+
+def _fidelity_table(fidelities) -> tuple[FidelitySpec, ...]:
+    """``fidelities`` sorted by level: a non-empty table of distinct levels
+    whose cost weights rise strictly with the level."""
+    table = tuple(sorted(fidelities, key=lambda f: f.alpha))
+    if not table or any(b.alpha == a.alpha or b.cost_weight <= a.cost_weight
+                        for a, b in zip(table, table[1:])):
+        raise ValueError(f"fidelities need distinct levels and cost weights rising strictly "
+                         f"with the level, got {table}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -333,20 +344,27 @@ class ExternalProcessModel:
                  timeout: float = 60.0):
         if lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
+        self._argv = shlex.split(command)
+        if not self._argv:
+            raise ValueError("the oracle command is empty")
         self.command = command
         self.workdir = str(workdir) if workdir is not None else None
         self.dim = int(dim)
-        self.fidelities = tuple(sorted(fidelities, key=lambda f: f.alpha))
+        self.fidelities = _fidelity_table(fidelities)
         self.domain = tuple(domain) if domain is not None else None
+        if self.domain is not None and (len(self.domain) != self.dim or not all(
+                -math.inf < lo < hi < math.inf for lo, hi in self.domain)):
+            raise ValueError(f"domain needs one finite lo < hi per parameter, got {domain}")
         self.n_lanes = int(lanes)
         self.timeout = float(timeout)
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {timeout}")
         self._lanes: list[_Lane] = []
 
     def _ensure_lanes(self) -> None:
         if not self._lanes:
-            argv = shlex.split(self.command)
             try:
-                self._lanes = [_Lane(argv, self.workdir) for _ in range(self.n_lanes)]
+                self._lanes = [_Lane(self._argv, self.workdir) for _ in range(self.n_lanes)]
             except OSError as exc:
                 self.close()
                 raise OracleError(f"cannot start oracle command {self.command!r}: {exc}") from exc
@@ -410,10 +428,7 @@ class CachedOracle:
         self.backend = backend
         self.cache = cache if cache is not None else EvalCache()
         self.backend_points: dict[int, int] = {}
-        self._fidelities = {f.alpha: f for f in backend.fidelities}
-        costs = [f.cost_weight for f in sorted(backend.fidelities, key=lambda f: f.alpha)]
-        if any(b <= a for a, b in zip(costs, costs[1:])):
-            raise ValueError("cost weights must increase strictly with fidelity level")
+        self._fidelities = {f.alpha: f for f in _fidelity_table(backend.fidelities)}
         self._next_id = 0
 
     @property

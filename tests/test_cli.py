@@ -23,6 +23,7 @@ from miscuq.cli import (
     load_config,
     main,
 )
+from miscuq.oracle import ExternalProcessModel
 
 BASE_CONFIG = {
     "seed": 77,
@@ -69,7 +70,7 @@ def make_observations(cfg, v_star=(1386.0, -0.15)):
     values = surrogate.evaluate(np.asarray(v_star))
     lines = ["qoi,value"]
     lines += [f"{n},{repr(float(v))}" for n, v in zip(surrogate.qoi_names, values)]
-    (cfg.config_dir / "obs.csv").write_text("\n".join(lines) + "\n")
+    cfg.observations.write_text("\n".join(lines) + "\n")
 
 
 def run_pipeline(cfg):
@@ -79,6 +80,16 @@ def run_pipeline(cfg):
     fwd = cmd_forward(cfg)
     rep = cmd_report(cfg)
     return build, cal, fwd, rep
+
+
+def assert_config_exit(caplog, argv, needle=""):
+    """``main(argv)`` exits 2 with one ERROR record, holding ``needle``, and
+    logs no traceback."""
+    caplog.clear()
+    assert main(argv) == EXIT_CONFIG
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and needle in errors[0], errors
+    assert all(r.exc_info is None for r in caplog.records)
 
 
 class TestConfigLoading:
@@ -166,10 +177,16 @@ class TestConfigLoading:
         ("calibration.budget", {"max_candidates": 2.5}),
         ("seed", float("inf")),
         ("forward.bandwidth", float("inf")),
+        ("oracle", {"builtin": "no-such-model"}),
+        ("forward.qois", {"prefix": "e_", "count": 121}),
+        ("calibration.qois", ["u_1", "zz_9"]),
     ])
-    def test_bad_scalar_is_config_error(self, tmp_path, key, value):
+    def test_bad_scalar_is_config_error(self, tmp_path, caplog, key, value):
+        path = write_config(tmp_path, {key: value})
         with pytest.raises(ConfigError, match=key.split(".")[0]):
-            load_config(write_config(tmp_path, {key: value}))
+            load_config(path)
+        for stage in ("build", "calibrate", "forward", "report"):
+            assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"])
 
     @pytest.mark.parametrize("qois", [[], {"prefix": "e_", "count": 0}])
     def test_empty_forward_qois_is_config_error(self, tmp_path, qois):
@@ -270,14 +287,14 @@ class TestCalibrateAndForward:
 
     def test_calibrate_without_surrogate_fails(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        (cfg.config_dir / "obs.csv").write_text("qoi,value\nu_1,0.1\n")
+        cfg.observations.write_text("qoi,value\nu_1,0.1\n")
         with pytest.raises(ConfigError, match="build"):
             cmd_calibrate(cfg)
 
     def test_unknown_observation_qoi_fails(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         cmd_build(cfg)
-        (cfg.config_dir / "obs.csv").write_text("qoi,value\nnope,1.0\n")
+        cfg.observations.write_text("qoi,value\nnope,1.0\n")
         with pytest.raises(ConfigError, match="nope"):
             cmd_calibrate(cfg)
 
@@ -288,7 +305,7 @@ class TestCalibrateAndForward:
         path = write_config(tmp_path)
         cfg = load_config(path)
         cmd_build(cfg)
-        (cfg.config_dir / "obs.csv").write_text(f"qoi,value\nu_2,0.1\n{row}\n")
+        cfg.observations.write_text(f"qoi,value\nu_2,0.1\n{row}\n")
         assert main(["calibrate", "--config", str(path), "--quiet"]) == EXIT_CONFIG
         assert match in caplog.text
         assert not (cfg.out_dir / "posterior.json").exists()
@@ -374,6 +391,13 @@ class TestExternalOracleConfig:
         out = surrogate.evaluate(v)
         assert out[1] == pytest.approx(2.0 * out[0], rel=1e-9)
 
+    def test_load_starts_no_process(self, tmp_path):
+        oracle = {"command": f"{sys.executable} -c pass", "lanes": 2,
+                  "fidelities": [{"alpha": 1, "cost_weight": 1.0}]}
+        cfg = load_config(write_config(tmp_path, {"oracle": oracle}))
+        assert isinstance(cfg.backend, ExternalProcessModel)
+        assert cfg.backend._lanes == []
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path):
@@ -411,12 +435,35 @@ class TestMainExitCodes:
         {"timeout": float("nan")},
         {"timeout": float("inf")},
         {"fidelities": [{"alpha": 1.5, "cost_weight": 1.0}]},
+        {"fidelities": [{"alpha": 1, "cost_weight": 4.0}, {"alpha": 2, "cost_weight": 1.0}]},
+        {"command": ""},
+        {"command": 'python "x'},
+        {"fidelities": [{"alpha": 1, "cost_weight": float("inf")}]},
+        {"fidelities": [{"alpha": 1, "cost_weight": 1.0}, {"alpha": 1, "cost_weight": 4.0}]},
+        {"builtin": "beam-analog"},
+        {"domain": [{"lo": 810.0, "hi": 1770.0}]},
+        {"domain": [{"lo": 1770.0, "hi": 810.0}, {"lo": -10.0, "hi": 5.0}]},
+        {"domain": [{"lo": float("nan"), "hi": 1770.0}, {"lo": -10.0, "hi": 5.0}]},
     ])
-    def test_bad_external_oracle_setting_exits_with_config_code(self, tmp_path, setting):
+    def test_bad_external_oracle_setting_exits_with_config_code(self, tmp_path, caplog,
+                                                                setting):
         oracle = {"command": f"{sys.executable} -c 'pass'",
                   "fidelities": [{"alpha": 1, "cost_weight": 1.0}], **setting}
         path = write_config(tmp_path, {"oracle": oracle})
-        assert main(["build", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert_config_exit(caplog, ["build", "--config", str(path), "--quiet"], "oracle")
+
+    @pytest.mark.parametrize("stage, key", [("calibrate", "calibration.observations"),
+                                            ("build", "output_dir")],
+                             ids=["observations_is_a_directory", "output_dir_is_a_file"])
+    def test_unusable_path_exits_with_config_code(self, tmp_path, caplog, stage, key):
+        taken = tmp_path / "taken"
+        if stage == "calibrate":
+            cmd_build(load_config(write_config(tmp_path)))
+            taken.mkdir()
+        else:
+            taken.write_text("")
+        path = write_config(tmp_path, {key: str(taken)})
+        assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"], str(taken))
 
     @pytest.mark.parametrize("stage, name, text", [
         ("report", "build_report.json", "{not json"),
@@ -458,10 +505,7 @@ class TestMainExitCodes:
             (out / artifact).write_text(json.dumps(doc))
         assert main(["report", "--config", str(path), "--quiet"]) == EXIT_OK
         (out / name).write_text(text)
-        caplog.clear()
-        assert main([stage, "--config", str(path), "--quiet"]) == EXIT_CONFIG
-        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1 and name in errors[0], errors
+        assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"], name)
 
     def test_negative_budget_exits_with_config_code(self, tmp_path):
         path = write_config(tmp_path, {"calibration.budget": {"max_work": -5.0}})

@@ -7,6 +7,7 @@ import sys
 import textwrap
 import time
 from contextlib import closing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -263,19 +264,17 @@ class TestCachedOracle:
         assert second.backend_points == {}
         assert res_a == res_b
 
-    def test_cost_weights_must_increase(self):
-        class Flat:
-            fidelities = (FidelitySpec(1, 2.0), FidelitySpec(2, 2.0))
-            dim = 1
-
-            def dispatch(self, reqs):
-                return {}
-
-            def close(self):
-                pass
-
+    @pytest.mark.parametrize("table", [
+        (FidelitySpec(1, 2.0), FidelitySpec(2, 2.0)),
+        (FidelitySpec(1, 1.0), FidelitySpec(1, 2.0)),
+    ], ids=["flat", "duplicate_level"])
+    @pytest.mark.parametrize("make", [
+        lambda table: CachedOracle(SimpleNamespace(fidelities=table, dim=1)),
+        lambda table: ExternalProcessModel("sim", dim=1, fidelities=table),
+    ], ids=["cached", "external"])
+    def test_cost_weights_must_increase(self, make, table):
         with pytest.raises(ValueError):
-            CachedOracle(Flat())
+            make(table)
 
     @pytest.mark.parametrize("n_qois", [1, 120])
     def test_cold_batch_looks_each_point_up_at_most_twice(self, monkeypatch, n_qois):

@@ -1,17 +1,20 @@
 """The benchmark's traced functions (``TARGETS`` in ``perfbench/spans.py``),
-the surrogate surface it reads and the cache layout it counts requests from
-still match ``miscuq``, so a refactor cannot silently break
-``perfbench/run.py``."""
+the surrogate surface it reads, the cache layout it counts requests from and
+the configs it runs still match ``miscuq``, so a refactor or a stricter
+config check cannot silently break ``perfbench/run.py``."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from miscuq.cli import cmd_build, cmd_calibrate, cmd_forward, load_config
 from miscuq.misc import MiscSurrogate
+from miscuq.oracle import BeamAnalogModel, ExternalProcessModel
 from test_cli import make_observations, write_config
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -56,3 +59,17 @@ def test_benchmark_counts_each_stage_requests_from_the_cache(tmp_path, monkeypat
     assert run.backend_requests(records[:seen]) == build["backend_points"]
     assert run.backend_requests(records[seen:]) == fwd["backend_points"]
     assert build["backend_points"] and fwd["backend_points"]
+
+
+@pytest.mark.parametrize("workload, backend", [("demo", BeamAnalogModel),
+                                               ("converge", BeamAnalogModel),
+                                               ("external", ExternalProcessModel)])
+def test_benchmark_workload_config_loads(tmp_path, monkeypatch, workload, backend):
+    monkeypatch.setitem(sys.modules, "spans", bench_module("spans"))
+    run = bench_module("run")
+    base = yaml.safe_load(run.DEMO_CONFIG.read_text(encoding="utf-8"))
+    doc = run.workload_config(workload, base, tmp_path / "observations.csv",
+                              f"{sys.executable} -c pass", small=False)
+    path = tmp_path / f"{workload}.yaml"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert type(load_config(path).backend) is backend
