@@ -80,6 +80,13 @@ def _typed(value, kind, where: str):
     return value
 
 
+def _text(value, where: str) -> str:
+    """``str(value)``; a YAML null, which would become the text 'None', is a ConfigError."""
+    if value is None:
+        raise ConfigError(f"{where}: expected a value, got null")
+    return str(value)
+
+
 def _number(cast, value, where: str, minimum=None):
     """``cast(value)``, with parse and range failures as ConfigError."""
     try:
@@ -124,7 +131,7 @@ def _parse_space(docs) -> ParamSpace:
     for i, doc in enumerate(_typed(docs, list, "parameters")):
         where = f"parameters[{i}]"
         _typed(doc, dict, where)
-        name = str(_require(doc, "name", where))
+        name = _text(_require(doc, "name", where), f"{where}.name")
         kind = str(_require(doc, "distribution", where)).lower()
         try:
             if kind == "uniform":
@@ -154,7 +161,8 @@ def _parse_backend(doc: dict, dim: int, base: Path):
         else:
             fidelities, domain = doc.get("fidelities") or (), doc.get("domain")
             backend = ExternalProcessModel(
-                str(doc["command"]), base / str(doc["workdir"]) if "workdir" in doc else None,
+                _text(doc["command"], "oracle.command"),
+                base / _text(doc["workdir"], "oracle.workdir") if "workdir" in doc else None,
                 dim=dim, lanes=lanes, timeout=doc.get("timeout", 60.0),
                 fidelities=[FidelitySpec(_number(int, f["alpha"], "oracle.fidelities.alpha"),
                                          float(f["cost_weight"])) for f in fidelities],
@@ -219,11 +227,12 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
     space = _parse_space(_require(doc, "parameters", "config"))
     cfg = PipelineConfig(
         seed=_number(int, _require(doc, "seed", "config"), "seed", minimum=0),
-        out_dir=Path(str(_require(doc, "output_dir", "config"))),
+        out_dir=Path(_text(_require(doc, "output_dir", "config"), "output_dir")),
         space=space,
         backend=_parse_backend(oracle_doc, space.dim, base),
         calibration_qois=_expand_qois(_require(calib, "qois", "calibration"), "calibration.qois"),
-        observations=base / str(calib["observations"]) if "observations" in calib else None,
+        observations=(base / _text(calib["observations"], "calibration.observations")
+                      if "observations" in calib else None),
         n_starts=_number(int, calib.get("n_starts", 20), "calibration.n_starts", minimum=1),
         build_stop=_parse_stop(calib.get("budget"), "calibration.budget"),
         forward_qois=_expand_qois(_require(fwd, "qois", "forward"), "forward.qois"),
@@ -467,7 +476,10 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
 
     if cfg.density_qois:
         ddir = cfg.out_dir / "densities"
-        ddir.mkdir(exist_ok=True)
+        try:
+            ddir.mkdir(exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create densities directory {ddir}: {exc}") from exc
         for name in cfg.density_qois:
             for tag, bands in (("prior", prior_bands), ("posterior", post_bands)):
                 forward.write_density_csv(bands.densities[name], ddir / f"{name}_{tag}.csv",

@@ -9,7 +9,10 @@ Wire protocol for external oracles (newline-delimited JSON, UTF-8):
               or {"id": <int>, "error": "<message>"}
 
 Requests arrive on the child's standard input, responses leave on standard
-output, anything on standard error is treated as free-form logging.
+output, anything on standard error is treated as free-form logging.  The
+lanes (child processes) are driven from the calling thread; the first failure
+on any lane closes every lane and aborts the batch, losing at most one
+in-flight request per lane, and caches none of the batch's answers.
 
 The cache file is an append-only JSON-lines log with one record per answered
 request, ``{"alpha": <int>, "point": [<hex>...], "values": {<qoi>: <hex>}}``;
@@ -26,11 +29,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-import queue
 import select
 import shlex
 import subprocess
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -250,7 +251,7 @@ def builtin_model(name: str):
 
 
 class _Lane:
-    """One subprocess speaking the line protocol, strictly request/response."""
+    """One subprocess speaking the line protocol, one request in flight."""
 
     def __init__(self, argv, cwd):
         self.proc = subprocess.Popen(
@@ -258,55 +259,50 @@ class _Lane:
             stderr=None, bufsize=0)
         self._buf = b""
 
-    def round_trip(self, request: EvalRequest, timeout: float) -> dict:
+    def send(self, request: EvalRequest) -> None:
         try:
             self.proc.stdin.write((request.to_wire() + "\n").encode("utf-8"))
             self.proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise OracleProtocolError(
                 f"oracle process died while receiving {request.to_wire()}: {exc}") from exc
-        line = self._read_line(request, timeout)
+
+    def fileno(self) -> int:
+        return self.proc.stdout.fileno()
+
+    def has_line(self) -> bool:
+        return b"\n" in self._buf
+
+    def reply(self, request: EvalRequest) -> dict | None:
+        """The answer to ``request``, or None while its line is incomplete.
+        Reads the pipe at most once: call it when a line is buffered or readable."""
+        if not self.has_line():
+            chunk = self.proc.stdout.read(65536)
+            if not chunk:
+                raise OracleProtocolError(f"oracle process exited (code {self.proc.poll()}) "
+                                          f"before answering {request.to_wire()}")
+            self._buf += chunk
+            if not self.has_line():
+                return None
+        line, self._buf = self._buf.split(b"\n", 1)
         try:
-            reply = json.loads(line)
-        except ValueError as exc:
+            reply = json.loads(line)  # bytes: invalid UTF-8 is a ValueError too
+        except (ValueError, RecursionError) as exc:
+            text = line.decode("utf-8", "replace")
             raise OracleProtocolError(
-                f"malformed oracle response {line!r} for {request.to_wire()}") from exc
+                f"malformed oracle response {text!r} for {request.to_wire()}") from exc
         if not isinstance(reply, dict) or reply.get("id") != request.id:
             raise OracleProtocolError(
                 f"oracle response id mismatch: sent {request.id}, got {reply!r}")
         return reply
 
-    def _read_line(self, request: EvalRequest, timeout: float) -> str:
-        fd = self.proc.stdout.fileno()
-        deadline = time.monotonic() + timeout
-        while b"\n" not in self._buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise OracleProtocolError(
-                    f"oracle timed out after {timeout} s on {request.to_wire()}")
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                continue
-            chunk = self.proc.stdout.read(65536)
-            if not chunk:
-                code = self.proc.poll()
-                raise OracleProtocolError(
-                    f"oracle process exited (code {code}) before answering {request.to_wire()}")
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return line.decode("utf-8")
-
     def close(self) -> None:
-        if self.proc.poll() is None:
-            try:
-                self.proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self.proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
-                self.proc.wait()
+        self.proc.stdin.close()  # end of input: a well-behaved child exits
+        try:
+            self.proc.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
 
 
 def _parse_reply(request: EvalRequest, reply: dict) -> EvalResult:
@@ -319,7 +315,7 @@ def _parse_reply(request: EvalRequest, reply: dict) -> EvalResult:
         raise OracleProtocolError(f"oracle response {reply!r} has neither values nor error")
     try:
         vals = tuple(float(x) for x in raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise OracleProtocolError(
             f"oracle returned non-numeric values {raw!r} on {request.to_wire()}") from exc
     if len(vals) != len(request.qois):
@@ -334,9 +330,11 @@ def _parse_reply(request: EvalRequest, reply: dict) -> EvalResult:
 class ExternalProcessModel:
     """Backend that evaluates points by talking to a user-supplied executable.
 
-    ``command`` is a shell-style command line; ``lanes`` independent child
-    processes are spawned lazily and work a shared request queue, so a batch
-    of B points on L lanes takes about ceil(B/L) round trips.
+    ``command`` is a shell-style command line; ``lanes`` child processes are
+    spawned on the first dispatch and driven from the calling thread, each
+    taking the next request as soon as it answers.  The first failure on any
+    lane closes every lane and aborts the batch, losing at most one in-flight
+    request per lane; the answers of an aborted batch are not cached.
     """
 
     def __init__(self, command: str, workdir: str | Path | None = None, *, dim: int,
@@ -361,53 +359,42 @@ class ExternalProcessModel:
             raise ValueError(f"timeout must be positive and finite, got {timeout}")
         self._lanes: list[_Lane] = []
 
-    def _ensure_lanes(self) -> None:
-        if not self._lanes:
-            try:
-                self._lanes = [_Lane(self._argv, self.workdir) for _ in range(self.n_lanes)]
-            except OSError as exc:
-                self.close()
-                raise OracleError(f"cannot start oracle command {self.command!r}: {exc}") from exc
-
     def dispatch(self, requests) -> dict[int, EvalResult]:
-        requests = list(requests)
-        if not requests:
+        waiting = list(requests)[::-1]  # popped from the end, so in request order
+        if not waiting:
             return {}
-        self._ensure_lanes()
-        work: "queue.Queue[EvalRequest]" = queue.Queue()
-        for req in requests:
-            work.put(req)
+        try:
+            self._lanes = self._lanes or [_Lane(self._argv, self.workdir)
+                                          for _ in range(self.n_lanes)]
+        except OSError as exc:
+            raise OracleError(f"cannot start oracle command {self.command!r}: {exc}") from exc
+        idle = self._lanes[::-1]
+        busy: dict[_Lane, tuple[EvalRequest, float]] = {}  # lane -> (request, deadline)
         results: dict[int, EvalResult] = {}
-        failures: list[BaseException] = []
-        lock = threading.Lock()
-
-        def run(lane: _Lane) -> None:
-            while True:
-                try:
-                    req = work.get_nowait()
-                except queue.Empty:
-                    return
-                try:
-                    res = _parse_reply(req, lane.round_trip(req, self.timeout))
-                except BaseException as exc:
-                    with lock:
-                        failures.append(exc)
-                    return
-                with lock:
-                    results[req.id] = res
-
-        threads = [threading.Thread(target=run, args=(lane,), daemon=True)
-                   for lane in self._lanes[: max(1, min(self.n_lanes, len(requests)))]]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if failures:
+        try:
+            while waiting or busy:
+                while idle and waiting:
+                    lane, req = idle.pop(), waiting.pop()
+                    lane.send(req)
+                    busy[lane] = (req, time.monotonic() + self.timeout)
+                # a line already buffered is read before waiting for more
+                ready = [lane for lane in busy if lane.has_line()]
+                if not ready:
+                    wait = min(deadline for _, deadline in busy.values()) - time.monotonic()
+                    ready = select.select(list(busy), [], [], max(wait, 0.0))[0]
+                for lane in ready:
+                    reply = lane.reply(busy[lane][0])
+                    if reply is not None:
+                        req, _ = busy.pop(lane)
+                        results[req.id] = _parse_reply(req, reply)
+                        idle.append(lane)
+                late = [req for req, deadline in busy.values() if deadline <= time.monotonic()]
+                if late:
+                    raise OracleProtocolError(
+                        f"oracle timed out after {self.timeout} s on {late[0].to_wire()}")
+        except BaseException:
             self.close()
-            first = failures[0]
-            if isinstance(first, OracleError):
-                raise first
-            raise OracleProtocolError(f"oracle dispatch failed: {first}") from first
+            raise
         return results
 
     def close(self) -> None:

@@ -48,6 +48,9 @@ BASE_CONFIG = {
 }
 
 
+NULL = object()  # an override value written as a YAML null; None removes the key
+
+
 def write_config(tmp_path, overrides=None, name="cfg.yaml"):
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc["output_dir"] = str(tmp_path / "out")
@@ -59,7 +62,7 @@ def write_config(tmp_path, overrides=None, name="cfg.yaml"):
         if value is None:
             node.pop(last, None)
         else:
-            node[last] = value
+            node[last] = None if value is NULL else value
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
     return path
@@ -180,6 +183,9 @@ class TestConfigLoading:
         ("oracle", {"builtin": "no-such-model"}),
         ("forward.qois", {"prefix": "e_", "count": 121}),
         ("calibration.qois", ["u_1", "zz_9"]),
+        ("output_dir", NULL),
+        ("parameters.0.name", NULL),
+        ("calibration.observations", NULL),
     ])
     def test_bad_scalar_is_config_error(self, tmp_path, caplog, key, value):
         path = write_config(tmp_path, {key: value})
@@ -444,6 +450,8 @@ class TestMainExitCodes:
         {"domain": [{"lo": 810.0, "hi": 1770.0}]},
         {"domain": [{"lo": 1770.0, "hi": 810.0}, {"lo": -10.0, "hi": 5.0}]},
         {"domain": [{"lo": float("nan"), "hi": 1770.0}, {"lo": -10.0, "hi": 5.0}]},
+        {"workdir": None},
+        {"command": None},
     ])
     def test_bad_external_oracle_setting_exits_with_config_code(self, tmp_path, caplog,
                                                                 setting):
@@ -453,16 +461,24 @@ class TestMainExitCodes:
         assert_config_exit(caplog, ["build", "--config", str(path), "--quiet"], "oracle")
 
     @pytest.mark.parametrize("stage, key", [("calibrate", "calibration.observations"),
-                                            ("build", "output_dir")],
-                             ids=["observations_is_a_directory", "output_dir_is_a_file"])
+                                            ("build", "output_dir"), ("forward", None)],
+                             ids=["observations_is_a_directory", "output_dir_is_a_file",
+                                  "densities_is_a_file"])
     def test_unusable_path_exits_with_config_code(self, tmp_path, caplog, stage, key):
         taken = tmp_path / "taken"
         if stage == "calibrate":
             cmd_build(load_config(write_config(tmp_path)))
             taken.mkdir()
+        elif stage == "forward":
+            cfg = load_config(write_config(tmp_path))
+            cmd_build(cfg)
+            make_observations(cfg)
+            cmd_calibrate(cfg)
+            taken = cfg.out_dir / "densities"
+            taken.write_text("")
         else:
             taken.write_text("")
-        path = write_config(tmp_path, {key: str(taken)})
+        path = write_config(tmp_path, {key: str(taken)} if key else None)
         assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"], str(taken))
 
     @pytest.mark.parametrize("stage, name, text", [

@@ -72,6 +72,28 @@ SLOW_SCRIPT = """\
         print(json.dumps({"id": req["id"], "values": [0.0] * len(req["qois"])}), flush=True)
 """
 
+CRASH_ON_THREE_SCRIPT = """\
+    import json, sys, time
+    for line in sys.stdin:
+        with open(sys.argv[1], "a") as served:
+            served.write(line)
+        req = json.loads(line)
+        if req["params"][0] == 3.0:
+            sys.exit(13)
+        time.sleep(0.05)
+        print(json.dumps({"id": req["id"], "values": [0.0] * len(req["qois"])}), flush=True)
+"""
+
+DOUBLE_ANSWER_SCRIPT = """\
+    import json, sys
+    for line in sys.stdin:
+        req = json.loads(line)
+        if req["id"] == 0:  # two answers in one write, then silence
+            answer = json.dumps({"id": 0, "values": [0.0] * len(req["qois"])})
+            sys.stdout.write(answer + "\\n" + answer + "\\n")
+            sys.stdout.flush()
+"""
+
 NON_FINITE_SCRIPT = """\
     import json, sys
     for line in sys.stdin:
@@ -382,3 +404,22 @@ class TestExternalOracle:
             oracle = CachedOracle(backend)
             results = oracle.eval_batch(1, pts, ["q"])
         assert [r.values[0] for r in results] == [float(i) for i in range(12)]
+
+    def test_lane_crash_stops_the_batch(self, tmp_path):
+        # point 3 kills its lane: the other lane must not go on serving the
+        # batch, so at most one more request per lane reaches a simulator
+        served = tmp_path / "served.log"
+        cmd = write_script(tmp_path, "crash3.py", CRASH_ON_THREE_SCRIPT) + f" {served}"
+        pts = [(float(i),) for i in range(40)]
+        with external(cmd, lanes=2) as backend:
+            with pytest.raises(OracleProtocolError, match="exited"):
+                CachedOracle(backend).eval_batch(1, pts, ["q"])
+        assert len(served.read_text().splitlines()) <= 3 + 2
+
+    def test_buffered_extra_answer_is_id_mismatch_not_timeout(self, tmp_path):
+        cmd = write_script(tmp_path, "double.py", DOUBLE_ANSWER_SCRIPT)
+        with external(cmd, timeout=5.0) as backend:
+            start = time.monotonic()
+            with pytest.raises(OracleProtocolError, match="id mismatch"):
+                CachedOracle(backend).eval_batch(1, [(1.0,), (2.0,)], ["q"])
+            assert time.monotonic() - start < 4.0
