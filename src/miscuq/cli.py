@@ -80,22 +80,35 @@ def _typed(value, kind, where: str):
     return value
 
 
+def _mapping(value, where: str, keys) -> dict:
+    """``value`` if it is a mapping with no key outside ``keys``, else ConfigError."""
+    unknown = set(_typed(value, dict, where)) - set(keys)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(map(str, unknown))}")
+    return value
+
+
 def _text(value, where: str) -> str:
-    """``str(value)``; a YAML null, which would become the text 'None', is a ConfigError."""
-    if value is None:
-        raise ConfigError(f"{where}: expected a value, got null")
+    """``str(value)`` of a string or a number; null, a boolean (YAML 1.1 reads
+    unquoted yes/no/on/off as one), a list or a mapping is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{where}: expected text, got {value!r}")
     return str(value)
 
 
 def _number(cast, value, where: str, minimum=None):
-    """``cast(value)``, with parse and range failures as ConfigError."""
+    """``cast(value)`` if it is finite, with parse and range failures as ConfigError."""
+    if isinstance(value, bool):  # int(True) is 1
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         x = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
     if cast is int and isinstance(value, float) and x != value:  # int(1.5) is 1
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if minimum is not None and not x >= minimum:  # also rejects NaN
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {x}")
+    if minimum is not None and not x >= minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {x}")
     return x
 
@@ -103,27 +116,25 @@ def _number(cast, value, where: str, minimum=None):
 def _expand_qois(spec, where: str) -> tuple[str, ...]:
     """QoI lists are either explicit or {prefix, count[, start]} patterns."""
     if isinstance(spec, list) and spec:
-        return tuple(str(q) for q in spec)
+        return tuple(_text(q, f"{where}[{i}]") for i, q in enumerate(spec))
     if isinstance(spec, dict) and "prefix" in spec and "count" in spec:
+        _mapping(spec, where, ("prefix", "start", "count"))
+        prefix = _text(spec["prefix"], f"{where}.prefix")
         start = _number(int, spec.get("start", 1), f"{where}.start")
         count = _number(int, spec["count"], f"{where}.count", minimum=1)
-        return tuple(f"{spec['prefix']}{i}" for i in range(start, start + count))
+        return tuple(f"{prefix}{i}" for i in range(start, start + count))
     raise ConfigError(f"{where}: expected a non-empty QoI list or a prefix/count pattern, "
                       f"got {spec!r}")
 
 
-def _parse_stop(doc, where: str) -> AdaptStop:
-    if doc is None:
+def _parse_stop(section: dict, where: str) -> AdaptStop:
+    """The ``budget`` of a section; a section without one stops at work 50."""
+    if "budget" not in section:
         return AdaptStop(max_work=50.0)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a mapping of budget keys, got {doc!r}")
     # (cast, minimum); a zero max_work is allowed and builds the root entry only
     limits = {"max_work": (float, 0.0), "max_candidates": (int, 1), "profit_floor": (float, 0.0)}
-    extra = set(doc) - set(limits)
-    if extra:
-        raise ConfigError(f"{where}: unknown budget keys {sorted(extra)}")
     return AdaptStop(**{k: _number(limits[k][0], v, f"{where}.{k}", minimum=limits[k][1])
-                        for k, v in doc.items()})
+                        for k, v in _mapping(section["budget"], where, limits).items()})
 
 
 def _parse_space(docs) -> ParamSpace:
@@ -132,21 +143,33 @@ def _parse_space(docs) -> ParamSpace:
         where = f"parameters[{i}]"
         _typed(doc, dict, where)
         name = _text(_require(doc, "name", where), f"{where}.name")
-        kind = str(_require(doc, "distribution", where)).lower()
+        kind = _text(_require(doc, "distribution", where), f"{where}.distribution").lower()
+        bounds = {"uniform": ("lo", "hi"), "gaussian": ("mean", "std")}.get(kind)
+        if bounds is None:
+            raise ConfigError(f"{where}: unknown distribution {kind!r}")
+        _mapping(doc, where, ("name", "distribution", "transform") + bounds)
+        args = [_number(float, _require(doc, k, where), f"{where}.{k}") for k in bounds]
         try:
-            if kind == "uniform":
-                dist = Uniform(float(_require(doc, "lo", where)), float(_require(doc, "hi", where)))
-            elif kind == "gaussian":
-                dist = Gaussian(float(_require(doc, "mean", where)), float(_require(doc, "std", where)))
-            else:
-                raise ConfigError(f"{where}: unknown distribution {kind!r}")
-        except (TypeError, ValueError) as exc:
+            dist = Uniform(*args) if kind == "uniform" else Gaussian(*args)
+        except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         specs.append(ParamSpec(name, dist))
     try:
         return ParamSpace(specs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"parameters: {exc}") from exc
+
+
+def _records(docs, where: str, fields: dict) -> list[tuple]:
+    """Each mapping in the list ``docs`` as the tuple of its ``fields``, each
+    read as a number of the field's type."""
+    out = []
+    for i, doc in enumerate(_typed(docs, list, where)):
+        at = f"{where}[{i}]"
+        _mapping(doc, at, fields)
+        out.append(tuple(_number(cast, _require(doc, k, at), f"{at}.{k}")
+                         for k, cast in fields.items()))
+    return out
 
 
 def _parse_backend(doc: dict, dim: int, base: Path):
@@ -154,21 +177,24 @@ def _parse_backend(doc: dict, dim: int, base: Path):
     is taken from ``base``.  Lanes start on the first dispatch, not here."""
     if ("builtin" in doc) == ("command" in doc):
         raise ConfigError("oracle: need exactly one of 'builtin: <name>' and 'command: <line>'")
+    _mapping(doc, "oracle", ("builtin", "lanes") if "builtin" in doc else
+             ("command", "fidelities", "workdir", "domain", "timeout", "lanes"))
     lanes = _number(int, doc.get("lanes", 1), "oracle.lanes", minimum=1)
     try:
         if "builtin" in doc:
-            backend = builtin_model(str(doc["builtin"]))
+            backend = builtin_model(_text(doc["builtin"], "oracle.builtin"))
         else:
-            fidelities, domain = doc.get("fidelities") or (), doc.get("domain")
             backend = ExternalProcessModel(
                 _text(doc["command"], "oracle.command"),
                 base / _text(doc["workdir"], "oracle.workdir") if "workdir" in doc else None,
-                dim=dim, lanes=lanes, timeout=doc.get("timeout", 60.0),
-                fidelities=[FidelitySpec(_number(int, f["alpha"], "oracle.fidelities.alpha"),
-                                         float(f["cost_weight"])) for f in fidelities],
-                domain=None if domain is None else [(float(d["lo"]), float(d["hi"]))
-                                                    for d in domain])
-    except (KeyError, TypeError, ValueError, OracleError) as exc:
+                dim=dim, lanes=lanes,
+                timeout=_number(float, doc.get("timeout", 60.0), "oracle.timeout"),
+                fidelities=[FidelitySpec(*f) for f in _records(
+                    doc.get("fidelities", []), "oracle.fidelities",
+                    {"alpha": int, "cost_weight": float})],
+                domain=(_records(doc["domain"], "oracle.domain", {"lo": float, "hi": float})
+                        if "domain" in doc else None))
+    except (ValueError, OracleError) as exc:
         raise ConfigError(f"bad oracle section: {exc}") from exc
     if backend.dim != dim:
         raise ConfigError(f"builtin model {backend.name!r} has dimension {backend.dim}, "
@@ -209,8 +235,8 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+    _mapping(doc, f"{path} top level", ("seed", "output_dir", "oracle", "parameters",
+                                        "calibration", "forward"))
 
     if seed is not None:
         doc["seed"] = _number(int, seed, "--seed", minimum=0)
@@ -222,8 +248,10 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
     doc["oracle"] = oracle_doc
 
     base = path.resolve().parent
-    calib = _typed(_require(doc, "calibration", "config"), dict, "calibration")
-    fwd = _typed(_require(doc, "forward", "config"), dict, "forward")
+    calib = _mapping(_require(doc, "calibration", "config"), "calibration",
+                     ("qois", "observations", "n_starts", "budget"))
+    fwd = _mapping(_require(doc, "forward", "config"), "forward",
+                   ("qois", "samples", "budget", "densities", "bandwidth"))
     space = _parse_space(_require(doc, "parameters", "config"))
     cfg = PipelineConfig(
         seed=_number(int, _require(doc, "seed", "config"), "seed", minimum=0),
@@ -234,19 +262,19 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
         observations=(base / _text(calib["observations"], "calibration.observations")
                       if "observations" in calib else None),
         n_starts=_number(int, calib.get("n_starts", 20), "calibration.n_starts", minimum=1),
-        build_stop=_parse_stop(calib.get("budget"), "calibration.budget"),
+        build_stop=_parse_stop(calib, "calibration.budget"),
         forward_qois=_expand_qois(_require(fwd, "qois", "forward"), "forward.qois"),
         forward_samples=_number(int, fwd.get("samples", forward.DEFAULT_SAMPLES),
                                 "forward.samples", minimum=2),
-        forward_stop=_parse_stop(fwd.get("budget"), "forward.budget"),
-        density_qois=tuple(_typed(fwd.get("densities", []), list, "forward.densities")),
+        forward_stop=_parse_stop(fwd, "forward.budget"),
+        density_qois=tuple(_text(q, f"forward.densities[{i}]") for i, q in
+                           enumerate(_typed(fwd.get("densities", []), list, "forward.densities"))),
         kde_bandwidth=(_number(float, fwd["bandwidth"], "forward.bandwidth")
                        if "bandwidth" in fwd else None),
         config_hash="",
     )
-    if cfg.kde_bandwidth is not None and not 0.0 < cfg.kde_bandwidth < math.inf:
-        raise ConfigError(f"forward.bandwidth must be positive and finite, "
-                          f"got {cfg.kde_bandwidth}")
+    if cfg.kde_bandwidth is not None and not cfg.kde_bandwidth > 0.0:
+        raise ConfigError(f"forward.bandwidth must be positive, got {cfg.kde_bandwidth}")
     declared = getattr(cfg.backend, "qoi_names", None)  # an external backend declares none
     for where, qois in (("calibration.qois", cfg.calibration_qois),
                         ("forward.qois", cfg.forward_qois)):

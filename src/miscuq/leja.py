@@ -39,8 +39,6 @@ __all__ = [
     "level_to_knots",
     "SymmetricLeja",
     "WeightedGaussianLeja",
-    "map_to_interval",
-    "map_to_gaussian",
 ]
 
 SYMMETRIC_CANDIDATES = 100_001
@@ -102,30 +100,6 @@ _gauss_candidates = _symmetric_grid(GAUSSIAN_CANDIDATES, GAUSSIAN_CUTOFF)
 _gauss_ref = _GreedySequence(_gauss_candidates, sqrt_weight=np.exp(-_gauss_candidates**2 / 4.0))
 
 
-def map_to_interval(x, lo: float, hi: float) -> np.ndarray:
-    """Affine image of points on [-1, 1] onto [lo, hi].
-
-    Uses the midpoint form ``center + radius * x``, which is the bitwise
-    identity on [-1, 1] itself (keeping reference knots exactly mirror
-    symmetric); the result is clipped so knots never leave [lo, hi] by a
-    rounding ulp.
-    """
-    if not hi > lo:
-        raise ValueError(f"degenerate interval [{lo}, {hi}]")
-    x = np.asarray(x, dtype=float)
-    center = 0.5 * (lo + hi)
-    radius = 0.5 * (hi - lo)
-    return np.clip(center + radius * x, lo, hi)
-
-
-def map_to_gaussian(x, mean: float, std: float) -> np.ndarray:
-    """Affine image of standard-normal points: x -> mean + std * x."""
-    if not std > 0.0:
-        raise ValueError(f"std must be positive, got {std}")
-    x = np.asarray(x, dtype=float)
-    return mean + std * x
-
-
 @dataclass(frozen=True)
 class SymmetricLeja:
     """Symmetric Leja knots on [lo, hi], mapped affinely from [-1, 1]."""
@@ -138,7 +112,11 @@ class SymmetricLeja:
             raise ValueError(f"degenerate interval [{self.lo}, {self.hi}]")
 
     def knots(self, count: int) -> np.ndarray:
-        return map_to_interval(_symmetric_ref.prefix(count), self.lo, self.hi)
+        # The midpoint form is the bitwise identity on [-1, 1], which keeps the
+        # knots mirror symmetric; the clip keeps rounding inside [lo, hi].
+        center = 0.5 * (self.lo + self.hi)
+        radius = 0.5 * (self.hi - self.lo)
+        return np.clip(center + radius * _symmetric_ref.prefix(count), self.lo, self.hi)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -161,7 +139,7 @@ class WeightedGaussianLeja:
             raise ValueError(f"std must be positive, got {self.std}")
 
     def knots(self, count: int) -> np.ndarray:
-        return map_to_gaussian(_gauss_ref.prefix(count), self.mean, self.std)
+        return self.mean + self.std * _gauss_ref.prefix(count)
 
     @property
     def domain(self) -> tuple[float, float]:

@@ -173,14 +173,11 @@ class AdaptState:
 
     index_set: MultiIndexSet
     surrogate: MiscSurrogate
-    families: tuple
-    qois: tuple[str, ...]
     probe_points: np.ndarray
     work_spent: float = 0.0
     work_by_alpha: dict = field(default_factory=dict)
     committed: list = field(default_factory=list)  # (entry, profit) history
     skipped: list = field(default_factory=list)    # (entry, error) from the last pass
-    config_hash: str | None = None
     probe_values: dict = field(default_factory=dict)  # entry -> its interpolant at the probes
     entry_values: dict = field(default_factory=dict)  # charged entry -> its oracle samples
     profits: dict[ExtIndex, float] = field(default_factory=dict)  # scored candidates
@@ -191,7 +188,7 @@ class AdaptState:
         for entry in self.index_set:
             if entry.alpha != alpha:
                 continue
-            for p in build_grid(entry.beta, self.families).points:
+            for p in build_grid(entry.beta, self.surrogate.families).points:
                 keys.add(point_key(p))
         return keys
 
@@ -253,11 +250,9 @@ def _charge(state: AdaptState, oracle, entry: ExtIndex) -> None:
 def init_adapt(oracle, families, qois, *, config_hash=None) -> AdaptState:
     """Fresh adaptive state at the minimal index set [1, (1, ..., 1)]."""
     families = tuple(families)
-    qois = tuple(qois)
     index_set = MultiIndexSet([ExtIndex(1, (1,) * len(families))])
     surrogate = build(index_set, oracle, families, qois, config_hash)
-    state = AdaptState(index_set, surrogate, families, qois,
-                       _probe_grid(families, PROBE_COUNT), config_hash=config_hash,
+    state = AdaptState(index_set, surrogate, _probe_grid(families, PROBE_COUNT),
                        entry_values=dict(surrogate.values))
     for entry in index_set:
         _charge(state, oracle, entry)
@@ -268,12 +263,13 @@ def _surplus(state: AdaptState, oracle, cand: ExtIndex) -> np.ndarray:
     """Change of the surrogate at the probe points if ``cand`` joined the set,
     from the weight changes ``cand`` makes; every entry it reaches keeps its
     interpolant at the probes.  BuildError if ``cand``'s evaluations fail."""
-    out = np.zeros((len(state.probe_points), len(state.qois)))
+    families, qois = state.surrogate.families, state.surrogate.qoi_names
+    out = np.zeros((len(state.probe_points), len(qois)))
     for entry, sign in weight_changes(cand):
         if entry not in state.probe_values:
             if entry not in state.entry_values:
-                state.entry_values[entry] = _eval_entry(oracle, entry, state.families, state.qois)
-            grid = build_grid(entry.beta, state.families)
+                state.entry_values[entry] = _eval_entry(oracle, entry, families, qois)
+            grid = build_grid(entry.beta, families)
             state.probe_values[entry] = TensorInterpolant(
                 grid, state.entry_values[entry]).evaluate_many(state.probe_points)
         out += sign * state.probe_values[entry]
@@ -338,11 +334,12 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
             coeffs[e] = coeffs.get(e, 0) + sign
         state.committed.append((best, profit))
         log.info("adapt: committed %s profit %.3g work %.3g", best, profit, state.work_spent)
-    if state.index_set != state.surrogate.index_set:  # something was committed
+    old = state.surrogate
+    if state.index_set != old.index_set:  # something was committed
         coeffs = {e: c for e, c in sorted(coeffs.items()) if c}
         state.surrogate = MiscSurrogate(state.index_set, coeffs,
                                         {e: state.entry_values[e] for e in coeffs},
-                                        state.families, state.qois, state.config_hash)
+                                        old.families, old.qoi_names, old.config_hash)
     return state
 
 

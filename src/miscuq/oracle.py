@@ -296,14 +296,6 @@ class _Lane:
                 f"oracle response id mismatch: sent {request.id}, got {reply!r}")
         return reply
 
-    def close(self) -> None:
-        self.proc.stdin.close()  # end of input: a well-behaved child exits
-        try:
-            self.proc.wait(timeout=2)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
-
 
 def _parse_reply(request: EvalRequest, reply: dict) -> EvalResult:
     """One protocol response as a result; a non-finite value fails only its
@@ -398,8 +390,18 @@ class ExternalProcessModel:
         return results
 
     def close(self) -> None:
+        """End every lane's input, give all children one shared 2 s to exit,
+        kill the rest and close their pipes."""
         for lane in self._lanes:
-            lane.close()
+            lane.proc.stdin.close()  # end of input: a well-behaved child exits
+        deadline = time.monotonic() + 2.0
+        for lane in self._lanes:
+            try:
+                lane.proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
+            except subprocess.TimeoutExpired:
+                lane.proc.kill()
+                lane.proc.wait()
+            lane.proc.stdout.close()
         self._lanes = []
 
 

@@ -1,9 +1,12 @@
 """Pipeline driver: config validation, command plumbing, determinism,
 exit-code contract."""
 
+import fnmatch
 import json
+import math
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,16 @@ BASE_CONFIG = {
 
 
 NULL = object()  # an override value written as a YAML null; None removes the key
+
+# the smallest artifacts `report` reads without error
+REPORT_INPUTS = {
+    "build_report.json": {"work_spent": 1.0, "evaluations_total": 5,
+                          "surrogate_points_by_fidelity": {"1": 1}},
+    "posterior.json": {"parameters": ["a", "b"], "mean": [0.0, 0.0],
+                       "covariance": [1.0, 0.0, 0.0, 1.0], "sigma_meas": 1.0},
+    "reduction.json": {"reduction_percent": 50.0, "prior_extrapolated_fraction": 0.0,
+                       "posterior_extrapolated_fraction": 0.0},
+}
 
 
 def write_config(tmp_path, overrides=None, name="cfg.yaml"):
@@ -186,6 +199,17 @@ class TestConfigLoading:
         ("output_dir", NULL),
         ("parameters.0.name", NULL),
         ("calibration.observations", NULL),
+        ("calibration.n_start", 5),
+        ("forward.sample", 100),
+        ("oracle", {"builtin": "beam-analog", "lane": 4}),
+        ("parameters.0.high", 1450.0),
+        ("seeds", 5),
+        ("oracle", {"builtin": "beam-analog", "fidelities": [{"alpha": 1, "cost_weight": 1.0}]}),
+        ("seed", True),
+        ("calibration.n_starts", True),
+        ("oracle", {"builtin": "beam-analog", "lanes": True}),
+        ("output_dir", [1]),
+        ("parameters.0.name", False),
     ])
     def test_bad_scalar_is_config_error(self, tmp_path, caplog, key, value):
         path = write_config(tmp_path, {key: value})
@@ -452,6 +476,11 @@ class TestMainExitCodes:
         {"domain": [{"lo": float("nan"), "hi": 1770.0}, {"lo": -10.0, "hi": 5.0}]},
         {"workdir": None},
         {"command": None},
+        {"timeout": True},
+        {"command": ["python3", "sim.py"]},
+        {"lane": 4},
+        {"fidelities": [{"alpha": 1, "cost_weight": 1.0, "cost": 2.0}]},
+        {"domain": [{"lo": 810.0, "hi": 1770.0, "mid": 0.0}, {"lo": -10.0, "hi": 5.0}]},
     ])
     def test_bad_external_oracle_setting_exits_with_config_code(self, tmp_path, caplog,
                                                                 setting):
@@ -459,6 +488,15 @@ class TestMainExitCodes:
                   "fidelities": [{"alpha": 1, "cost_weight": 1.0}], **setting}
         path = write_config(tmp_path, {"oracle": oracle})
         assert_config_exit(caplog, ["build", "--config", str(path), "--quiet"], "oracle")
+
+    @pytest.mark.parametrize("key, value", [("calibration.qois", ["u_1", None]),
+                                            ("forward.qois", {"prefix": None, "count": 2})])
+    def test_null_qoi_name_exits_with_config_code(self, tmp_path, caplog, key, value):
+        # an external oracle declares no QoI names, so no name check catches a null
+        oracle = {"command": f"{sys.executable} -c 'pass'",
+                  "fidelities": [{"alpha": 1, "cost_weight": 1.0}]}
+        path = write_config(tmp_path, {"oracle": oracle, key: value, "forward.densities": None})
+        assert_config_exit(caplog, ["build", "--config", str(path), "--quiet"], key)
 
     @pytest.mark.parametrize("stage, key", [("calibrate", "calibration.observations"),
                                             ("build", "output_dir"), ("forward", None)],
@@ -509,15 +547,7 @@ class TestMainExitCodes:
         path = write_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        artifacts = {
-            "build_report.json": {"work_spent": 1.0, "evaluations_total": 5,
-                                  "surrogate_points_by_fidelity": {"1": 1}},
-            "posterior.json": {"parameters": ["a", "b"], "mean": [0.0, 0.0],
-                               "covariance": [1.0, 0.0, 0.0, 1.0], "sigma_meas": 1.0},
-            "reduction.json": {"reduction_percent": 50.0, "prior_extrapolated_fraction": 0.0,
-                               "posterior_extrapolated_fraction": 0.0},
-        }
-        for artifact, doc in artifacts.items():
+        for artifact, doc in REPORT_INPUTS.items():
             (out / artifact).write_text(json.dumps(doc))
         assert main(["report", "--config", str(path), "--quiet"]) == EXIT_OK
         (out / name).write_text(text)
@@ -586,6 +616,105 @@ def test_stage_processes_leave_scipy_unloaded(tmp_path):
                                "--quiet"], capture_output=True, text=True)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.strip() == "False", f"{stage} imported scipy"
+
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "demo_config.yaml"
+EXTERNAL_ORACLE = {
+    "command": "python3 sim.py", "workdir": "sim", "lanes": 2, "timeout": 60.0,
+    "fidelities": [{"alpha": 1, "cost_weight": 1.0}, {"alpha": 2, "cost_weight": 36.0}],
+    "domain": [{"lo": 810.0, "hi": 1770.0}, {"lo": -10.0, "hi": 5.0}],
+}
+DROP = object()  # a mutation that removes the key or list item
+DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # libyaml's, where present, is faster
+
+
+def nodes(node, path=()):
+    """(path, value) of every key and list item below ``node``, parents first."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from nodes(value, path + (key,))
+
+
+def mutations(value):
+    """(name, replacement) of each malformation that fits ``value``."""
+    yield "drop", DROP
+    yield "null", None
+    if isinstance(value, (int, float)):
+        yield from [("text", "abc"), ("bool", True), ("list", [value]), ("nan", math.nan),
+                    ("inf", math.inf), ("-inf", -math.inf), ("negative", -abs(value) - 1),
+                    ("non_integral", value + 0.5)]
+    elif isinstance(value, str):
+        yield from [("bool", False), ("list", [value]), ("mapping", {value: 1})]
+    elif isinstance(value, list):
+        yield from [("scalar", "x"), ("mapping", {"x": 1}), ("empty", [])]
+    else:
+        yield "unknown_key", {**value, "bogus": 1}
+
+
+def sweep_cases():
+    """(id, top-level key it touches, mutated config) over every node of the
+    demo config and of an external oracle section, plus an unknown top-level key."""
+    demo = yaml.safe_load(DEMO_CONFIG.read_text(encoding="utf-8"))
+    external = {**demo, "oracle": EXTERNAL_ORACLE}
+    yield "unknown_key", "bogus", {**demo, "bogus": 1}
+    for tag, base, root in (("", demo, demo), ("external:", external, {"oracle": EXTERNAL_ORACLE})):
+        for path, value in nodes(root):
+            for name, new in mutations(value):
+                doc = json.loads(json.dumps(base))
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                if new is DROP:
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = new
+                yield f"{tag}{'.'.join(map(str, path))}-{name}", path[0], doc
+
+
+# the only mutations that still load: dropping an optional key or list
+# item, a number that stays in range, and anything in the unread `transform`
+SWEEP_LOADS = [
+    "oracle.lanes-drop", "calibration.qois.*-drop", "calibration.observations-drop",
+    "calibration.n_starts-drop", "calibration.budget-drop", "calibration.budget.max_work-drop",
+    "forward.qois.start-drop", "forward.samples-drop", "forward.budget-drop",
+    "forward.budget.max_work-drop", "forward.densities-drop", "forward.densities.*-drop",
+    "forward.densities-empty", "parameters.1.transform-*",
+    "parameters.0.lo-negative", "parameters.1.lo-negative", "parameters.1.hi-negative",
+    "parameters.*.*-non_integral", "*.budget.max_work-non_integral",
+    "external:oracle.lanes-drop", "external:oracle.workdir-drop", "external:oracle.timeout-drop",
+    "external:oracle.domain-drop", "external:oracle.timeout-non_integral",
+    # a table without level 1 loads; the build then exits 3
+    "external:oracle.fidelities.[01]-drop",
+    "external:oracle.fidelities.*.cost_weight-non_integral",
+    "external:oracle.domain.*.*-non_integral", "external:oracle.domain.*.lo-negative",
+    "external:oracle.domain.1.hi-negative",
+]
+
+
+def test_malformed_config_sweep(tmp_path, caplog):
+    # each mutation runs `report` on artifacts it can read, so a config that
+    # loads exits 0; every other one must exit 2 with one message naming its
+    # section and no traceback
+    for name, doc in REPORT_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    path = tmp_path / "cfg.yaml"
+    wrong = []
+    for case, section, doc in sweep_cases():
+        if doc.get("output_dir") == "demo_out":
+            doc["output_dir"] = str(tmp_path)
+        path.write_text(yaml.dump(doc, Dumper=DUMPER))
+        caplog.clear()
+        code = main(["report", "--config", str(path), "--quiet"])
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        if any(fnmatch.fnmatchcase(case, pattern) for pattern in SWEEP_LOADS):
+            fine = code == EXIT_OK
+        else:
+            fine = (code == EXIT_CONFIG and len(errors) == 1 and section in errors[0]
+                    and all(r.exc_info is None for r in caplog.records))
+        if not fine:
+            wrong.append((case, code, errors))
+    assert not wrong, wrong
 
 
 class TornFile:

@@ -16,8 +16,6 @@ from miscuq.leja import (
     SymmetricLeja,
     WeightedGaussianLeja,
     level_to_knots,
-    map_to_gaussian,
-    map_to_interval,
 )
 
 
@@ -128,22 +126,16 @@ class TestWeightedGaussianLeja:
 
 class TestAffineMaps:
     def test_interval_endpoints_and_midpoint(self):
-        mapped = map_to_interval(np.array([-1.0, 0.0, 1.0]), 1130.0, 1450.0)
-        assert mapped.tolist() == [1130.0, 1290.0, 1450.0]
+        mapped = SymmetricLeja(1130.0, 1450.0).knots(3)
+        assert sorted(mapped.tolist()) == [1130.0, 1290.0, 1450.0]
 
     def test_center_of_negative_interval(self):
-        assert map_to_interval(np.array([0.0]), -5.0, 0.0).tolist() == [-2.5]
+        assert SymmetricLeja(-5.0, 0.0).knots(1).tolist() == [-2.5]
 
     def test_gaussian_center(self):
-        assert map_to_gaussian(np.array([0.0]), -3.0, 0.92).tolist() == [-3.0]
+        assert WeightedGaussianLeja(-3.0, 0.92).knots(1).tolist() == [-3.0]
 
     def test_order_preserved(self):
-        x = np.array([-1.0, -0.25, 0.5, 1.0])
-        mapped = map_to_interval(x, 2.0, 10.0)
-        assert np.all(np.diff(mapped) > 0)
-
-    def test_degenerate_targets_rejected(self):
-        with pytest.raises(ValueError):
-            map_to_interval(np.array([0.0]), 3.0, 3.0)
-        with pytest.raises(ValueError):
-            map_to_gaussian(np.array([0.0]), 0.0, -1.0)
+        ref = SymmetricLeja(-1.0, 1.0).knots(9)
+        mapped = SymmetricLeja(2.0, 10.0).knots(9)
+        assert np.array_equal(np.argsort(mapped), np.argsort(ref))

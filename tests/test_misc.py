@@ -97,7 +97,7 @@ def charged_points(state):
     """Reference ledger: the distinct (fidelity, point) pairs on the grids
     of the charged entries, whose samples are kept."""
     return {(e.alpha, point_key(p)) for e in state.entry_values
-            for p in build_grid(e.beta, state.families).points}
+            for p in build_grid(e.beta, state.surrogate.families).points}
 
 
 def random_index_set(rng, dim, size):
@@ -356,7 +356,8 @@ class TestClosedForms:
         # one-hot probe values make the surplus the vector of weight changes
         for index_set, cand in self.margins(dim, seed=dim):
             entries = sorted(set(index_set) | {cand})
-            state = SimpleNamespace(probe_points=np.zeros((len(entries), 1)), qois=("q",),
+            state = SimpleNamespace(probe_points=np.zeros((len(entries), 1)),
+                                    surrogate=SimpleNamespace(families=(), qoi_names=("q",)),
                                     probe_values={e: np.eye(len(entries))[:, [i]]
                                                   for i, e in enumerate(entries)})
             old = combination_coefficients(index_set)

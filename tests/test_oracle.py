@@ -94,6 +94,12 @@ DOUBLE_ANSWER_SCRIPT = """\
             sys.stdout.flush()
 """
 
+HUNG_SCRIPT = """\
+    import sys, time
+    for line in sys.stdin:
+        time.sleep(30)
+"""
+
 NON_FINITE_SCRIPT = """\
     import json, sys
     for line in sys.stdin:
@@ -415,6 +421,16 @@ class TestExternalOracle:
             with pytest.raises(OracleProtocolError, match="exited"):
                 CachedOracle(backend).eval_batch(1, pts, ["q"])
         assert len(served.read_text().splitlines()) <= 3 + 2
+
+    def test_hung_lanes_stop_together(self, tmp_path):
+        # four children that never answer share one 2 s grace before they are
+        # killed; a grace per lane took the timeout plus about 8 s
+        cmd = write_script(tmp_path, "hung.py", HUNG_SCRIPT)
+        with external(cmd, lanes=4, timeout=0.5) as backend:
+            start = time.monotonic()
+            with pytest.raises(OracleProtocolError, match="timed out"):
+                CachedOracle(backend).eval_batch(1, [(float(i),) for i in range(4)], ["q"])
+            assert time.monotonic() - start < 4.0
 
     def test_buffered_extra_answer_is_id_mismatch_not_timeout(self, tmp_path):
         cmd = write_script(tmp_path, "double.py", DOUBLE_ANSWER_SCRIPT)
