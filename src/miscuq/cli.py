@@ -220,11 +220,11 @@ class PipelineConfig:
     config_hash: str
 
 
-def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> PipelineConfig:
+def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     """Parse and validate the YAML pipeline configuration.
 
-    ``seed``, ``out`` and ``lanes`` are command-line overrides; the
-    provenance hash covers the effective (post-override) configuration.
+    ``out`` (the ``--out`` flag) overrides ``output_dir``, and the provenance
+    hash covers the result; every other setting comes from the file alone.
     Relative ``observations`` and ``oracle.workdir`` paths are taken from
     the config file's directory.
     """
@@ -238,15 +238,8 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
     _mapping(doc, f"{path} top level", ("seed", "output_dir", "oracle", "parameters",
                                         "calibration", "forward"))
 
-    if seed is not None:
-        doc["seed"] = _number(int, seed, "--seed", minimum=0)
     if out is not None:
         doc["output_dir"] = str(out)
-    oracle_doc = _typed(_require(doc, "oracle", "config"), dict, "oracle")
-    if lanes is not None:
-        oracle_doc["lanes"] = _number(int, lanes, "--lanes")
-    doc["oracle"] = oracle_doc
-
     base = path.resolve().parent
     calib = _mapping(_require(doc, "calibration", "config"), "calibration",
                      ("qois", "observations", "n_starts", "budget"))
@@ -257,7 +250,8 @@ def load_config(path: str | Path, *, seed=None, out=None, lanes=None) -> Pipelin
         seed=_number(int, _require(doc, "seed", "config"), "seed", minimum=0),
         out_dir=Path(_text(_require(doc, "output_dir", "config"), "output_dir")),
         space=space,
-        backend=_parse_backend(oracle_doc, space.dim, base),
+        backend=_parse_backend(_typed(_require(doc, "oracle", "config"), dict, "oracle"),
+                               space.dim, base),
         calibration_qois=_expand_qois(_require(calib, "qois", "calibration"), "calibration.qois"),
         observations=(base / _text(calib["observations"], "calibration.observations")
                       if "observations" in calib else None),
@@ -313,7 +307,7 @@ def _stage_seed(base: int, stage: int) -> np.random.SeedSequence:
 
 
 def _adaptive_surrogate(cfg, oracle, families, qois, stop):
-    state = misc.init_adapt(oracle, families, qois, config_hash=cfg.config_hash)
+    state = misc.init_adapt(oracle, families, qois)
     misc.adapt(state, oracle, stop)
     return state
 
@@ -348,7 +342,7 @@ def cmd_build(cfg: PipelineConfig) -> dict:
     try:
         state = _adaptive_surrogate(cfg, oracle, _prior_families(cfg.space),
                                     cfg.calibration_qois, cfg.build_stop)
-        misc.serialize(state.surrogate, cfg.out_dir / SURROGATE_FILE)
+        misc.serialize(state.surrogate, cfg.out_dir / SURROGATE_FILE, cfg.config_hash)
         points_sets: dict[int, set] = {}
         for entry in state.surrogate.values:
             points_sets.setdefault(entry.alpha, set()).update(
@@ -472,10 +466,12 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     try:
         prior_state = _adaptive_surrogate(cfg, oracle, _prior_families(cfg.space),
                                           cfg.forward_qois, cfg.forward_stop)
-        misc.serialize(prior_state.surrogate, cfg.out_dir / FORWARD_PRIOR_SURROGATE)
+        misc.serialize(prior_state.surrogate, cfg.out_dir / FORWARD_PRIOR_SURROGATE,
+                       cfg.config_hash)
         post_state = _adaptive_surrogate(cfg, oracle, _posterior_families(posterior),
                                          cfg.forward_qois, cfg.forward_stop)
-        misc.serialize(post_state.surrogate, cfg.out_dir / FORWARD_POST_SURROGATE)
+        misc.serialize(post_state.surrogate, cfg.out_dir / FORWARD_POST_SURROGATE,
+                       cfg.config_hash)
         backend_points = dict(oracle.backend_points)
     finally:
         oracle.close()
@@ -574,8 +570,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower())
         p.add_argument("--config", required=True, help="pipeline configuration file (YAML)")
         p.add_argument("--out", help="override the configured output directory")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--lanes", type=int, help="override oracle concurrency")
         p.add_argument("--quiet", action="store_true", help="only log warnings")
     return parser
 
@@ -586,7 +580,7 @@ def main(argv=None) -> int:
                         level=logging.WARNING if args.quiet else logging.INFO,
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     try:
-        cfg = load_config(args.config, seed=args.seed, out=args.out, lanes=args.lanes)
+        cfg = load_config(args.config, out=args.out)
         _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         log.error("config error: %s", exc)

@@ -64,19 +64,19 @@ class SurrogateFormatError(ValueError):
 
 @dataclass
 class MiscSurrogate:
-    """Combination-technique surrogate: ``values`` holds each nonzero-weight
-    entry's oracle samples (one row per grid point), ``compiled`` their
-    weighted sum as one tensor interpolant on the box grid."""
+    """Combination-technique surrogate: ``coefficients`` are the weights of
+    ``index_set``, ``values`` each nonzero-weight entry's oracle samples (one
+    row per grid point), ``compiled`` their weighted sum on the box grid."""
 
     index_set: MultiIndexSet
-    coefficients: dict[ExtIndex, int]
     values: dict[ExtIndex, np.ndarray]
     families: tuple
     qoi_names: tuple[str, ...]
-    config_hash: str | None = None
+    coefficients: dict[ExtIndex, int] = field(init=False)
     compiled: TensorInterpolant = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.coefficients = combination_coefficients(self.index_set)
         max_beta = np.max([e.beta for e in self.coefficients], axis=0)
         box = build_grid(max_beta, self.families)
         total = np.zeros((len(box), len(self.qoi_names)))
@@ -136,7 +136,7 @@ def _eval_entry(oracle, entry: ExtIndex, families, qois) -> np.ndarray:
     return np.asarray([r.values for r in results])
 
 
-def build(index_set, oracle, families, qois, config_hash=None) -> MiscSurrogate:
+def build(index_set, oracle, families, qois) -> MiscSurrogate:
     """Construct the surrogate for a downward-closed index set.
 
     Only entries with nonzero combination weight are evaluated; nested grids
@@ -145,17 +145,16 @@ def build(index_set, oracle, families, qois, config_hash=None) -> MiscSurrogate:
     index_set = index_set if isinstance(index_set, MultiIndexSet) else MultiIndexSet(index_set)
     families = tuple(families)
     qois = tuple(qois)
-    coeffs = combination_coefficients(index_set)
     values: dict[ExtIndex, np.ndarray] = {}
     failures = []
-    for entry in sorted(coeffs):
+    for entry in sorted(combination_coefficients(index_set)):
         try:
             values[entry] = _eval_entry(oracle, entry, families, qois)
         except BuildError as exc:
             failures.extend(exc.failures)
     if failures:
         raise BuildError(failures)
-    return MiscSurrogate(index_set, coeffs, values, families, qois, config_hash)
+    return MiscSurrogate(index_set, values, families, qois)
 
 
 @dataclass(frozen=True)
@@ -247,11 +246,11 @@ def _charge(state: AdaptState, oracle, entry: ExtIndex) -> None:
     state.work_by_alpha[entry.alpha] = state.work_by_alpha.get(entry.alpha, 0.0) + work
 
 
-def init_adapt(oracle, families, qois, *, config_hash=None) -> AdaptState:
+def init_adapt(oracle, families, qois) -> AdaptState:
     """Fresh adaptive state at the minimal index set [1, (1, ..., 1)]."""
     families = tuple(families)
     index_set = MultiIndexSet([ExtIndex(1, (1,) * len(families))])
-    surrogate = build(index_set, oracle, families, qois, config_hash)
+    surrogate = build(index_set, oracle, families, qois)
     state = AdaptState(index_set, surrogate, _probe_grid(families, PROBE_COUNT),
                        entry_values=dict(surrogate.values))
     for entry in index_set:
@@ -286,12 +285,12 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
     surplus depends only on the kept samples of the candidate's backward
     shifts, so a profit stays valid until its candidate is committed and is
     kept in ``state.profits``.  A commit applies ``weight_changes`` to the
-    carried weights, and the floor is relative to the span of their sum over
-    the probe values.  If anything was committed, the loop's end forms one new
-    ``state.surrogate`` from the kept samples, with no oracle or cache call.
+    weights of ``state.index_set``; the floor is relative to the span of their
+    sum over the probe values.  If anything was committed, the loop's end forms
+    one new ``state.surrogate`` from the kept samples, with no oracle or cache call.
     Candidates whose evaluations fail are skipped and tried again next time.
     """
-    coeffs = dict(state.surrogate.coefficients)
+    coeffs = combination_coefficients(state.index_set)
     while True:
         if stop.max_work is not None and state.work_spent >= stop.max_work:
             log.info("adapt stop: work %.3g >= budget %.3g", state.work_spent, stop.max_work)
@@ -299,8 +298,7 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
         if stop.max_candidates is not None and len(state.committed) >= stop.max_candidates:
             log.info("adapt stop: %d candidates committed", len(state.committed))
             break
-        registered = {f.alpha for f in oracle.fidelities}
-        margin = [c for c in reduced_margin(state.index_set) if c.alpha in registered]
+        margin = [c for c in reduced_margin(state.index_set) if c.alpha <= len(oracle.fidelities)]
         if not margin:
             log.info("adapt stop: empty reduced margin")
             break
@@ -336,10 +334,9 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
         log.info("adapt: committed %s profit %.3g work %.3g", best, profit, state.work_spent)
     old = state.surrogate
     if state.index_set != old.index_set:  # something was committed
-        coeffs = {e: c for e, c in sorted(coeffs.items()) if c}
-        state.surrogate = MiscSurrogate(state.index_set, coeffs,
-                                        {e: state.entry_values[e] for e in coeffs},
-                                        old.families, old.qoi_names, old.config_hash)
+        state.surrogate = MiscSurrogate(state.index_set,
+                                        {e: state.entry_values[e] for e, c in coeffs.items() if c},
+                                        old.families, old.qoi_names)
     return state
 
 
@@ -367,8 +364,8 @@ def _family_from_json(d):
     raise SurrogateFormatError(f"unknown knot family kind {kind!r}")
 
 
-def serialize(surrogate: MiscSurrogate, path: str | Path) -> None:
-    """Write a surrogate to a self-describing JSON container.
+def serialize(surrogate: MiscSurrogate, path: str | Path, config_hash: str | None = None) -> None:
+    """Write a surrogate and its provenance hash to a self-describing JSON container.
 
     Knot abscissas are not stored: family specs regenerate them
     bit-identically.  Grid values are hex-encoded doubles, so a round trip
@@ -388,7 +385,7 @@ def serialize(surrogate: MiscSurrogate, path: str | Path) -> None:
         "qois": list(surrogate.qoi_names),
         "families": [_family_to_json(f) for f in surrogate.families],
         "entries": entries,
-        "config_hash": surrogate.config_hash,
+        "config_hash": config_hash,
     }
     artifacts.write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -444,5 +441,4 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
     recomputed = combination_coefficients(index_set)
     if recomputed != coeffs:
         raise SurrogateFormatError(f"{path}: stored coefficients disagree with the index set")
-    return MiscSurrogate(index_set, coeffs, values, families, qois,
-                         doc.get("config_hash"))
+    return MiscSurrogate(index_set, values, families, qois)

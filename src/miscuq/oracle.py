@@ -12,7 +12,7 @@ Requests arrive on the child's standard input, responses leave on standard
 output, anything on standard error is treated as free-form logging.  The
 lanes (child processes) are driven from the calling thread; the first failure
 on any lane closes every lane and aborts the batch, losing at most one
-in-flight request per lane, and caches none of the batch's answers.
+in-flight request per lane.  The answers received before the abort are cached.
 
 The cache file is an append-only JSON-lines log with one record per answered
 request, ``{"alpha": <int>, "point": [<hex>...], "values": {<qoi>: <hex>}}``;
@@ -76,13 +76,13 @@ class FidelitySpec:
 
 
 def _fidelity_table(fidelities) -> tuple[FidelitySpec, ...]:
-    """``fidelities`` sorted by level: a non-empty table of distinct levels
-    whose cost weights rise strictly with the level."""
+    """``fidelities`` sorted by level: a non-empty table of the levels
+    1, 2, ..., L whose cost weights rise strictly with the level."""
     table = tuple(sorted(fidelities, key=lambda f: f.alpha))
-    if not table or any(b.alpha == a.alpha or b.cost_weight <= a.cost_weight
-                        for a, b in zip(table, table[1:])):
-        raise ValueError(f"fidelities need distinct levels and cost weights rising strictly "
-                         f"with the level, got {table}")
+    if not table or [f.alpha for f in table] != list(range(1, len(table) + 1)) or any(
+            b.cost_weight <= a.cost_weight for a, b in zip(table, table[1:])):
+        raise ValueError(f"fidelities need the levels 1, 2, ..., L and cost weights rising "
+                         f"strictly with the level, got {table}")
     return table
 
 
@@ -279,7 +279,11 @@ class _Lane:
         if not self.has_line():
             chunk = self.proc.stdout.read(65536)
             if not chunk:
-                raise OracleProtocolError(f"oracle process exited (code {self.proc.poll()}) "
+                try:  # end of output comes before the child is reaped
+                    code = self.proc.wait(timeout=1.0)
+                except subprocess.TimeoutExpired:
+                    code = None  # still running with its output closed
+                raise OracleProtocolError(f"oracle process exited (code {code}) "
                                           f"before answering {request.to_wire()}")
             self._buf += chunk
             if not self.has_line():
@@ -326,7 +330,8 @@ class ExternalProcessModel:
     spawned on the first dispatch and driven from the calling thread, each
     taking the next request as soon as it answers.  The first failure on any
     lane closes every lane and aborts the batch, losing at most one in-flight
-    request per lane; the answers of an aborted batch are not cached.
+    request per lane; the exception carries the answers received before it
+    as ``results``, which ``CachedOracle`` caches.
     """
 
     def __init__(self, command: str, workdir: str | Path | None = None, *, dim: int,
@@ -384,8 +389,9 @@ class ExternalProcessModel:
                 if late:
                     raise OracleProtocolError(
                         f"oracle timed out after {self.timeout} s on {late[0].to_wire()}")
-        except BaseException:
+        except BaseException as exc:
             self.close()
+            exc.results = results
             raise
         return results
 
@@ -410,7 +416,8 @@ class CachedOracle:
 
     Results are returned in request order regardless of backend completion
     order; per-point backend failures are reported in that point's result
-    without aborting the batch.  Failed points are never cached.
+    without aborting the batch.  Failed points are never cached; a batch the
+    backend aborts keeps the answers it received before the abort.
     """
 
     def __init__(self, backend, cache: EvalCache | None = None):
@@ -465,20 +472,15 @@ class CachedOracle:
                 requests.append(req)
                 request_for_point[i] = req
 
-        replies = self.backend.dispatch(requests) if requests else {}
-        if requests:
-            missing_ids = [r.id for r in requests if r.id not in replies]
-            if missing_ids:
-                raise OracleProtocolError(f"backend returned no answer for ids {missing_ids}")
-            self.backend_points[alpha] = self.backend_points.get(alpha, 0) + len(requests)
-            new_records = []
-            for i, req in request_for_point.items():
-                rep = replies[req.id]
-                if rep.ok:
-                    new_records.append((alpha, keys[i], dict(zip(req.qois, rep.values))))
-                else:
-                    errors[i] = rep.error
-            self.cache.put_many(new_records)
+        try:
+            replies = self.backend.dispatch(requests) if requests else {}
+        except OracleError as exc:  # keep what the backend answered before it failed
+            self._keep(alpha, keys, request_for_point, getattr(exc, "results", {}))
+            raise
+        missing_ids = [r.id for r in requests if r.id not in replies]
+        if missing_ids:
+            raise OracleProtocolError(f"backend returned no answer for ids {missing_ids}")
+        errors.update(self._keep(alpha, keys, request_for_point, replies))
 
         out: list[EvalResult] = []
         for i, key in enumerate(keys):
@@ -488,6 +490,18 @@ class CachedOracle:
                 cached = self.cache.get(alpha, key)
                 out.append(EvalResult(values=tuple(cached[q] for q in qois)))
         return out
+
+    def _keep(self, alpha: int, keys, request_for_point, replies) -> dict[int, str]:
+        """Count the answered requests in ``backend_points`` and cache the
+        successful answers in request order; returns the others' errors by
+        point index."""
+        answered = {i: replies[req.id] for i, req in request_for_point.items()
+                    if req.id in replies}
+        if answered:
+            self.backend_points[alpha] = self.backend_points.get(alpha, 0) + len(answered)
+        self.cache.put_many((alpha, keys[i], dict(zip(request_for_point[i].qois, rep.values)))
+                            for i, rep in answered.items() if rep.ok)
+        return {i: rep.error for i, rep in answered.items() if not rep.ok}
 
     def close(self) -> None:
         self.backend.close()

@@ -142,9 +142,9 @@ class TestConfigLoading:
     def test_overrides_change_hash(self, tmp_path):
         path = write_config(tmp_path)
         a = load_config(path)
-        b = load_config(path, seed=1234)
+        b = load_config(path, out=tmp_path / "elsewhere")
         assert a.config_hash != b.config_hash
-        assert b.seed == 1234
+        assert b.out_dir == tmp_path / "elsewhere"
 
     def test_oracle_must_be_builtin_or_command(self, tmp_path):
         with pytest.raises(ConfigError, match="builtin"):
@@ -242,8 +242,8 @@ class TestBuild:
             str(a): len(points) * len(cfg.calibration_qois)
             for a, points in sorted(cache.points_by_alpha().items())}
         assert report["evaluations_total"] == len(cache)
-        surrogate = misc.deserialize(cfg.out_dir / "surrogate.json")
-        assert surrogate.config_hash == cfg.config_hash
+        stamped = json.loads((cfg.out_dir / "surrogate.json").read_text())
+        assert stamped["config_hash"] == cfg.config_hash
 
     def test_zero_budget_gives_minimal_set(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"calibration.budget": {"max_work": 0.0}}))
@@ -470,6 +470,8 @@ class TestMainExitCodes:
         {"command": 'python "x'},
         {"fidelities": [{"alpha": 1, "cost_weight": float("inf")}]},
         {"fidelities": [{"alpha": 1, "cost_weight": 1.0}, {"alpha": 1, "cost_weight": 4.0}]},
+        {"fidelities": [{"alpha": 2, "cost_weight": 36.0}]},
+        {"fidelities": [{"alpha": 1, "cost_weight": 1.0}, {"alpha": 3, "cost_weight": 36.0}]},
         {"builtin": "beam-analog"},
         {"domain": [{"lo": 810.0, "hi": 1770.0}]},
         {"domain": [{"lo": 1770.0, "hi": 810.0}, {"lo": -10.0, "hi": 5.0}]},
@@ -560,10 +562,6 @@ class TestMainExitCodes:
     def test_non_numeric_seed_exits_with_config_code(self, tmp_path):
         path = write_config(tmp_path, {"seed": "abc"})
         assert main(["build", "--config", str(path), "--quiet"]) == EXIT_CONFIG
-
-    def test_negative_seed_override_exits_with_config_code(self, tmp_path):
-        path = write_config(tmp_path)
-        assert main(["build", "--config", str(path), "--seed", "-1", "--quiet"]) == EXIT_CONFIG
 
     def test_surrogate_qoi_width_mismatch_exits_with_numerical_code(self, tmp_path):
         path = write_config(tmp_path)
@@ -684,8 +682,8 @@ SWEEP_LOADS = [
     "parameters.*.*-non_integral", "*.budget.max_work-non_integral",
     "external:oracle.lanes-drop", "external:oracle.workdir-drop", "external:oracle.timeout-drop",
     "external:oracle.domain-drop", "external:oracle.timeout-non_integral",
-    # a table without level 1 loads; the build then exits 3
-    "external:oracle.fidelities.[01]-drop",
+    # a one-level table is valid
+    "external:oracle.fidelities.1-drop",
     "external:oracle.fidelities.*.cost_weight-non_integral",
     "external:oracle.domain.*.*-non_integral", "external:oracle.domain.*.lo-negative",
     "external:oracle.domain.1.hi-negative",

@@ -1,0 +1,75 @@
+"""Golden digests: the sha256 of every file the pipeline writes on the
+benchmark's three workloads (``perfbench/run.py``) stays as pinned in
+``tests/golden/<workload>.json``.  Each workload runs build, a warm rebuild,
+calibrate, forward and report through ``cli.main`` in process.  A change
+that alters output bytes on purpose rewrites the pins with
+``tools/golden.py``."""
+
+import hashlib
+import json
+import platform
+import shlex
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+
+from miscuq.cli import load_config, main
+from test_span_targets import BENCH, bench_module
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WORKLOADS = ("demo", "converge", "external")
+STAGES = ("build", "build", "calibrate", "forward", "report")
+# stands in for the config hash, which covers the absolute paths of the
+# observations file and the simulator and so differs between checkouts
+HASH_TOKEN = b"<config-hash>"
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def workload_digests(run, name: str) -> dict[str, str]:
+    """Run one workload in the current directory with ``--out out``; the
+    sha256 of each file under ``out``, config hash replaced by HASH_TOKEN.
+    ``run`` is the loaded ``perfbench/run.py``."""
+    base = yaml.safe_load(run.DEMO_CONFIG.read_text(encoding="utf-8"))
+    observations = run.DEMO_CONFIG.parent / base["calibration"]["observations"]
+    if name != "demo":
+        observations = Path("observations.csv").resolve()
+        run.write_observations(observations, base["calibration"]["qois"])
+    sim = shlex.join([sys.executable, "-S", str(BENCH / "beam_sim.py")])
+    config = Path(f"{name}.yaml")
+    config.write_text(json.dumps(run.workload_config(name, base, observations, sim, small=False),
+                                 indent=1), encoding="utf-8")
+    for stage in STAGES:
+        code = main([stage, "--config", str(config), "--out", "out", "--quiet"])
+        assert code == 0, f"{name}: {stage} exited {code}"
+    config_hash = load_config(config, out="out").config_hash.encode("ascii")
+    out = Path("out")
+    return {p.relative_to(out).as_posix():
+            hashlib.sha256(p.read_bytes().replace(config_hash, HASH_TOKEN)).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def load_run(monkeypatch):
+    """``perfbench/run.py``, which imports its sibling ``spans`` as a top-level module."""
+    monkeypatch.setitem(sys.modules, "spans", bench_module("spans"))
+    return bench_module("run")
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_outputs_match_golden_digests(tmp_path, monkeypatch, name):
+    pins = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    made_with = {k: pins[k] for k in versions()}
+    assert made_with == versions(), (
+        f"the pins were made with {made_with}, this is {versions()}; "
+        "rerun tools/golden.py on a checkout whose outputs are known good")
+    run = load_run(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    digests = workload_digests(run, name)
+    changed = sorted(k for k in digests.keys() | pins["files"].keys()
+                     if digests.get(k) != pins["files"].get(k))
+    assert not changed, f"{name}: output bytes differ from the pins in {changed}"

@@ -36,6 +36,7 @@ from miscuq.oracle import (
     EvalCache,
     EvalResult,
     FidelitySpec,
+    OracleError,
     point_key,
 )
 
@@ -517,13 +518,40 @@ class TestAdapt:
         assert len(state.committed) >= 5 and len(surrogates) == 2
         adapt(state, oracle, AdaptStop(max_work=150.0))  # commits nothing, compiles nothing
         assert len(surrogates) == 2
-        assert builds == [] and weights == []  # weights are carried, not recomputed
+        # weights are computed once per call and once per compiled surrogate,
+        # never per commit
+        assert builds == [] and len(weights) == 5
         # one cache read per entry probed in the loop; the root was read before it
         probed = set(state.entry_values) - {E(1, 1, 1)}
         assert len(reads) == len(set(reads)) == len(probed)
         assert set(reads) == {(e.alpha, build_grid(e.beta, families).points.tobytes())
                               for e in probed}
         assert set(state.index_set) <= set(state.entry_values)
+
+    def test_resume_after_oracle_error_uses_the_index_set(self, tmp_path):
+        class DiesOnSixth(BeamAnalogModel):
+            dispatches = 0
+
+            def dispatch(self, requests):
+                self.dispatches += 1
+                if self.dispatches == 6:
+                    raise OracleError("simulator died")
+                return super().dispatch(requests)
+
+        families, qois = beam_families(), ["u_1", "u_3", "e_20"]
+        oracle = CachedOracle(DiesOnSixth())
+        state = init_adapt(oracle, families, qois)
+        with pytest.raises(OracleError, match="died"):
+            adapt(state, oracle, AdaptStop(max_work=300.0))
+        assert state.committed  # the abort came after commits
+        adapt(state, oracle, AdaptStop(max_work=300.0))
+        assert state.surrogate.coefficients == combination_coefficients(state.index_set)
+        serialize(state.surrogate, tmp_path / "s.json")
+        loaded = deserialize(tmp_path / "s.json")
+        pts = random_beam_points(50, 3)
+        want = build(state.index_set, oracle, families, qois).evaluate_many(pts)
+        assert state.surrogate.evaluate_many(pts).tobytes() == want.tobytes()
+        assert loaded.evaluate_many(pts).tobytes() == want.tobytes()
 
     def test_probe_sum_floor_agrees_with_compiled(self):
         # the floor comes from the carried weights and the probe values; the
@@ -597,16 +625,16 @@ class TestSerialization:
     def build_sample(self, oracle=None):
         oracle = oracle or beam_oracle()
         entries = MultiIndexSet([E(1, 1, 1), E(1, 2, 1), E(1, 1, 2), E(2, 1, 1)])
-        return build(entries, oracle, beam_families(), ["u_1", "u_2"], config_hash="abc123")
+        return build(entries, oracle, beam_families(), ["u_1", "u_2"])
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         s = self.build_sample()
         path = tmp_path / "s.json"
-        serialize(s, path)
+        serialize(s, path, "abc123")
         loaded = deserialize(path)
         pts = random_beam_points(100, 9)
         assert loaded.evaluate_many(pts).tobytes() == s.evaluate_many(pts).tobytes()
-        assert loaded.config_hash == "abc123"
+        assert json.loads(path.read_text())["config_hash"] == "abc123"
         assert loaded.index_set == s.index_set
 
     def test_serialized_file_stable_across_builds(self, tmp_path):

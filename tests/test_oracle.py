@@ -110,6 +110,14 @@ NON_FINITE_SCRIPT = """\
         print(json.dumps({"id": req["id"], "values": vals}), flush=True)
 """
 
+CLOSE_THEN_EXIT_SCRIPT = """\
+    import os, sys, time
+    sys.stdin.readline()
+    os.close(1)
+    time.sleep(0.2)
+    sys.exit(7)
+"""
+
 GARBAGE_SCRIPT = """\
     import sys
     for line in sys.stdin:
@@ -295,7 +303,9 @@ class TestCachedOracle:
     @pytest.mark.parametrize("table", [
         (FidelitySpec(1, 2.0), FidelitySpec(2, 2.0)),
         (FidelitySpec(1, 1.0), FidelitySpec(1, 2.0)),
-    ], ids=["flat", "duplicate_level"])
+        (FidelitySpec(2, 36.0),),
+        (FidelitySpec(1, 1.0), FidelitySpec(3, 36.0)),
+    ], ids=["flat", "duplicate_level", "no_level_1", "gap"])
     @pytest.mark.parametrize("make", [
         lambda table: CachedOracle(SimpleNamespace(fidelities=table, dim=1)),
         lambda table: ExternalProcessModel("sim", dim=1, fidelities=table),
@@ -421,6 +431,31 @@ class TestExternalOracle:
             with pytest.raises(OracleProtocolError, match="exited"):
                 CachedOracle(backend).eval_batch(1, pts, ["q"])
         assert len(served.read_text().splitlines()) <= 3 + 2
+
+    def test_aborted_batch_keeps_its_answers(self, tmp_path):
+        # one lane answers points 0, 1 and 2, then dies on point 3
+        served = tmp_path / "served.log"
+        cmd = write_script(tmp_path, "crash3.py", CRASH_ON_THREE_SCRIPT) + f" {served}"
+        pts = [(float(i),) for i in range(6)]
+        path = tmp_path / "cache.jsonl"
+        with external(cmd) as backend:
+            oracle = CachedOracle(backend, EvalCache(path))
+            with pytest.raises(OracleProtocolError, match="exited"):
+                oracle.eval_batch(1, pts, ["q"])
+        assert oracle.backend_points == {1: 3}
+        assert EvalCache(path).points_by_alpha() == {1: {point_key(p) for p in pts[:3]}}
+        with external(write_script(tmp_path, "echo.py", ECHO_SCRIPT)) as backend:
+            rerun = CachedOracle(backend, EvalCache(path))
+            results = rerun.eval_batch(1, pts, ["q"])
+        assert rerun.backend_points == {1: 3}
+        assert [r.values for r in results] == [(0.0,)] * 3 + [(3.0,), (4.0,), (5.0,)]
+
+    def test_dead_lane_reports_its_exit_code(self, tmp_path):
+        # the child closes its output before it exits
+        cmd = write_script(tmp_path, "close.py", CLOSE_THEN_EXIT_SCRIPT)
+        with external(cmd) as backend:
+            with pytest.raises(OracleProtocolError, match=r"exited \(code 7\)"):
+                CachedOracle(backend).eval_batch(1, [(1.0,)], ["q"])
 
     def test_hung_lanes_stop_together(self, tmp_path):
         # four children that never answer share one 2 s grace before they are

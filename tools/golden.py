@@ -1,0 +1,48 @@
+"""Rewrite the golden digests that ``tests/test_golden.py`` checks.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python3 tools/golden.py [WORKLOAD ...]
+
+Runs each workload (default: all three) in a temporary directory the way
+the test does and writes ``tests/golden/<workload>.json``: the sha256 of
+every output file and the Python and numpy versions they were made with.
+Run it only on a checkout whose output bytes are known good, and list in
+the change's notes every file whose digest moved.
+"""
+
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+
+import test_golden  # noqa: E402
+from test_span_targets import bench_module  # noqa: E402
+
+
+def main(argv=None) -> int:
+    names = (argv if argv is not None else sys.argv[1:]) or test_golden.WORKLOADS
+    sys.modules["spans"] = bench_module("spans")  # run.py imports its sibling
+    run = bench_module("run")
+    test_golden.GOLDEN.mkdir(exist_ok=True)
+    home = os.getcwd()
+    for name in names:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                files = test_golden.workload_digests(run, name)
+            finally:
+                os.chdir(home)
+        doc = {**test_golden.versions(), "files": files}
+        path = test_golden.GOLDEN / f"{name}.json"
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"{path.relative_to(ROOT)}: {len(files)} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
