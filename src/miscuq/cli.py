@@ -44,14 +44,10 @@ SURROGATE_FILE = "surrogate.json"
 BUILD_REPORT_FILE = "build_report.json"
 POSTERIOR_FILE = "posterior.json"
 CALIBRATION_TABLE_FILE = "calibration_table.csv"
-PRIOR_BANDS_FILE = "bands_prior.csv"
-POST_BANDS_FILE = "bands_posterior.csv"
 REDUCTION_FILE = "reduction.json"
 REPORT_FILE = "report.txt"
 REPORT_SUMMARY_FILE = "report_summary.csv"
 CACHE_FILE = "cache.jsonl"
-FORWARD_PRIOR_SURROGATE = "surrogate_forward_prior.json"
-FORWARD_POST_SURROGATE = "surrogate_forward_posterior.json"
 
 
 class ConfigError(Exception):
@@ -62,8 +58,19 @@ class NumericalError(Exception):
     """A numerical step produced an unusable result."""
 
 
-def _config_hash(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+def _config_hash(doc: dict, observations: Path | None) -> str:
+    """The provenance hash: the config document without the settings that
+    change no number (``output_dir``, ``oracle.lanes``), plus the sha256 of
+    the observations file's bytes (null when no file is there)."""
+    kept = {k: v for k, v in doc.items() if k != "output_dir"}
+    kept["oracle"] = {k: v for k, v in doc["oracle"].items() if k != "lanes"}
+    kept["observations_sha256"] = None
+    if observations is not None:
+        try:
+            kept["observations_sha256"] = hashlib.sha256(observations.read_bytes()).hexdigest()
+        except OSError:  # no readable file there; calibrate reports that
+            pass
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 def _require(doc: dict, key: str, where: str):
@@ -223,10 +230,9 @@ class PipelineConfig:
 def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     """Parse and validate the YAML pipeline configuration.
 
-    ``out`` (the ``--out`` flag) overrides ``output_dir``, and the provenance
-    hash covers the result; every other setting comes from the file alone.
-    Relative ``observations`` and ``oracle.workdir`` paths are taken from
-    the config file's directory.
+    ``out`` (the ``--out`` flag) overrides ``output_dir``; every other
+    setting comes from the file alone.  Relative ``observations`` and
+    ``oracle.workdir`` paths are taken from the config file's directory.
     """
     path = Path(path)
     if not path.exists():
@@ -238,8 +244,6 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     _mapping(doc, f"{path} top level", ("seed", "output_dir", "oracle", "parameters",
                                         "calibration", "forward"))
 
-    if out is not None:
-        doc["output_dir"] = str(out)
     base = path.resolve().parent
     calib = _mapping(_require(doc, "calibration", "config"), "calibration",
                      ("qois", "observations", "n_starts", "budget"))
@@ -248,7 +252,8 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     space = _parse_space(_require(doc, "parameters", "config"))
     cfg = PipelineConfig(
         seed=_number(int, _require(doc, "seed", "config"), "seed", minimum=0),
-        out_dir=Path(_text(_require(doc, "output_dir", "config"), "output_dir")),
+        out_dir=Path(out if out is not None else
+                     _text(_require(doc, "output_dir", "config"), "output_dir")),
         space=space,
         backend=_parse_backend(_typed(_require(doc, "oracle", "config"), dict, "oracle"),
                                space.dim, base),
@@ -278,7 +283,7 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     unknown = [q for q in cfg.density_qois if q not in cfg.forward_qois]
     if unknown:
         raise ConfigError(f"forward.densities lists QoIs outside forward.qois: {unknown}")
-    cfg.config_hash = _config_hash(doc)
+    cfg.config_hash = _config_hash(doc, cfg.observations)
     return cfg
 
 
@@ -306,10 +311,16 @@ def _stage_seed(base: int, stage: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base, spawn_key=(stage,))
 
 
-def _adaptive_surrogate(cfg, oracle, families, qois, stop):
-    state = misc.init_adapt(oracle, families, qois)
-    misc.adapt(state, oracle, stop)
-    return state
+def _adaptive_surrogates(cfg, qois, stop, *family_sets):
+    """One cached-oracle session: the adapted state for each tuple of knot
+    families, in order, and the backend points the session spent."""
+    oracle = CachedOracle(cfg.backend, EvalCache(cfg.out_dir / CACHE_FILE))
+    try:
+        states = [misc.adapt(misc.init_adapt(oracle, families, qois), oracle, stop)
+                  for families in family_sets]
+        return states, dict(oracle.backend_points)
+    finally:
+        oracle.close()
 
 
 def _read_artifact(path: Path, keys, parse=None):
@@ -338,43 +349,39 @@ def cmd_build(cfg: PipelineConfig) -> dict:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
-    oracle = CachedOracle(cfg.backend, EvalCache(cfg.out_dir / CACHE_FILE))
-    try:
-        state = _adaptive_surrogate(cfg, oracle, _prior_families(cfg.space),
-                                    cfg.calibration_qois, cfg.build_stop)
-        misc.serialize(state.surrogate, cfg.out_dir / SURROGATE_FILE, cfg.config_hash)
-        points_sets: dict[int, set] = {}
-        for entry in state.surrogate.values:
-            points_sets.setdefault(entry.alpha, set()).update(
-                map(tuple, build_grid(entry.beta, state.surrogate.families).points.tolist()))
-        points_by_alpha = {a: len(keys) for a, keys in sorted(points_sets.items())}
-        # evaluation counts derive from the adaptive trajectory (the kept,
-        # charged entries' new points x QoIs), not from the shared cache, so
-        # reruns against a warm cache report identical numbers
-        evals_by_alpha: dict[int, int] = {}
-        for e in sorted(state.entry_values):
-            n = misc._new_points(e.beta) * len(cfg.calibration_qois)
-            evals_by_alpha[e.alpha] = evals_by_alpha.get(e.alpha, 0) + n
-        report = {
-            "config_hash": cfg.config_hash,
-            "qois": list(cfg.calibration_qois),
-            "index_set": [{"alpha": e.alpha, "beta": list(e.beta),
-                           "coeff": state.surrogate.coefficients.get(e, 0)}
-                          for e in state.index_set],
-            "committed": [{"alpha": e.alpha, "beta": list(e.beta), "profit": p}
-                          for e, p in state.committed],
-            "surrogate_points_by_fidelity": points_by_alpha,
-            "work_spent": state.work_spent,
-            "work_by_fidelity": {str(a): w for a, w in sorted(state.work_by_alpha.items())},
-            "evaluations_by_fidelity": {str(a): n for a, n in sorted(evals_by_alpha.items())},
-            "evaluations_total": sum(evals_by_alpha.values()),
-        }
-        _write_json(cfg.out_dir / BUILD_REPORT_FILE, report)
-        log.info("build: %d entries, work %.1f, backend calls %s",
-                 len(state.index_set), state.work_spent, oracle.backend_points)
-        return {"report": report, "backend_points": dict(oracle.backend_points)}
-    finally:
-        oracle.close()
+    [state], backend_points = _adaptive_surrogates(cfg, cfg.calibration_qois, cfg.build_stop,
+                                                   _prior_families(cfg.space))
+    misc.serialize(state.surrogate, cfg.out_dir / SURROGATE_FILE, cfg.config_hash)
+    points_sets: dict[int, set] = {}
+    for entry in state.surrogate.values:
+        points_sets.setdefault(entry.alpha, set()).update(
+            map(tuple, build_grid(entry.beta, state.surrogate.families).points.tolist()))
+    points_by_alpha = {a: len(keys) for a, keys in sorted(points_sets.items())}
+    # evaluation counts derive from the adaptive trajectory (the kept,
+    # charged entries' new points x QoIs), not from the shared cache, so
+    # reruns against a warm cache report identical numbers
+    evals_by_alpha: dict[int, int] = {}
+    for e in sorted(state.entry_values):
+        n = misc._new_points(e.beta) * len(cfg.calibration_qois)
+        evals_by_alpha[e.alpha] = evals_by_alpha.get(e.alpha, 0) + n
+    report = {
+        "config_hash": cfg.config_hash,
+        "qois": list(cfg.calibration_qois),
+        "index_set": [{"alpha": e.alpha, "beta": list(e.beta),
+                       "coeff": state.surrogate.coefficients.get(e, 0)}
+                      for e in state.index_set],
+        "committed": [{"alpha": e.alpha, "beta": list(e.beta), "profit": p}
+                      for e, p in state.committed],
+        "surrogate_points_by_fidelity": points_by_alpha,
+        "work_spent": state.work_spent,
+        "work_by_fidelity": {str(a): w for a, w in sorted(state.work_by_alpha.items())},
+        "evaluations_by_fidelity": {str(a): n for a, n in sorted(evals_by_alpha.items())},
+        "evaluations_total": sum(evals_by_alpha.values()),
+    }
+    _write_json(cfg.out_dir / BUILD_REPORT_FILE, report)
+    log.info("build: %d entries, work %.1f, backend calls %s",
+             len(state.index_set), state.work_spent, backend_points)
+    return {"report": report, "backend_points": backend_points}
 
 
 def _posterior_to_json(posterior: GaussianPosterior, cfg) -> dict:
@@ -424,24 +431,19 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
 
     posterior = bayes.calibrate(surrogate, obs, cfg.space, cfg.n_starts,
                                 _stage_seed(cfg.seed, 1))
-    if posterior.warnings:
-        for w in posterior.warnings:
-            log.warning("calibrate: %s", w)
+    for w in posterior.warnings:
+        log.warning("calibrate: %s", w)
     _write_json(cfg.out_dir / POSTERIOR_FILE, _posterior_to_json(posterior, cfg))
 
-    stds = posterior.marginal_std()
-    rows = []
-    for spec in cfg.space.params:
-        dist = spec.distribution
-        mean, std = dist.center, dist.std
-        cv = std / abs(mean) if mean != 0.0 else math.inf
-        rows.append(["prior", spec.name] + [repr(float(x)) for x in
-                                            (mean, std, cv, *dist.bounds())])
-    for n, name in enumerate(cfg.space.names):
-        mean, std = float(posterior.mean[n]), float(stds[n])
-        cv = std / abs(mean) if mean != 0.0 else math.inf
-        rows.append(["posterior", name] + [repr(float(x)) for x in
-                                           (mean, std, cv, mean - 3 * std, mean + 3 * std)])
+    # (stage, parameter, mean, std, interval_lo, interval_hi) of each marginal
+    stats = [("prior", spec.name, spec.distribution.center, spec.distribution.std,
+              *spec.distribution.bounds()) for spec in cfg.space.params]
+    for name, m, s in zip(cfg.space.names, map(float, posterior.mean),
+                          map(float, posterior.marginal_std())):
+        stats.append(("posterior", name, m, s, m - 3 * s, m + 3 * s))
+    rows = [[stage, name] + [repr(float(x)) for x in
+                             (mean, std, std / abs(mean) if mean != 0.0 else math.inf, lo, hi)]
+            for stage, name, mean, std, lo, hi in stats]
     artifacts.write_csv(cfg.out_dir / CALIBRATION_TABLE_FILE,
                         ["stage", "parameter", "mean", "std", "cov", "interval_lo", "interval_hi"],
                         rows, f"config {cfg.config_hash}")
@@ -462,39 +464,31 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     posterior = _read_artifact(posterior_path, ("mean", "covariance", "sigma_meas"),
                                _posterior_from_json)
 
-    oracle = CachedOracle(cfg.backend, EvalCache(cfg.out_dir / CACHE_FILE))
-    try:
-        prior_state = _adaptive_surrogate(cfg, oracle, _prior_families(cfg.space),
-                                          cfg.forward_qois, cfg.forward_stop)
-        misc.serialize(prior_state.surrogate, cfg.out_dir / FORWARD_PRIOR_SURROGATE,
-                       cfg.config_hash)
-        post_state = _adaptive_surrogate(cfg, oracle, _posterior_families(posterior),
-                                         cfg.forward_qois, cfg.forward_stop)
-        misc.serialize(post_state.surrogate, cfg.out_dir / FORWARD_POST_SURROGATE,
-                       cfg.config_hash)
-        backend_points = dict(oracle.backend_points)
-    finally:
-        oracle.close()
-
-    prior_push = forward.push_samples(prior_state.surrogate, cfg.space,
-                                      cfg.forward_samples, _stage_seed(cfg.seed, 2))
-    post_push = forward.push_samples(post_state.surrogate, posterior,
-                                     cfg.forward_samples, _stage_seed(cfg.seed, 3))
-    prior_bands = forward.summarize_bands(prior_push, cfg.kde_bandwidth, cfg.density_qois)
-    post_bands = forward.summarize_bands(post_push, cfg.kde_bandwidth, cfg.density_qois)
+    # (tag, input distribution, seed stage) of each analysis
+    analyses = (("prior", cfg.space, 2), ("posterior", posterior, 3))
+    states, backend_points = _adaptive_surrogates(
+        cfg, cfg.forward_qois, cfg.forward_stop,
+        _prior_families(cfg.space), _posterior_families(posterior))
     comment = f"config {cfg.config_hash}"
-    forward.write_bands_csv(prior_bands, cfg.out_dir / PRIOR_BANDS_FILE, comment)
-    forward.write_bands_csv(post_bands, cfg.out_dir / POST_BANDS_FILE, comment)
+    bands, extrapolated = [], []
+    for (tag, dist, stage), state in zip(analyses, states):
+        misc.serialize(state.surrogate, cfg.out_dir / f"surrogate_forward_{tag}.json",
+                       cfg.config_hash)
+        push = forward.push_samples(state.surrogate, dist, cfg.forward_samples,
+                                    _stage_seed(cfg.seed, stage))
+        extrapolated.append(push.extrapolated_fraction)
+        bands.append(forward.summarize_bands(push, cfg.kde_bandwidth, cfg.density_qois))
+        forward.write_bands_csv(bands[-1], cfg.out_dir / f"bands_{tag}.csv", comment)
 
     try:
-        reduction = forward.uncertainty_reduction(prior_bands, post_bands)
+        reduction = forward.uncertainty_reduction(*bands)
     except ValueError as exc:
         raise NumericalError(str(exc)) from exc
     _write_json(cfg.out_dir / REDUCTION_FILE, {
         "config_hash": cfg.config_hash,
         "reduction_percent": reduction,
-        "prior_extrapolated_fraction": prior_push.extrapolated_fraction,
-        "posterior_extrapolated_fraction": post_push.extrapolated_fraction,
+        "prior_extrapolated_fraction": extrapolated[0],
+        "posterior_extrapolated_fraction": extrapolated[1],
         "samples": cfg.forward_samples,
     })
 
@@ -505,15 +499,14 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
         except OSError as exc:
             raise ConfigError(f"cannot create densities directory {ddir}: {exc}") from exc
         for name in cfg.density_qois:
-            for tag, bands in (("prior", prior_bands), ("posterior", post_bands)):
-                forward.write_density_csv(bands.densities[name], ddir / f"{name}_{tag}.csv",
-                                          comment)
+            for (tag, _, _), b in zip(analyses, bands):
+                forward.write_density_csv(b.densities[name], ddir / f"{name}_{tag}.csv", comment)
 
-    if prior_push.extrapolated_fraction > 0 or post_push.extrapolated_fraction > 0:
+    if any(extrapolated):
         log.warning("forward: extrapolated sample fraction prior=%.3g posterior=%.3g",
-                    prior_push.extrapolated_fraction, post_push.extrapolated_fraction)
+                    *extrapolated)
     log.info("forward: reduction %.2f%%", reduction)
-    return {"reduction": reduction, "prior_bands": prior_bands, "post_bands": post_bands,
+    return {"reduction": reduction, "prior_bands": bands[0], "post_bands": bands[1],
             "backend_points": backend_points}
 
 

@@ -390,6 +390,13 @@ def serialize(surrogate: MiscSurrogate, path: str | Path, config_hash: str | Non
     artifacts.write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; a boolean, a float or text is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogate:
     """Load a surrogate written by :func:`serialize`."""
     try:
@@ -398,11 +405,11 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
         raise SurrogateFormatError(f"corrupt surrogate file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise SurrogateFormatError(f"{path} is not a surrogate container")
-    if doc.get("version") != _VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != _VERSION:
         raise SurrogateFormatError(
             f"unsupported surrogate version {doc.get('version')!r} (expected {_VERSION})")
     try:
-        dim = int(doc["dim"])
+        dim = _json_int(doc["dim"])
         qois = tuple(doc["qois"])
         families = tuple(_family_from_json(d) for d in doc["families"])
         raw_entries = doc["entries"]
@@ -417,9 +424,9 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
     values: dict[ExtIndex, np.ndarray] = {}
     try:
         for rec in raw_entries:
-            entry = ExtIndex(int(rec["alpha"]), tuple(int(b) for b in rec["beta"]))
+            entry = ExtIndex(_json_int(rec["alpha"]), tuple(map(_json_int, rec["beta"])))
             entries.append(entry)
-            c = int(rec["coeff"])
+            c = _json_int(rec["coeff"])
             if c != 0:
                 coeffs[entry] = c
                 if "values" not in rec:

@@ -140,7 +140,13 @@ class EvalCache:
                 values = {q: float.fromhex(v) for q, v in rec["values"].items()}
                 if not all(map(math.isfinite, values.values())):
                     raise ValueError("non-finite value")
-                self._store.setdefault((int(rec["alpha"]), tuple(rec["point"])), {}).update(values)
+                alpha, point = rec["alpha"], rec["point"]
+                if type(alpha) is not int or alpha < 1:  # a boolean is an int subclass
+                    raise ValueError(f"fidelity {alpha!r} is not an integer >= 1")
+                if not (isinstance(point, list) and all(
+                        isinstance(x, str) and float.fromhex(x).hex() == x for x in point)):
+                    raise ValueError(f"point {point!r} is not a list of hex floats")
+                self._store.setdefault((alpha, tuple(point)), {}).update(values)
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise OracleError(f"corrupt cache record at {self.path}:{lineno} (expected "
                                   f'{{"alpha", "point", "values": {{qoi: hex}}}}): {exc}') from exc

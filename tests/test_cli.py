@@ -139,12 +139,23 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="e_99"):
             load_config(write_config(tmp_path, {"forward.densities": ["e_99"]}))
 
-    def test_overrides_change_hash(self, tmp_path):
+    def test_out_override_keeps_hash(self, tmp_path):
         path = write_config(tmp_path)
         a = load_config(path)
         b = load_config(path, out=tmp_path / "elsewhere")
-        assert a.config_hash != b.config_hash
+        assert a.config_hash == b.config_hash
         assert b.out_dir == tmp_path / "elsewhere"
+
+    def test_hash_covers_observation_bytes_not_lanes(self, tmp_path):
+        path = write_config(tmp_path)
+        before = load_config(path).config_hash
+        (tmp_path / "obs.csv").write_text("qoi,value\nu_1,1.0\n")
+        written = load_config(path).config_hash
+        (tmp_path / "obs.csv").write_text("qoi,value\nu_1,2.0\n")
+        edited = load_config(path).config_hash
+        assert len({before, written, edited}) == 3
+        lanes = write_config(tmp_path, {"oracle.lanes": 4}, name="lanes.yaml")
+        assert load_config(lanes).config_hash == edited
 
     def test_oracle_must_be_builtin_or_command(self, tmp_path):
         with pytest.raises(ConfigError, match="builtin"):
@@ -457,6 +468,16 @@ class TestMainExitCodes:
         cmd_calibrate(cfg)
         assert main(["forward", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
 
+    def test_zero_variance_posterior_fails_before_any_simulator_call(self, tmp_path, caplog):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "posterior.json").write_text(json.dumps(
+            {"mean": [1290.0, -2.5], "covariance": [1.0, 0.0, 0.0, 0.0], "sigma_meas": 1.0}))
+        assert main(["forward", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
+        assert "zero-variance" in caplog.text
+        assert not (out / "cache.jsonl").exists()
+
     @pytest.mark.parametrize("setting", [
         {"timeout": "abc"},
         {"domain": [{"lo": "a", "hi": 1.0}, {"lo": 0.0, "hi": 1.0}]},
@@ -573,6 +594,21 @@ class TestMainExitCodes:
         doc["qois"].append("e_120")
         surrogate_path.write_text(json.dumps(doc))
         assert main(["calibrate", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
+
+    def test_infinite_surrogate_dimension_exits_with_numerical_code(self, tmp_path, caplog):
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        cmd_build(cfg)
+        make_observations(cfg)
+        surrogate_path = cfg.out_dir / "surrogate.json"
+        doc = json.loads(surrogate_path.read_text())
+        doc["dim"] = math.inf
+        surrogate_path.write_text(json.dumps(doc))
+        caplog.clear()
+        assert main(["calibrate", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "surrogate.json" in errors[0], errors
+        assert all(r.exc_info is None for r in caplog.records)
 
     def test_module_entry_point(self, tmp_path):
         import subprocess
@@ -711,6 +747,66 @@ def test_malformed_config_sweep(tmp_path, caplog):
             fine = (code == EXIT_CONFIG and len(errors) == 1 and section in errors[0]
                     and all(r.exc_info is None for r in caplog.records))
         if not fine:
+            wrong.append((case, code, errors))
+    assert not wrong, wrong
+
+
+# the keys each stage requires of each artifact it reads, and the exit code
+# of a malformed one
+ARTIFACT_INPUTS = [
+    ("calibrate", "surrogate.json", ("format", "version", "dim", "qois", "families", "entries"),
+     EXIT_NUMERICAL),
+    ("forward", "posterior.json", ("mean", "covariance", "sigma_meas"), EXIT_CONFIG),
+    ("report", "posterior.json", ("parameters", "mean", "covariance", "sigma_meas"), EXIT_CONFIG),
+    ("report", "build_report.json",
+     ("work_spent", "evaluations_total", "surrogate_points_by_fidelity"), EXIT_CONFIG),
+    ("report", "reduction.json",
+     ("reduction_percent", "prior_extrapolated_fraction", "posterior_extrapolated_fraction"),
+     EXIT_CONFIG),
+]
+
+
+def artifact_cases(out):
+    """(id, stage, file, malformed text, expected exit code) over the real
+    artifacts under ``out``: each JSON file cut at half, replaced whole or
+    missing a required key, and the cache with one record replaced or
+    missing a field."""
+    for stage, name, keys, code in ARTIFACT_INPUTS:
+        text = (out / name).read_text()
+        yield f"{stage}:{name}-half", stage, name, text[: len(text) // 2], code
+        for tag, doc in (("list", []), ("null", None), ("text", "x")):
+            yield f"{stage}:{name}-{tag}", stage, name, json.dumps(doc), code
+        for key in keys:
+            doc = json.loads(text)
+            del doc[key]
+            yield f"{stage}:{name}-drop_{key}", stage, name, json.dumps(doc), code
+    first, *rest = (out / "cache.jsonl").read_text().splitlines(keepends=True)
+    records = [("list", []), ("null", None), ("text", "x"), ("empty", {})]
+    for key in ("alpha", "point", "values"):
+        rec = json.loads(first)
+        del rec[key]
+        records.append((f"drop_{key}", rec))
+    for tag, rec in records:
+        yield f"build:cache.jsonl-{tag}", "build", "cache.jsonl", "".join(
+            [json.dumps(rec) + "\n", *rest]), EXIT_ORACLE
+
+
+def test_malformed_artifact_sweep(tmp_path, caplog):
+    # every malformed stage input exits with its code, one ERROR record and
+    # no traceback
+    path = write_config(tmp_path)
+    run_pipeline(load_config(path))
+    out = tmp_path / "out"
+    wrong = []
+    for case, stage, name, text, expected in artifact_cases(out):
+        good = (out / name).read_bytes()
+        (out / name).write_text(text)
+        caplog.clear()
+        code = main([stage, "--config", str(path), "--quiet"])
+        (out / name).write_bytes(good)
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        if not (code == expected and len(errors) == 1
+                and all(r.exc_info is None for r in caplog.records)):
             wrong.append((case, code, errors))
     assert not wrong, wrong
 

@@ -54,6 +54,13 @@ def workload_digests(run, name: str) -> dict[str, str]:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def moved(pinned: dict, digests: dict) -> list[str]:
+    """``added``, ``removed`` or ``changed`` and the file name, for each
+    file whose digest differs between two mappings of file to digest."""
+    return [f"{'added' if f not in pinned else 'removed' if f not in digests else 'changed'} {f}"
+            for f in sorted(pinned.keys() | digests.keys()) if pinned.get(f) != digests.get(f)]
+
+
 def load_run(monkeypatch):
     """``perfbench/run.py``, which imports its sibling ``spans`` as a top-level module."""
     monkeypatch.setitem(sys.modules, "spans", bench_module("spans"))
@@ -70,6 +77,10 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch, name):
     run = load_run(monkeypatch)
     monkeypatch.chdir(tmp_path)
     digests = workload_digests(run, name)
-    changed = sorted(k for k in digests.keys() | pins["files"].keys()
-                     if digests.get(k) != pins["files"].get(k))
-    assert not changed, f"{name}: output bytes differ from the pins in {changed}"
+    changed = moved(pins["files"], digests)
+    assert not changed, f"{name}: output bytes differ from the pins: {changed}"
+
+
+def test_moved_names_each_kind_of_change():
+    assert moved({"a": "1", "b": "2", "c": "3"}, {"a": "1", "b": "9", "d": "4"}) == [
+        "changed b", "removed c", "added d"]

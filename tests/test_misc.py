@@ -1,6 +1,7 @@
 """Combination surrogates: build, telescoping, adaptivity, serialization."""
 
 import json
+import math
 from collections import Counter
 from types import SimpleNamespace
 
@@ -621,6 +622,18 @@ class TestAdapt:
         assert [e for e, _ in runs[0].committed] == [e for e, _ in runs[1].committed]
 
 
+def set_first_entry(key, value):
+    """An edit that sets the first entry's ``key`` to ``value``, or for
+    ``beta`` its first component."""
+    def edit(doc):
+        rec = doc["entries"][0]
+        if key == "beta":
+            rec["beta"][0] = value
+        else:
+            rec[key] = value
+    return edit
+
+
 class TestSerialization:
     def build_sample(self, oracle=None):
         oracle = oracle or beam_oracle()
@@ -682,8 +695,15 @@ class TestSerialization:
          "downward-closed"),
         (lambda d: [r["beta"].append(1) for r in d["entries"]], "expected dim 2"),
         (lambda d: d.update(entries=[]), "index set is empty"),
+        (lambda d: d.update(dim=math.inf), "expected an integer"),
+        (lambda d: d.update(version=True), "version"),
+        *[(set_first_entry(key, value), "expected an integer")
+          for key in ("alpha", "coeff", "beta") for value in (math.inf, True, 1.5, "1")
+          if key != "coeff" or value is math.inf],
     ], ids=["extra_qoi", "missing_qoi", "missing_values", "not_downward_closed",
-            "wrong_level_count", "no_entries"])
+            "wrong_level_count", "no_entries", "dim_infinite", "version_bool",
+            "alpha_infinite", "alpha_bool", "alpha_float", "alpha_text", "coeff_infinite",
+            "beta_infinite", "beta_bool", "beta_float", "beta_text"])
     def test_inconsistent_payload_rejected(self, tmp_path, edit, match):
         path = tmp_path / "s.json"
         serialize(self.build_sample(), path)

@@ -212,7 +212,13 @@ class TestEvalCache:
     @pytest.mark.parametrize("rec", [
         {"alpha": 1, "point": ["0x0.0p+0"], "qoi": "u_1", "value": "0x1.0p+0"},
         {"alpha": 1, "point": ["0x0.0p+0"], "values": ["0x1.0p+0"]},
-    ], ids=["per_qoi_layout", "values_not_a_mapping"])
+        *[{"alpha": alpha, "point": ["0x0.0p+0"], "values": {"u_1": "0x1.0p+0"}}
+          for alpha in (1.5, True, "1", -1)],
+        *[{"alpha": 1, "point": point, "values": {"u_1": "0x1.0p+0"}}
+          for point in ("x", {}, [1.0, 2.0], ["zz", "zz"])],
+    ], ids=["per_qoi_layout", "values_not_a_mapping", "alpha_float", "alpha_bool",
+            "alpha_text", "alpha_negative", "point_text", "point_mapping", "point_numbers",
+            "point_not_hex"])
     def test_record_of_another_layout_rejected(self, tmp_path, rec):
         path = tmp_path / "cache.jsonl"
         EvalCache(path).put_many([(1, point_key((1.0,)), {"u_1": 1.0})])

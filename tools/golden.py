@@ -7,8 +7,10 @@ Usage (from the repository root):
 Runs each workload (default: all three) in a temporary directory the way
 the test does and writes ``tests/golden/<workload>.json``: the sha256 of
 every output file and the Python and numpy versions they were made with.
-Run it only on a checkout whose output bytes are known good, and list in
-the change's notes every file whose digest moved.
+Before it rewrites a pin it prints each file whose digest moved (added,
+removed or changed), or ``unchanged``.  Run it only on a checkout whose
+output bytes are known good, and list in the change's notes every file it
+names.
 """
 
 import json
@@ -39,6 +41,9 @@ def main(argv=None) -> int:
                 os.chdir(home)
         doc = {**test_golden.versions(), "files": files}
         path = test_golden.GOLDEN / f"{name}.json"
+        pinned = json.loads(path.read_text(encoding="utf-8"))["files"] if path.exists() else {}
+        for line in test_golden.moved(pinned, files) or ["unchanged"]:
+            print(f"{name}: {line}")
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"{path.relative_to(ROOT)}: {len(files)} files")
     return 0
