@@ -24,7 +24,6 @@ import yaml
 from . import artifacts, bayes, forward, misc
 from .bayes import GaussianPosterior, ObservationSet
 from .interp import build_grid
-from .leja import SymmetricLeja, WeightedGaussianLeja
 from .misc import AdaptStop
 from .oracle import (BeamAnalogModel, CachedOracle, EvalCache, ExternalProcessModel, FidelitySpec,
                      OracleError, builtin_model)
@@ -287,23 +286,12 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     return cfg
 
 
-def _prior_families(space: ParamSpace):
-    fams = []
-    for spec in space.params:
-        dist = spec.distribution
-        if isinstance(dist, Uniform):
-            fams.append(SymmetricLeja(dist.lo, dist.hi))
-        else:
-            fams.append(WeightedGaussianLeja(dist.mean, dist.std))
-    return tuple(fams)
-
-
 def _posterior_families(posterior: GaussianPosterior):
     stds = posterior.marginal_std()
     if np.any(stds <= 0.0):
         raise NumericalError("posterior has a zero-variance direction; "
                              "cannot place Gaussian knots")
-    return tuple(WeightedGaussianLeja(float(m), float(s))
+    return tuple(Gaussian(float(m), float(s))
                  for m, s in zip(posterior.mean, stds))
 
 
@@ -323,17 +311,41 @@ def _adaptive_surrogates(cfg, qois, stop, *family_sets):
         oracle.close()
 
 
-def _read_artifact(path: Path, keys, parse=None):
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number; a boolean is not one."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# the test a value of each kind passes, by the kind's name
+_KINDS = {
+    "a finite number": _finite,
+    "a positive finite number": lambda v: _finite(v) and v > 0,
+    "an integer": lambda v: type(v) is int,
+    "a list of finite numbers": lambda v: isinstance(v, list) and all(map(_finite, v)),
+    "a list of names": lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+    "a mapping of integers": lambda v: (isinstance(v, dict)
+                                        and all(type(n) is int for n in v.values())),
+}
+_POSTERIOR_KINDS = {"mean": "a list of finite numbers", "covariance": "a list of finite numbers",
+                    "sigma_meas": "a positive finite number"}
+
+
+def _read_artifact(path: Path, kinds: dict, parse=None):
     """The JSON mapping an earlier stage wrote to ``path``, passed through
-    ``parse`` if given.  A file that cannot be read, is not a mapping, lacks
-    one of ``keys`` or fails ``parse`` is a ConfigError naming it."""
+    ``parse`` if given.  ``kinds`` maps each key the stage requires to the
+    name of its kind in ``_KINDS``.  A file that cannot be read, is not a
+    mapping, lacks one of those keys, holds a value of another kind there or
+    fails ``parse`` is a ConfigError naming it."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON mapping, got {type(doc).__name__}")
-        missing = [k for k in keys if k not in doc]
+        missing = [k for k in kinds if k not in doc]
         if missing:
             raise ValueError(f"missing keys {missing}")
+        for key, kind in kinds.items():
+            if not _KINDS[kind](doc[key]):
+                raise ValueError(f"{key}: expected {kind}, got {doc[key]!r}")
         return doc if parse is None else parse(doc)
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
@@ -350,7 +362,7 @@ def cmd_build(cfg: PipelineConfig) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     [state], backend_points = _adaptive_surrogates(cfg, cfg.calibration_qois, cfg.build_stop,
-                                                   _prior_families(cfg.space))
+                                                   tuple(p.distribution for p in cfg.space.params))
     misc.serialize(state.surrogate, cfg.out_dir / SURROGATE_FILE, cfg.config_hash)
     points_sets: dict[int, set] = {}
     for entry in state.surrogate.values:
@@ -401,10 +413,12 @@ def _posterior_to_json(posterior: GaussianPosterior, cfg) -> dict:
     }
 
 
-def _posterior_from_json(doc: dict) -> GaussianPosterior:
+def _posterior_from_json(doc: dict, dim: int) -> GaussianPosterior:
+    """The posterior of a mapping whose keys hold ``_POSTERIOR_KINDS``, over
+    ``dim`` parameters."""
     mean = np.asarray(doc["mean"], dtype=float)
-    if mean.ndim != 1:
-        raise ValueError(f"mean must be a list of numbers, got {doc['mean']!r}")
+    if mean.size != dim:
+        raise ValueError(f"mean: expected one entry per parameter ({dim}), got {doc['mean']!r}")
     cov = np.asarray(doc["covariance"], dtype=float).reshape(mean.size, mean.size)
     return GaussianPosterior(mean, cov, float(doc["sigma_meas"]),
                              sigma_floored=bool(doc.get("sigma_floored", False)),
@@ -461,14 +475,14 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     posterior_path = cfg.out_dir / POSTERIOR_FILE
     if not posterior_path.exists():
         raise ConfigError(f"posterior file {posterior_path} not found; run 'calibrate' first")
-    posterior = _read_artifact(posterior_path, ("mean", "covariance", "sigma_meas"),
-                               _posterior_from_json)
+    posterior = _read_artifact(posterior_path, _POSTERIOR_KINDS,
+                               lambda doc: _posterior_from_json(doc, cfg.space.dim))
 
     # (tag, input distribution, seed stage) of each analysis
     analyses = (("prior", cfg.space, 2), ("posterior", posterior, 3))
     states, backend_points = _adaptive_surrogates(
         cfg, cfg.forward_qois, cfg.forward_stop,
-        _prior_families(cfg.space), _posterior_families(posterior))
+        tuple(p.distribution for p in cfg.space.params), _posterior_families(posterior))
     comment = f"config {cfg.config_hash}"
     bands, extrapolated = [], []
     for (tag, dist, stage), state in zip(analyses, states):
@@ -517,16 +531,18 @@ def cmd_report(cfg: PipelineConfig) -> dict:
                if not (out / f).exists()]
     if missing:
         raise ConfigError(f"cannot report: missing artifacts {missing} in {out}")
-    build_report = _read_artifact(out / BUILD_REPORT_FILE, (
-        "work_spent", "evaluations_total", "surrogate_points_by_fidelity"))
-    _typed(build_report["surrogate_points_by_fidelity"], dict,
-           f"{out / BUILD_REPORT_FILE}: surrogate_points_by_fidelity")
-    names, posterior = _read_artifact(out / POSTERIOR_FILE, (
-        "parameters", "mean", "covariance", "sigma_meas"),
-        lambda doc: (doc["parameters"], _posterior_from_json(doc)))
-    _typed(names, list, f"{out / POSTERIOR_FILE}: parameters")
-    reduction_doc = _read_artifact(out / REDUCTION_FILE, (
-        "reduction_percent", "prior_extrapolated_fraction", "posterior_extrapolated_fraction"))
+    build_report = _read_artifact(out / BUILD_REPORT_FILE, {
+        "work_spent": "a finite number", "evaluations_total": "an integer",
+        "surrogate_points_by_fidelity": "a mapping of integers"})
+    names, posterior = _read_artifact(
+        out / POSTERIOR_FILE, {"parameters": "a list of names", **_POSTERIOR_KINDS},
+        lambda doc: (doc["parameters"], _posterior_from_json(doc, cfg.space.dim)))
+    if len(names) != posterior.mean.size:
+        raise ConfigError(f"cannot read {out / POSTERIOR_FILE}: parameters: expected one name "
+                          f"per mean entry, got {names!r}")
+    reduction_doc = _read_artifact(out / REDUCTION_FILE, dict.fromkeys(
+        ("reduction_percent", "prior_extrapolated_fraction", "posterior_extrapolated_fraction"),
+        "a finite number"))
 
     rows = [("config_hash", cfg.config_hash),
             ("work_spent", build_report["work_spent"]),

@@ -1,9 +1,13 @@
-"""Nested Leja knot sequences and the level-to-knots map.
+"""The parameter marginals, their nested Leja knot sequences, and the
+level-to-knots map.
 
-Two knot families are provided, one per supported marginal:
+Each supported marginal is one class that samples, gives its nominal box
+and places its nested knots by its own weight:
 
-* symmetric Leja points on an interval, for uniform weights;
-* weighted Gaussian Leja points, for Gaussian weights.
+* ``SymmetricLeja``, a uniform marginal on an interval: symmetric Leja
+  points;
+* ``WeightedGaussianLeja``, a Gaussian marginal: weighted Gaussian Leja
+  points.
 
 Both are built greedily over a fixed dense candidate grid, which makes the
 sequences deterministic and bit-reproducible.  The objective for a candidate
@@ -30,6 +34,7 @@ evaluation cache to get hits on nested grids.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -102,41 +107,69 @@ _gauss_ref = _GreedySequence(_gauss_candidates, sqrt_weight=np.exp(-_gauss_candi
 
 @dataclass(frozen=True)
 class SymmetricLeja:
-    """Symmetric Leja knots on [lo, hi], mapped affinely from [-1, 1]."""
+    """Uniform marginal on [lo, hi]; its knots are the symmetric Leja points
+    mapped affinely from [-1, 1]."""
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"uniform bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
-            raise ValueError(f"degenerate interval [{self.lo}, {self.hi}]")
+            raise ValueError(f"uniform interval needs lo < hi, got [{self.lo}, {self.hi}]")
+
+    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        return gen.uniform(self.lo, self.hi, size=count)
+
+    def bounds(self) -> tuple[float, float]:
+        return (self.lo, self.hi)
+
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def std(self) -> float:
+        return (self.hi - self.lo) / math.sqrt(12.0)
 
     def knots(self, count: int) -> np.ndarray:
         # The midpoint form is the bitwise identity on [-1, 1], which keeps the
         # knots mirror symmetric; the clip keeps rounding inside [lo, hi].
-        center = 0.5 * (self.lo + self.hi)
         radius = 0.5 * (self.hi - self.lo)
-        return np.clip(center + radius * _symmetric_ref.prefix(count), self.lo, self.hi)
+        return np.clip(self.center + radius * _symmetric_ref.prefix(count), self.lo, self.hi)
 
     @property
     def domain(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    @property
-    def probe_interval(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
 
 @dataclass(frozen=True)
 class WeightedGaussianLeja:
-    """Weighted Gaussian Leja knots for an N(mean, std^2) weight."""
+    """Gaussian marginal N(mean, std^2); its knots are the weighted Gaussian
+    Leja points of that weight."""
 
     mean: float
     std: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+            raise ValueError(f"gaussian mean and std must be finite, got {self.mean}, {self.std}")
         if not self.std > 0.0:
-            raise ValueError(f"std must be positive, got {self.std}")
+            raise ValueError(f"gaussian std must be positive, got {self.std}")
+
+    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        return gen.normal(self.mean, self.std, size=count)
+
+    def bounds(self) -> tuple[float, float]:
+        """Nominal box used for box-style bookkeeping (penalty terms, step
+        sizes, probe points); three standard deviations on either side of
+        the mean."""
+        return (self.mean - 3.0 * self.std, self.mean + 3.0 * self.std)
+
+    @property
+    def center(self) -> float:
+        return self.mean
 
     def knots(self, count: int) -> np.ndarray:
         return self.mean + self.std * _gauss_ref.prefix(count)
@@ -147,8 +180,3 @@ class WeightedGaussianLeja:
         treated as extrapolation."""
         r = GAUSSIAN_CUTOFF * self.std
         return (self.mean - r, self.mean + r)
-
-    @property
-    def probe_interval(self) -> tuple[float, float]:
-        return (self.mean - 3.0 * self.std, self.mean + 3.0 * self.std)
-

@@ -222,8 +222,7 @@ def _halton(dim: int, count: int) -> np.ndarray:
 def _probe_grid(families, count: int) -> np.ndarray:
     """Deterministic low-discrepancy probe points spanning the family boxes."""
     unit = _halton(len(families), count)
-    lo = np.array([f.probe_interval[0] for f in families])
-    hi = np.array([f.probe_interval[1] for f in families])
+    lo, hi = np.array([f.bounds() for f in families]).T
     return lo + unit * (hi - lo)
 
 

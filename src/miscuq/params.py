@@ -1,4 +1,5 @@
-"""Uncertain-parameter spaces: marginal distributions, nominal boxes, sampling.
+"""Uncertain-parameter spaces: named, independent marginals, their nominal
+boxes and joint sampling.
 
 Parameters are always the variables the rest of the toolkit sees; any
 nonlinear reparametrisation (e.g. working with the log of a physically
@@ -9,66 +10,14 @@ which the toolkit does not read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# The config's names for the marginals, defined in leja: leja importing params would be a cycle.
+from .leja import SymmetricLeja as Uniform, WeightedGaussianLeja as Gaussian
+
 __all__ = ["Uniform", "Gaussian", "ParamSpec", "ParamSpace"]
-
-
-@dataclass(frozen=True)
-class Uniform:
-    """Uniform marginal on the interval [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"uniform bounds must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise ValueError(f"uniform interval needs lo < hi, got [{self.lo}, {self.hi}]")
-
-    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        return gen.uniform(self.lo, self.hi, size=count)
-
-    def bounds(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def std(self) -> float:
-        return (self.hi - self.lo) / math.sqrt(12.0)
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    """Gaussian marginal with the given mean and standard deviation."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise ValueError(f"gaussian mean and std must be finite, got {self.mean}, {self.std}")
-        if not self.std > 0.0:
-            raise ValueError(f"gaussian std must be positive, got {self.std}")
-
-    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        return gen.normal(self.mean, self.std, size=count)
-
-    def bounds(self) -> tuple[float, float]:
-        """Nominal box used for box-style bookkeeping (penalty terms, step sizes);
-        three standard deviations on either side of the mean."""
-        return (self.mean - 3.0 * self.std, self.mean + 3.0 * self.std)
-
-    @property
-    def center(self) -> float:
-        return self.mean
 
 
 @dataclass(frozen=True)

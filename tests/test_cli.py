@@ -478,6 +478,24 @@ class TestMainExitCodes:
         assert "zero-variance" in caplog.text
         assert not (out / "cache.jsonl").exists()
 
+    @pytest.mark.parametrize("edit", [
+        {"mean": [math.nan, -2.5]}, {"mean": [1290.0, math.inf]}, {"mean": ["1290", -2.5]},
+        {"covariance": [1.0, 0.0, 0.0, math.nan]}, {"covariance": [True, 0.0, 0.0, 1.0]},
+        {"sigma_meas": math.inf}, {"sigma_meas": True}, {"sigma_meas": 0.0},
+        {"sigma_meas": "1.0"},
+        {"mean": [1290.0, -2.5, 1.0], "covariance": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]},
+    ], ids=["mean_nan", "mean_inf", "mean_text", "covariance_nan", "covariance_bool",
+            "sigma_inf", "sigma_bool", "sigma_zero", "sigma_text", "mean_of_another_dim"])
+    def test_mistyped_posterior_fails_before_any_simulator_call(self, tmp_path, caplog, edit):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = {"mean": [1290.0, -2.5], "covariance": [1.0, 0.0, 0.0, 1.0], "sigma_meas": 1.0}
+        (out / "posterior.json").write_text(json.dumps({**doc, **edit}))
+        assert main(["forward", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        assert f"{next(iter(edit))}: expected" in caplog.text
+        assert not (out / "cache.jsonl").exists()
+
     @pytest.mark.parametrize("setting", [
         {"timeout": "abc"},
         {"domain": [{"lo": "a", "hi": 1.0}, {"lo": 0.0, "hi": 1.0}]},
@@ -766,20 +784,35 @@ ARTIFACT_INPUTS = [
 ]
 
 
+# each value of the wrong type that replaces a required key
+WRONG_VALUES = [("text", "x"), ("null", None), ("bool", True), ("inf", math.inf),
+                ("list", []), ("mapping", {})]
+# the only replacements that still load: a value of the right type
+ARTIFACT_LOADS = ["report:build_report.json-surrogate_points_by_fidelity_mapping"]
+
+
 def artifact_cases(out):
     """(id, stage, file, malformed text, expected exit code) over the real
-    artifacts under ``out``: each JSON file cut at half, replaced whole or
-    missing a required key, and the cache with one record replaced or
-    missing a field."""
+    artifacts under ``out``: each JSON file cut at half, replaced whole,
+    missing a required key or with that key's value replaced, a posterior
+    with a NaN entry, and the cache with one record replaced or missing a
+    field."""
     for stage, name, keys, code in ARTIFACT_INPUTS:
         text = (out / name).read_text()
         yield f"{stage}:{name}-half", stage, name, text[: len(text) // 2], code
         for tag, doc in (("list", []), ("null", None), ("text", "x")):
             yield f"{stage}:{name}-{tag}", stage, name, json.dumps(doc), code
-        for key in keys:
+        edits = [(f"drop_{key}", lambda doc, key=key: doc.pop(key)) for key in keys]
+        edits += [(f"{key}_{tag}", lambda doc, key=key, value=value: doc.update({key: value}))
+                  for key in keys for tag, value in WRONG_VALUES]
+        if name == "posterior.json":
+            edits += [(f"{key}0_nan", lambda doc, key=key: doc[key].__setitem__(0, math.nan))
+                      for key in ("mean", "covariance")]
+        for tag, edit in edits:
             doc = json.loads(text)
-            del doc[key]
-            yield f"{stage}:{name}-drop_{key}", stage, name, json.dumps(doc), code
+            edit(doc)
+            case = f"{stage}:{name}-{tag}"
+            yield case, stage, name, json.dumps(doc), EXIT_OK if case in ARTIFACT_LOADS else code
     first, *rest = (out / "cache.jsonl").read_text().splitlines(keepends=True)
     records = [("list", []), ("null", None), ("text", "x"), ("empty", {})]
     for key in ("alpha", "point", "values"):
@@ -805,7 +838,7 @@ def test_malformed_artifact_sweep(tmp_path, caplog):
         code = main([stage, "--config", str(path), "--quiet"])
         (out / name).write_bytes(good)
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        if not (code == expected and len(errors) == 1
+        if not (code == expected and len(errors) == (expected != EXIT_OK)
                 and all(r.exc_info is None for r in caplog.records)):
             wrong.append((case, code, errors))
     assert not wrong, wrong

@@ -334,7 +334,7 @@ class TestProbeGrid:
     def test_spans_the_probe_intervals(self):
         fams = (SymmetricLeja(1130.0, 1450.0), WeightedGaussianLeja(-2.5, 0.6))
         pts = misc._probe_grid(fams, 64)
-        lo, hi = np.array([f.probe_interval for f in fams]).T
+        lo, hi = np.array([f.bounds() for f in fams]).T
         assert np.all((pts >= lo) & (pts < hi))
         assert pts[0].tolist() == lo.tolist()
 
@@ -700,10 +700,16 @@ class TestSerialization:
         *[(set_first_entry(key, value), "expected an integer")
           for key in ("alpha", "coeff", "beta") for value in (math.inf, True, 1.5, "1")
           if key != "coeff" or value is math.inf],
+        (lambda d: d["families"][0].update(lo="-inf"), "bad knot family record"),
+        (lambda d: d["families"][0].update(hi="inf"), "bad knot family record"),
+        *[(lambda d, mean=mean: d["families"].__setitem__(
+            0, {"kind": "gaussian-leja", "mean": mean, "std": (40.0).hex()}),
+           "bad knot family record") for mean in ("inf", "nan")],
     ], ids=["extra_qoi", "missing_qoi", "missing_values", "not_downward_closed",
             "wrong_level_count", "no_entries", "dim_infinite", "version_bool",
             "alpha_infinite", "alpha_bool", "alpha_float", "alpha_text", "coeff_infinite",
-            "beta_infinite", "beta_bool", "beta_float", "beta_text"])
+            "beta_infinite", "beta_bool", "beta_float", "beta_text", "symmetric_lo_infinite",
+            "symmetric_hi_infinite", "gaussian_mean_infinite", "gaussian_mean_nan"])
     def test_inconsistent_payload_rejected(self, tmp_path, edit, match):
         path = tmp_path / "s.json"
         serialize(self.build_sample(), path)

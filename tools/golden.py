@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python3 tools/golden.py [WORKLOAD ...]
+    python3 tools/golden.py [WORKLOAD ...]
 
 Runs each workload (default: all three) in a temporary directory the way
 the test does and writes ``tests/golden/<workload>.json``: the sha256 of
@@ -20,7 +20,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tests"))
+# this checkout's miscuq, not whichever one is installed
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import test_golden  # noqa: E402
 from test_span_targets import bench_module  # noqa: E402
