@@ -47,6 +47,8 @@ REDUCTION_FILE = "reduction.json"
 REPORT_FILE = "report.txt"
 REPORT_SUMMARY_FILE = "report_summary.csv"
 CACHE_FILE = "cache.jsonl"
+# libyaml's parser where PyYAML was built with it: the same documents, parsed faster
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(Exception):
@@ -237,8 +239,8 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+        doc = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
+    except (OSError, ValueError, yaml.YAMLError) as exc:  # unreadable, not UTF-8, not YAML
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     _mapping(doc, f"{path} top level", ("seed", "output_dir", "oracle", "parameters",
                                         "calibration", "forward"))
@@ -301,8 +303,11 @@ def _stage_seed(base: int, stage: int) -> np.random.SeedSequence:
 
 def _adaptive_surrogates(cfg, qois, stop, *family_sets):
     """One cached-oracle session: the adapted state for each tuple of knot
-    families, in order, and the backend points the session spent."""
-    oracle = CachedOracle(cfg.backend, EvalCache(cfg.out_dir / CACHE_FILE))
+    families, in order, and the backend points the session spent.  Each
+    backend request asks for every QoI the pipeline reads, so a point that
+    build evaluated is a cache hit in forward."""
+    oracle = CachedOracle(cfg.backend, EvalCache(cfg.out_dir / CACHE_FILE),
+                          cfg.calibration_qois + cfg.forward_qois)
     try:
         states = [misc.adapt(misc.init_adapt(oracle, families, qois), oracle, stop)
                   for families in family_sets]

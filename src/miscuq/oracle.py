@@ -13,6 +13,8 @@ output, anything on standard error is treated as free-form logging.  The
 lanes (child processes) are driven from the calling thread; the first failure
 on any lane closes every lane and aborts the batch, losing at most one
 in-flight request per lane.  The answers received before the abort are cached.
+A pipeline stage's request asks for every QoI the pipeline reads, not only
+those of the call that sent it, so a simulator runs once per (fidelity, point).
 
 The cache file is an append-only JSON-lines log with one record per answered
 request, ``{"alpha": <int>, "point": [<hex>...], "values": {<qoi>: <hex>}}``;
@@ -424,11 +426,18 @@ class CachedOracle:
     order; per-point backend failures are reported in that point's result
     without aborting the batch.  Failed points are never cached; a batch the
     backend aborts keeps the answers it received before the abort.
+
+    A point is sent to the backend when it lacks a QoI the call asks for;
+    its request then also asks for the ``qois`` given here that the point
+    lacks, so a session that names every QoI it will read simulates each
+    (fidelity, point) once.  A point whose length is not the backend's
+    ``dim`` is refused.
     """
 
-    def __init__(self, backend, cache: EvalCache | None = None):
+    def __init__(self, backend, cache: EvalCache | None = None, qois=()):
         self.backend = backend
         self.cache = cache if cache is not None else EvalCache()
+        self.qois = tuple(qois)
         self.backend_points: dict[int, int] = {}
         self._fidelities = {f.alpha: f for f in _fidelity_table(backend.fidelities)}
         self._next_id = 0
@@ -457,10 +466,13 @@ class CachedOracle:
         qois = tuple(qois)
         known = self.qoi_names
         if known is not None:
-            missing = [q for q in qois if q not in known]
+            missing = [q for q in qois + self.qois if q not in known]
             if missing:
                 raise OracleError(f"unknown QoIs {missing}")
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != self.backend.dim:
+            raise OracleError(f"points have {points.shape[1]} coordinates, the oracle "
+                              f"takes {self.backend.dim}")
         keys = [point_key(p) for p in points]
 
         requests: list[EvalRequest] = []
@@ -471,8 +483,8 @@ class CachedOracle:
                 errors[i] = f"point {tuple(p)} outside the oracle domain"
                 continue
             cached = self.cache.get(alpha, key)
-            needed = tuple(q for q in qois if q not in cached)
-            if needed:
+            if any(q not in cached for q in qois):
+                needed = tuple(q for q in dict.fromkeys(qois + self.qois) if q not in cached)
                 req = EvalRequest(self._next_id, alpha, tuple(float(x) for x in p), needed)
                 self._next_id += 1
                 requests.append(req)

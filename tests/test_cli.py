@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from miscuq import misc
+from miscuq import cli, misc
 from miscuq.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -247,12 +247,15 @@ class TestBuild:
         assert report["config_hash"] == cfg.config_hash
         assert (cfg.out_dir / "surrogate.json").exists()
         assert sum(report["evaluations_by_fidelity"].values()) == report["evaluations_total"]
-        # on a fresh run the reported evaluations are exactly the cache content
+        # on a fresh run the reported evaluations are exactly the cached points
+        # x calibration QoIs; each point also holds the forward QoIs, which
+        # its one request asked for as well
         cache = EvalCache(cfg.out_dir / "cache.jsonl")
         assert report["evaluations_by_fidelity"] == {
             str(a): len(points) * len(cfg.calibration_qois)
             for a, points in sorted(cache.points_by_alpha().items())}
-        assert report["evaluations_total"] == len(cache)
+        points = sum(map(len, cache.points_by_alpha().values()))
+        assert len(cache) == points * len(dict.fromkeys(cfg.calibration_qois + cfg.forward_qois))
         stamped = json.loads((cfg.out_dir / "surrogate.json").read_text())
         assert stamped["config_hash"] == cfg.config_hash
 
@@ -293,6 +296,16 @@ class TestCalibrateAndForward:
                      "report_summary.csv", "densities/e_1_prior.csv",
                      "densities/e_1_posterior.csv"):
             assert (cfg.out_dir / name).exists(), name
+
+    def test_each_point_is_simulated_once(self, tmp_path):
+        # build asks every point for the forward QoIs too, so forward finds
+        # the prior's points cached and no (fidelity, point) is sent twice
+        cfg = load_config(write_config(tmp_path))
+        build, _, fwd, _ = run_pipeline(cfg)
+        lines = (cfg.out_dir / "cache.jsonl").read_text().splitlines()
+        keys = {(rec["alpha"], tuple(rec["point"])) for rec in map(json.loads, lines)}
+        sent = sum(build["backend_points"].values()) + sum(fwd["backend_points"].values())
+        assert sent == len(keys) == len(lines)
 
     def test_outputs_carry_config_hash(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -447,6 +460,22 @@ class TestMainExitCodes:
 
     def test_config_error(self, tmp_path):
         assert main(["build", "--config", str(tmp_path / "nope.yaml"), "--quiet"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    @pytest.mark.parametrize("data", [b"seed: [1, 2\n", b"seed: 1\n  bad: indent\n",
+                                      b"seed: &a 1\nother: *b\n", b"\tseed: 1\n",
+                                      b"seed: 1\n\xff\xfe\n"])
+    def test_unparsable_config(self, tmp_path, caplog, monkeypatch, loader, data):
+        if not hasattr(yaml, loader):
+            pytest.skip(f"PyYAML has no {loader}")
+        monkeypatch.setattr(cli, "YAML_LOADER", getattr(yaml, loader))
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(data)
+        assert_config_exit(caplog, ["build", "--config", str(path), "--quiet"], "cannot parse")
+
+    def test_config_path_is_a_directory(self, tmp_path, caplog):
+        assert_config_exit(caplog, ["build", "--config", str(tmp_path), "--quiet"],
+                           "cannot parse")
 
     def test_oracle_error(self, tmp_path):
         overrides = {
@@ -722,6 +751,32 @@ def sweep_cases():
                 else:
                     node[path[-1]] = new
                 yield f"{tag}{'.'.join(map(str, path))}-{name}", path[0], doc
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+def test_libyaml_loader_parses_as_the_python_one(tmp_path, monkeypatch):
+    # the demo, the three benchmark workloads and the default test config load
+    # to the same document and provenance hash under both parsers, and every
+    # config the malformed-config sweep writes parses to the same document
+    from test_golden import WORKLOADS, load_run, workload_config
+
+    assert cli.YAML_LOADER is yaml.CSafeLoader
+    loaders = (yaml.CSafeLoader, yaml.SafeLoader)
+    run = load_run(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    for path in [DEMO_CONFIG, write_config(tmp_path)] + [workload_config(run, name)
+                                                        for name in WORKLOADS]:
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=loaders[0]) == yaml.load(text, Loader=loaders[1]), path
+        hashes = []
+        for loader in loaders:
+            monkeypatch.setattr(cli, "YAML_LOADER", loader)
+            hashes.append(load_config(path).config_hash)
+        assert hashes[0] == hashes[1], path
+    for case, _, doc in sweep_cases():
+        text = yaml.dump(doc, Dumper=DUMPER)
+        parsed = [json.dumps(yaml.load(text, Loader=loader)) for loader in loaders]  # NaN != NaN
+        assert parsed[0] == parsed[1], case
 
 
 # the only mutations that still load: dropping an optional key or list

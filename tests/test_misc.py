@@ -385,6 +385,12 @@ class TestAdapt:
         adapt(state, oracle, AdaptStop(max_work=0.0))
         assert state.index_set.entries == (E(1, 1, 1),)
 
+    def test_more_families_than_the_oracle_takes_rejected(self):
+        oracle = beam_oracle()
+        with pytest.raises(OracleError, match="3 coordinates"):
+            init_adapt(oracle, beam_families() + (SymmetricLeja(0.0, 1.0),), ["u_1"])
+        assert oracle.backend_points == {}
+
     def test_structural_invariants_on_smooth_function(self):
         def f(v, q):
             return np.exp(0.8 * v[0] + 0.5 * v[1])

@@ -281,6 +281,42 @@ class TestCachedOracle:
         a = oracle.eval_batch(1, [(1290.0, -2.5)], ["u_1"])[0]
         assert a.ok
 
+    def test_session_qois_ride_along_with_each_request(self):
+        model = BeamAnalogModel()
+        oracle = CachedOracle(model, qois=("u_1", "e_3"))
+        point = (1290.0, -2.5)
+        first = oracle.eval_batch(1, [point], ["u_1"])[0]
+        second = oracle.eval_batch(1, [point], ["e_3"])[0]
+        assert oracle.backend_points == {1: 1}
+        assert first.values == model.evaluate(1, point, ["u_1"])
+        assert second.values == model.evaluate(1, point, ["e_3"])
+
+    def test_session_qois_skip_what_the_point_has(self):
+        sent = []
+
+        class Recording(BeamAnalogModel):
+            def dispatch(self, requests):
+                sent.extend(r.qois for r in requests)
+                return super().dispatch(requests)
+
+        oracle = CachedOracle(Recording(), qois=("u_2", "u_1", "e_3"))
+        oracle.eval_batch(1, [(1290.0, -2.5)], ["e_3"])
+        oracle.cache.put_many([(2, point_key((1290.0, -2.5)), {"u_1": 1.0})])
+        oracle.eval_batch(2, [(1290.0, -2.5)], ["u_3"])
+        assert sent == [("e_3", "u_2", "u_1"), ("u_3", "u_2", "e_3")]
+
+    def test_unknown_session_qoi_rejected(self):
+        oracle = CachedOracle(BeamAnalogModel(), qois=("u_77",))
+        with pytest.raises(OracleError, match="u_77"):
+            oracle.eval_batch(1, [(1290.0, -2.5)], ["u_1"])
+
+    @pytest.mark.parametrize("point", [(1290.0,), (1290.0, -2.5, 0.0)])
+    def test_point_of_another_dimension_rejected(self, point):
+        oracle = CachedOracle(BeamAnalogModel())
+        with pytest.raises(OracleError, match="coordinates"):
+            oracle.eval_batch(1, [point], ["u_1"])
+        assert oracle.backend_points == {} and len(oracle.cache) == 0
+
     def test_out_of_domain_point_fails_alone(self):
         oracle = CachedOracle(BeamAnalogModel())
         results = oracle.eval_batch(1, [(1290.0, -2.5), (1290.0, 99.0)], ["u_1"])
