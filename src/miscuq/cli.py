@@ -47,8 +47,6 @@ REDUCTION_FILE = "reduction.json"
 REPORT_FILE = "report.txt"
 REPORT_SUMMARY_FILE = "report_summary.csv"
 CACHE_FILE = "cache.jsonl"
-# libyaml's parser where PyYAML was built with it: the same documents, parsed faster
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(Exception):
@@ -239,7 +237,7 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        doc = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, yaml.YAMLError) as exc:  # unreadable, not UTF-8, not YAML
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     _mapping(doc, f"{path} top level", ("seed", "output_dir", "oracle", "parameters",

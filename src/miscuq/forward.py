@@ -147,27 +147,14 @@ def mode(pdf: PdfEstimate) -> float:
 def quantiles(samples, probs) -> np.ndarray:
     """Empirical quantiles along axis 0 with linear interpolation between
     order statistics (position (S-1) p + 1 among the sorted values,
-    one-based); an (S, J) array gives one column of quantiles per QoI.
-    Each column is sorted once and read with numpy's type-7 arithmetic
-    (Hyndman & Fan, Am. Stat. 1996), so the result is ``np.quantile(...,
-    method="linear")`` bit for bit, but for the sign of a zero quantile
-    where -0.0 ties with 0.0."""
+    one-based); an (S, J) array gives one column of quantiles per QoI."""
     samples = np.atleast_1d(np.asarray(samples, dtype=float))
-    count = samples.shape[0]
-    if count < 2:
-        raise ValueError(f"need at least 2 samples, got {count}")
+    if samples.shape[0] < 2:
+        raise ValueError(f"need at least 2 samples, got {samples.shape[0]}")
     probs = np.atleast_1d(np.asarray(probs, dtype=float))
     if np.any((probs <= 0.0) | (probs >= 1.0)):
         raise ValueError(f"probabilities must lie in (0, 1), got {probs}")
-    ordered = np.sort(samples, axis=0)
-    pos = (count - 1) * probs
-    below = np.minimum(np.floor(pos), count - 1).astype(np.intp)
-    g = (pos - below).reshape((-1,) + (1,) * (samples.ndim - 1))
-    a, b = ordered[below], ordered[np.minimum(below + 1, count - 1)]
-    # numpy's lerp between neighbours a <= b: the form anchored at the nearer one
-    out = np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
-    np.copyto(out, np.nan, where=np.isnan(ordered[-1]))  # NaNs sort last
-    return out
+    return np.quantile(samples, probs, axis=0, method="linear")
 
 
 @dataclass(frozen=True)

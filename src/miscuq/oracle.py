@@ -438,6 +438,10 @@ class CachedOracle:
         self.backend = backend
         self.cache = cache if cache is not None else EvalCache()
         self.qois = tuple(qois)
+        known = self.qoi_names
+        missing = [] if known is None else [q for q in self.qois if q not in known]
+        if missing:
+            raise OracleError(f"unknown QoIs {missing}")
         self.backend_points: dict[int, int] = {}
         self._fidelities = {f.alpha: f for f in _fidelity_table(backend.fidelities)}
         self._next_id = 0
@@ -466,7 +470,7 @@ class CachedOracle:
         qois = tuple(qois)
         known = self.qoi_names
         if known is not None:
-            missing = [q for q in qois + self.qois if q not in known]
+            missing = [q for q in qois if q not in known]
             if missing:
                 raise OracleError(f"unknown QoIs {missing}")
         points = np.atleast_2d(np.asarray(points, dtype=float))

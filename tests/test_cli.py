@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from miscuq import cli, misc
+from miscuq import misc
 from miscuq.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -461,14 +461,10 @@ class TestMainExitCodes:
     def test_config_error(self, tmp_path):
         assert main(["build", "--config", str(tmp_path / "nope.yaml"), "--quiet"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
     @pytest.mark.parametrize("data", [b"seed: [1, 2\n", b"seed: 1\n  bad: indent\n",
                                       b"seed: &a 1\nother: *b\n", b"\tseed: 1\n",
                                       b"seed: 1\n\xff\xfe\n"])
-    def test_unparsable_config(self, tmp_path, caplog, monkeypatch, loader, data):
-        if not hasattr(yaml, loader):
-            pytest.skip(f"PyYAML has no {loader}")
-        monkeypatch.setattr(cli, "YAML_LOADER", getattr(yaml, loader))
+    def test_unparsable_config(self, tmp_path, caplog, data):
         path = tmp_path / "cfg.yaml"
         path.write_bytes(data)
         assert_config_exit(caplog, ["build", "--config", str(path), "--quiet"], "cannot parse")
@@ -751,32 +747,6 @@ def sweep_cases():
                 else:
                     node[path[-1]] = new
                 yield f"{tag}{'.'.join(map(str, path))}-{name}", path[0], doc
-
-
-@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
-def test_libyaml_loader_parses_as_the_python_one(tmp_path, monkeypatch):
-    # the demo, the three benchmark workloads and the default test config load
-    # to the same document and provenance hash under both parsers, and every
-    # config the malformed-config sweep writes parses to the same document
-    from test_golden import WORKLOADS, load_run, workload_config
-
-    assert cli.YAML_LOADER is yaml.CSafeLoader
-    loaders = (yaml.CSafeLoader, yaml.SafeLoader)
-    run = load_run(monkeypatch)
-    monkeypatch.chdir(tmp_path)
-    for path in [DEMO_CONFIG, write_config(tmp_path)] + [workload_config(run, name)
-                                                        for name in WORKLOADS]:
-        text = path.read_text(encoding="utf-8")
-        assert yaml.load(text, Loader=loaders[0]) == yaml.load(text, Loader=loaders[1]), path
-        hashes = []
-        for loader in loaders:
-            monkeypatch.setattr(cli, "YAML_LOADER", loader)
-            hashes.append(load_config(path).config_hash)
-        assert hashes[0] == hashes[1], path
-    for case, _, doc in sweep_cases():
-        text = yaml.dump(doc, Dumper=DUMPER)
-        parsed = [json.dumps(yaml.load(text, Loader=loader)) for loader in loaders]  # NaN != NaN
-        assert parsed[0] == parsed[1], case
 
 
 # the only mutations that still load: dropping an optional key or list

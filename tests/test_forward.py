@@ -235,25 +235,6 @@ class TestQuantiles:
         for j in range(3):
             assert q[:, j].tobytes() == quantiles(draws[:, j], [0.05, 0.25, 0.95]).tobytes()
 
-    @pytest.mark.parametrize("shape", [(10_000, 120), (10_001, 4), (7, 3), (2, 5), (3, 1)])
-    @pytest.mark.parametrize("kind", ["normal", "lognormal", "tied"])
-    def test_bitwise_equal_to_numpy_linear(self, shape, kind):
-        gen = np.random.default_rng(sum(shape))
-        samples = {"normal": lambda: gen.normal(size=shape),
-                   "lognormal": lambda: gen.lognormal(size=shape),
-                   # integers from -3 to 3: many ties, and no -0.0 to tie with 0.0
-                   "tied": lambda: gen.integers(-3, 4, size=shape).astype(float)}[kind]()
-        probs = [1e-9, 0.05, 0.25, 1 / 3, 0.5, 0.75, 0.95, 1 - 1e-9]
-        expected = np.quantile(samples, probs, axis=0, method="linear")
-        got = quantiles(samples, probs)
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-
-    def test_nan_column_is_nan_as_in_numpy(self):
-        samples = np.random.default_rng(9).normal(size=(50, 3))
-        samples[4, 1] = np.nan
-        expected = np.quantile(samples, [0.05, 0.95], axis=0, method="linear")
-        assert quantiles(samples, [0.05, 0.95]).tobytes() == expected.tobytes()
-
     @pytest.mark.parametrize("samples", [2.0, [2.0], [[2.0, 3.0]]])
     def test_needs_two_samples(self, samples):
         with pytest.raises(ValueError, match="at least 2 samples"):

@@ -31,10 +31,10 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def workload_config(run, name: str) -> Path:
-    """Write one workload's config (and its observations, but for the demo)
-    to the current directory; its path.  ``run`` is the loaded
-    ``perfbench/run.py``."""
+def workload_digests(run, name: str) -> dict[str, str]:
+    """Run one workload in the current directory with ``--out out``; the
+    sha256 of each file under ``out``, config hash replaced by HASH_TOKEN.
+    ``run`` is the loaded ``perfbench/run.py``."""
     base = yaml.safe_load(run.DEMO_CONFIG.read_text(encoding="utf-8"))
     observations = run.DEMO_CONFIG.parent / base["calibration"]["observations"]
     if name != "demo":
@@ -44,13 +44,6 @@ def workload_config(run, name: str) -> Path:
     config = Path(f"{name}.yaml")
     config.write_text(json.dumps(run.workload_config(name, base, observations, sim, small=False),
                                  indent=1), encoding="utf-8")
-    return config
-
-
-def workload_digests(run, name: str) -> dict[str, str]:
-    """Run one workload in the current directory with ``--out out``; the
-    sha256 of each file under ``out``, config hash replaced by HASH_TOKEN."""
-    config = workload_config(run, name)
     for stage in STAGES:
         code = main([stage, "--config", str(config), "--out", "out", "--quiet"])
         assert code == 0, f"{name}: {stage} exited {code}"

@@ -306,9 +306,8 @@ class TestCachedOracle:
         assert sent == [("e_3", "u_2", "u_1"), ("u_3", "u_2", "e_3")]
 
     def test_unknown_session_qoi_rejected(self):
-        oracle = CachedOracle(BeamAnalogModel(), qois=("u_77",))
         with pytest.raises(OracleError, match="u_77"):
-            oracle.eval_batch(1, [(1290.0, -2.5)], ["u_1"])
+            CachedOracle(BeamAnalogModel(), qois=("u_1", "u_77"))
 
     @pytest.mark.parametrize("point", [(1290.0,), (1290.0, -2.5, 0.0)])
     def test_point_of_another_dimension_rejected(self, point):
