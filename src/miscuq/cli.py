@@ -137,10 +137,9 @@ def _parse_stop(section: dict, where: str) -> AdaptStop:
     """The ``budget`` of a section; a section without one stops at work 50."""
     if "budget" not in section:
         return AdaptStop(max_work=50.0)
-    # (cast, minimum); a zero max_work is allowed and builds the root entry only
-    limits = {"max_work": (float, 0.0), "max_candidates": (int, 1), "profit_floor": (float, 0.0)}
-    return AdaptStop(**{k: _number(limits[k][0], v, f"{where}.{k}", minimum=limits[k][1])
-                        for k, v in _mapping(section["budget"], where, limits).items()})
+    # a zero max_work is allowed and builds the root entry only
+    return AdaptStop(**{k: _number(float, v, f"{where}.{k}", minimum=0.0)
+                        for k, v in _mapping(section["budget"], where, ("max_work",)).items()})
 
 
 def _parse_space(docs) -> ParamSpace:
@@ -222,7 +221,6 @@ class PipelineConfig:
     forward_samples: int
     forward_stop: AdaptStop
     density_qois: tuple[str, ...]
-    kde_bandwidth: float | None
     config_hash: str
 
 
@@ -247,7 +245,7 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     calib = _mapping(_require(doc, "calibration", "config"), "calibration",
                      ("qois", "observations", "n_starts", "budget"))
     fwd = _mapping(_require(doc, "forward", "config"), "forward",
-                   ("qois", "samples", "budget", "densities", "bandwidth"))
+                   ("qois", "samples", "budget", "densities"))
     space = _parse_space(_require(doc, "parameters", "config"))
     cfg = PipelineConfig(
         seed=_number(int, _require(doc, "seed", "config"), "seed", minimum=0),
@@ -267,12 +265,8 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
         forward_stop=_parse_stop(fwd, "forward.budget"),
         density_qois=tuple(_text(q, f"forward.densities[{i}]") for i, q in
                            enumerate(_typed(fwd.get("densities", []), list, "forward.densities"))),
-        kde_bandwidth=(_number(float, fwd["bandwidth"], "forward.bandwidth")
-                       if "bandwidth" in fwd else None),
         config_hash="",
     )
-    if cfg.kde_bandwidth is not None and not cfg.kde_bandwidth > 0.0:
-        raise ConfigError(f"forward.bandwidth must be positive, got {cfg.kde_bandwidth}")
     declared = getattr(cfg.backend, "qoi_names", None)  # an external backend declares none
     for where, qois in (("calibration.qois", cfg.calibration_qois),
                         ("forward.qois", cfg.forward_qois)):
@@ -494,7 +488,7 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
         push = forward.push_samples(state.surrogate, dist, cfg.forward_samples,
                                     _stage_seed(cfg.seed, stage))
         extrapolated.append(push.extrapolated_fraction)
-        bands.append(forward.summarize_bands(push, cfg.kde_bandwidth, cfg.density_qois))
+        bands.append(forward.summarize_bands(push, cfg.density_qois))
         forward.write_bands_csv(bands[-1], cfg.out_dir / f"bands_{tag}.csv", comment)
 
     try:

@@ -173,17 +173,16 @@ class BandSummary:
         return self.q95 - self.q05
 
 
-def summarize_bands(push: PushResult, bandwidth: float | None = None,
-                    densities: tuple[str, ...] = ()) -> BandSummary:
+def summarize_bands(push: PushResult, densities: tuple[str, ...] = ()) -> BandSummary:
     """KDE mode and empirical 5%/95% quantiles for every QoI column; one
-    :func:`quantiles` call also gives every column's IQR for the KDE
+    :func:`quantiles` call also gives every column's IQR for the Silverman
     bandwidth.  The estimates of the QoIs named in ``densities`` are kept in
     the summary."""
     q05, q25, q75, q95 = quantiles(push.samples, [0.05, 0.25, 0.75, 0.95])
     modes = np.empty(len(push.qoi_names))
     kept = {}
     for j, name in enumerate(push.qoi_names):
-        pdf = kde(push.samples[:, j], bandwidth, iqr=float(q75[j] - q25[j]))
+        pdf = kde(push.samples[:, j], iqr=float(q75[j] - q25[j]))
         modes[j] = mode(pdf)
         if name in densities:
             kept[name] = pdf

@@ -70,7 +70,7 @@ def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     diff = x[:, None] - x[None, :]
     off = ~np.eye(m, dtype=bool)
     if np.any(np.abs(diff[off]) <= tol):
-        raise ValueError("coincident knots within 1e-14 relative tolerance")
+        raise np.linalg.LinAlgError("coincident knots within 1e-14 relative tolerance")
     # Scale by the capacity estimate span/4 to keep products of differences
     # away from overflow/underflow for long sequences.
     scale = span / 4.0

@@ -400,8 +400,8 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
     """Load a surrogate written by :func:`serialize`."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise SurrogateFormatError(f"corrupt surrogate file {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable (a directory, say), not UTF-8, not JSON
+        raise SurrogateFormatError(f"cannot read surrogate file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise SurrogateFormatError(f"{path} is not a surrogate container")
     if type(doc.get("version")) is not int or doc["version"] != _VERSION:
@@ -410,6 +410,8 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
     try:
         dim = _json_int(doc["dim"])
         qois = tuple(doc["qois"])
+        if not (isinstance(doc["qois"], list) and all(isinstance(q, str) for q in qois)):
+            raise TypeError(f"qois: expected a list of names, got {doc['qois']!r}")
         families = tuple(_family_from_json(d) for d in doc["families"])
         raw_entries = doc["entries"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -432,6 +434,8 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
                     raise SurrogateFormatError(f"{path}: missing grid values for {entry}")
             if "values" in rec:
                 size = math.prod(level_to_knots(b) for b in entry.beta)
+                if not isinstance(rec["values"], list):  # text iterates too
+                    raise TypeError(f"values of {entry}: expected a list")
                 flat = np.array([float.fromhex(h) for h in rec["values"]])
                 if flat.size != size * len(qois):
                     raise SurrogateFormatError(f"{path}: entry {entry} has {flat.size} values, "

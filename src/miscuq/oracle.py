@@ -125,7 +125,10 @@ class EvalCache:
             self._load()
 
     def _load(self) -> None:
-        data = self.path.read_bytes()
+        try:
+            data = self.path.read_bytes()
+        except OSError as exc:  # a directory, say
+            raise OracleError(f"cannot read evaluation cache {self.path}: {exc}") from exc
         end = data.rfind(b"\n") + 1
         if end < len(data):
             # Every record is written with its newline, so a last line without

@@ -98,14 +98,18 @@ def run_pipeline(cfg):
     return build, cal, fwd, rep
 
 
-def assert_config_exit(caplog, argv, needle=""):
-    """``main(argv)`` exits 2 with one ERROR record, holding ``needle``, and
-    logs no traceback."""
+def assert_exit(caplog, argv, code, needle=""):
+    """``main(argv)`` exits ``code`` with one ERROR record, holding ``needle``,
+    and logs no traceback."""
     caplog.clear()
-    assert main(argv) == EXIT_CONFIG
+    assert main(argv) == code
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and needle in errors[0], errors
     assert all(r.exc_info is None for r in caplog.records)
+
+
+def assert_config_exit(caplog, argv, needle=""):
+    assert_exit(caplog, argv, EXIT_CONFIG, needle)
 
 
 class TestConfigLoading:
@@ -164,7 +168,7 @@ class TestConfigLoading:
     @pytest.mark.parametrize("key, value", [
         ("seed", "abc"),
         ("forward.samples", "many"),
-        ("forward.bandwidth", "wide"),
+        ("forward.samples", 1),
         ("forward.qois", {"prefix": "e_", "count": "eight"}),
         ("calibration.n_starts", "six"),
         ("calibration.budget", {"max_work": "lots"}),
@@ -176,13 +180,13 @@ class TestConfigLoading:
         ("calibration.budget", 5),
         ("calibration.budget", {"max_work": -5.0}),
         ("calibration.budget", {"max_work": float("nan")}),
-        ("calibration.budget", {"max_candidates": 0}),
-        ("calibration.budget", {"profit_floor": -1e-3}),
+        ("calibration.budget", {"max_work": True}),
+        ("calibration.budget", {"max_work": float("inf")}),
         ("forward.budget", {"max_work": -5.0}),
-        ("forward.budget", {"max_candidates": 0}),
-        ("forward.budget", {"profit_floor": -1e-3}),
-        ("forward.bandwidth", 0.0),
-        ("forward.bandwidth", -1.0),
+        ("forward.budget", {"max_work": "lots"}),
+        ("forward.budget", {"max_work": float("nan")}),
+        ("forward.samples", float("nan")),
+        ("calibration.n_starts", float("inf")),
         ("seed", -1),
         ("oracle", "beam-analog"),
         ("forward.qois", []),
@@ -201,9 +205,9 @@ class TestConfigLoading:
         ("forward.samples", 400.5),
         ("oracle", {"builtin": "beam-analog", "lanes": 1.5}),
         ("forward.qois", {"prefix": "e_", "count": 8.5}),
-        ("calibration.budget", {"max_candidates": 2.5}),
+        ("calibration.budget", {"max_work": [60.0]}),
         ("seed", float("inf")),
-        ("forward.bandwidth", float("inf")),
+        ("forward.budget", 5),
         ("oracle", {"builtin": "no-such-model"}),
         ("forward.qois", {"prefix": "e_", "count": 121}),
         ("calibration.qois", ["u_1", "zz_9"]),
@@ -228,6 +232,22 @@ class TestConfigLoading:
             load_config(path)
         for stage in ("build", "calibrate", "forward", "report"):
             assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"])
+
+    @pytest.mark.parametrize("section, key, override", [
+        ("forward", "bandwidth", {"forward.bandwidth": 0.1}),
+        ("calibration.budget", "max_candidates",
+         {"calibration.budget": {"max_work": 60.0, "max_candidates": 3}}),
+        ("forward.budget", "profit_floor",
+         {"forward.budget": {"max_work": 10.0, "profit_floor": 1.0e-6}}),
+    ], ids=["forward.bandwidth", "calibration.budget.max_candidates",
+            "forward.budget.profit_floor"])
+    def test_fixed_setting_is_unknown_key(self, tmp_path, caplog, section, key, override):
+        # the KDE bandwidth, the candidate cap and the profit floor are fixed:
+        # a valid value of one is an unknown key in every stage
+        path = write_config(tmp_path, override)
+        for stage in ("build", "calibrate", "forward", "report"):
+            assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"],
+                               f"{section}: unknown keys ['{key}']")
 
     @pytest.mark.parametrize("qois", [[], {"prefix": "e_", "count": 0}])
     def test_empty_forward_qois_is_config_error(self, tmp_path, qois):
@@ -338,6 +358,22 @@ class TestCalibrateAndForward:
         pm, ps = float(post[0][2]), float(post[0][3])
         assert float(post[0][5]) == pytest.approx(pm - 3 * ps)
         assert float(post[0][6]) == pytest.approx(pm + 3 * ps)
+
+    def test_gaussian_prior_pipeline(self, tmp_path):
+        path = write_config(tmp_path, {
+            "parameters.1.distribution": "gaussian", "parameters.1.lo": None,
+            "parameters.1.hi": None, "parameters.1.mean": -2.5, "parameters.1.std": 0.8})
+        argv = ["--config", str(path), "--quiet"]
+        assert main(["build", *argv]) == EXIT_OK
+        make_observations(load_config(path))
+        for stage in ("calibrate", "forward", "report"):
+            assert main([stage, *argv]) == EXIT_OK
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "calibration_table.csv").read_text().splitlines()
+                if line.startswith("prior,log_powder_convection,")]
+        assert len(rows) == 1
+        mean, std, _, lo, hi = map(float, rows[0][2:])
+        assert (mean, std, lo, hi) == (-2.5, 0.8, -2.5 - 3 * 0.8, -2.5 + 3 * 0.8)
 
     def test_calibrate_without_surrogate_fails(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -619,6 +655,36 @@ class TestMainExitCodes:
         (out / name).write_text(text)
         assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"], name)
 
+    @pytest.mark.parametrize("stage, override", [
+        ("build", {"parameters.0.lo": 1290.0, "parameters.0.hi": 1290.0 + 1e-12}),
+        ("build", {"parameters.0.distribution": "gaussian", "parameters.0.lo": None,
+                   "parameters.0.hi": None, "parameters.0.mean": 1290.0,
+                   "parameters.0.std": 1e-12}),
+        ("forward", None),
+    ], ids=["uniform_width_1e-12", "gaussian_std_1e-12", "posterior_variance_1e-24"])
+    def test_coincident_knots_exit_with_numerical_code(self, tmp_path, caplog, stage, override):
+        # a prior or posterior this narrow places knots that round to one value
+        path = write_config(tmp_path, override)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "posterior.json").write_text(json.dumps(
+            {"mean": [1290.0, -2.5], "covariance": [1e-24, 0.0, 0.0, 1e-24], "sigma_meas": 1.0}))
+        assert_exit(caplog, [stage, "--config", str(path), "--quiet"], EXIT_NUMERICAL,
+                    "coincident knots")
+
+    def test_surrogate_path_is_a_directory(self, tmp_path, caplog):
+        path = write_config(tmp_path)
+        (tmp_path / "obs.csv").write_text("qoi,value\nu_1,1.0\n")
+        (tmp_path / "out" / "surrogate.json").mkdir(parents=True)
+        assert_exit(caplog, ["calibrate", "--config", str(path), "--quiet"], EXIT_NUMERICAL,
+                    "surrogate.json")
+
+    def test_cache_path_is_a_directory(self, tmp_path, caplog):
+        path = write_config(tmp_path)
+        (tmp_path / "out" / "cache.jsonl").mkdir(parents=True)
+        assert_exit(caplog, ["build", "--config", str(path), "--quiet"], EXIT_ORACLE,
+                    "cache.jsonl")
+
     def test_negative_budget_exits_with_config_code(self, tmp_path):
         path = write_config(tmp_path, {"calibration.budget": {"max_work": -5.0}})
         assert main(["build", "--config", str(path), "--quiet"]) == EXIT_CONFIG
@@ -833,6 +899,11 @@ def artifact_cases(out):
         if name == "posterior.json":
             edits += [(f"{key}0_nan", lambda doc, key=key: doc[key].__setitem__(0, math.nan))
                       for key in ("mean", "covariance")]
+        if name == "surrogate.json":  # text iterates like a list of the right length
+            edits += [("qois_chars", lambda doc: doc.update(qois="abcde")),
+                      ("qois_numbers", lambda doc: doc.update(qois=[1, 2, 3, 4, 5])),
+                      ("values_text", lambda doc: [rec.update(values="1" * len(rec["values"]))
+                                                   for rec in doc["entries"] if "values" in rec])]
         for tag, edit in edits:
             doc = json.loads(text)
             edit(doc)
