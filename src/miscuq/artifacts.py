@@ -12,20 +12,27 @@ import io
 import os
 from pathlib import Path
 
-__all__ = ["write_text", "write_csv"]
+__all__ = ["ArtifactError", "write_text", "write_csv"]
+
+
+class ArtifactError(OSError):
+    """An artifact could not be written; the message names its path."""
 
 
 def write_text(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` (UTF-8) in one step; the temporary
-    file is removed if anything fails."""
+    file is removed if anything fails, and an OSError becomes an
+    ArtifactError naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ArtifactError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -276,6 +277,10 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     unknown = [q for q in cfg.density_qois if q not in cfg.forward_qois]
     if unknown:
         raise ConfigError(f"forward.densities lists QoIs outside forward.qois: {unknown}")
+    # each name becomes a file name under the densities directory
+    pathlike = [q for q in cfg.density_qois if "/" in q or (os.altsep and os.altsep in q)]
+    if pathlike:
+        raise ConfigError(f"forward.densities names must be plain file names, got {pathlike}")
     cfg.config_hash = _config_hash(doc, cfg.observations)
     return cfg
 
@@ -588,7 +593,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, out=args.out)
         _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, artifacts.ArtifactError) as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
     except (OracleError, misc.BuildError) as exc:

@@ -35,7 +35,6 @@ evaluation cache to get hits on nested grids.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,15 +74,13 @@ class _GreedySequence:
         self.knots: list[float] = [0.0]
         # Running product of |candidate - knot| in insertion order.
         self._dist = np.abs(candidates - self.knots[0])
-        self._lock = threading.Lock()
 
     def prefix(self, count: int) -> np.ndarray:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        with self._lock:
-            while len(self.knots) < count:
-                self._append_next()
-            return np.asarray(self.knots[:count], dtype=float)
+        while len(self.knots) < count:
+            self._append_next()
+        return np.asarray(self.knots[:count], dtype=float)
 
     def _append_next(self) -> None:
         step = len(self.knots) + 1

@@ -15,7 +15,6 @@ call compiles the surrogate once, when its loop ends.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -115,15 +114,12 @@ class MiscSurrogate:
         return np.any((points < lo) | (points > hi), axis=1)
 
 
-@functools.lru_cache(maxsize=512)  # read-only results; a process sees few (family, size) pairs
 def _prolongation(family, n_e: int, n_b: int) -> np.ndarray:
     """(n_b, n_e) matrix taking values at a family's first n_e knots to their
     interpolant at its first n_b knots; nesting makes the first n_e rows the
     identity."""
-    matrix = _basis_matrix(*_axis_basis(np.asarray(family.knots(n_e), dtype=float)),
-                           np.asarray(family.knots(n_b), dtype=float))
-    matrix.flags.writeable = False
-    return matrix
+    return _basis_matrix(*_axis_basis(np.asarray(family.knots(n_e), dtype=float)),
+                         np.asarray(family.knots(n_b), dtype=float))
 
 
 def _eval_entry(oracle, entry: ExtIndex, families, qois) -> np.ndarray:

@@ -250,15 +250,11 @@ class BeamAnalogModel:
         pass
 
 
-_BUILTINS = {BeamAnalogModel.name: BeamAnalogModel}
-
-
 def builtin_model(name: str):
-    """Instantiate a registered builtin model by name."""
-    try:
-        return _BUILTINS[name]()
-    except KeyError:
-        raise OracleError(f"unknown builtin model {name!r}; known: {sorted(_BUILTINS)}") from None
+    """Instantiate a builtin model by name."""
+    if name != BeamAnalogModel.name:
+        raise OracleError(f"unknown builtin model {name!r}; known: {[BeamAnalogModel.name]}")
+    return BeamAnalogModel()
 
 
 class _Lane:
@@ -320,11 +316,14 @@ def _parse_reply(request: EvalRequest, reply: dict) -> EvalResult:
     raw = reply.get("values")
     if not isinstance(raw, list):
         raise OracleProtocolError(f"oracle response {reply!r} has neither values nor error")
+    if not all(type(x) in (int, float) for x in raw):  # a boolean is no JSON number
+        raise OracleProtocolError(
+            f"oracle returned non-numeric values {raw!r} on {request.to_wire()}")
     try:
         vals = tuple(float(x) for x in raw)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # an integer beyond the float range
         raise OracleProtocolError(
-            f"oracle returned non-numeric values {raw!r} on {request.to_wire()}") from exc
+            f"oracle returned out-of-range values {raw!r} on {request.to_wire()}") from exc
     if len(vals) != len(request.qois):
         raise OracleProtocolError(f"oracle returned {len(vals)} values for {len(request.qois)} "
                                   f"QoIs on {request.to_wire()}")

@@ -279,6 +279,24 @@ class TestBuild:
         stamped = json.loads((cfg.out_dir / "surrogate.json").read_text())
         assert stamped["config_hash"] == cfg.config_hash
 
+    def test_surrogate_points_by_fidelity_on_demo(self, tmp_path):
+        from miscuq.interp import build_grid
+        from miscuq.oracle import EvalCache, point_key
+
+        demo = Path(__file__).resolve().parents[1] / "docs" / "demo_config.yaml"
+        cfg = load_config(demo, out=tmp_path / "out")
+        cmd_build(cfg)
+        report = json.loads((cfg.out_dir / "build_report.json").read_text())
+        surrogate = misc.deserialize(cfg.out_dir / "surrogate.json")
+        keys: dict[int, set] = {}
+        for entry in surrogate.coefficients:  # the nonzero-weight entries
+            keys.setdefault(entry.alpha, set()).update(
+                map(point_key, build_grid(entry.beta, surrogate.families).points))
+        counts = {str(a): len(k) for a, k in sorted(keys.items())}
+        assert report["surrogate_points_by_fidelity"] == counts
+        cached = EvalCache(cfg.out_dir / "cache.jsonl").points_by_alpha()
+        assert all(n <= len(cached[int(a)]) for a, n in counts.items())
+
     def test_zero_budget_gives_minimal_set(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"calibration.budget": {"max_work": 0.0}}))
         cmd_build(cfg)
@@ -684,6 +702,31 @@ class TestMainExitCodes:
         (tmp_path / "out" / "cache.jsonl").mkdir(parents=True)
         assert_exit(caplog, ["build", "--config", str(path), "--quiet"], EXIT_ORACLE,
                     "cache.jsonl")
+
+    def test_artifact_path_is_a_directory(self, tmp_path, caplog):
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        run_pipeline(cfg)
+        for stage, name in [("report", "report.txt"), ("forward", "bands_prior.csv"),
+                            ("build", "surrogate.json")]:
+            taken = cfg.out_dir / name
+            taken.unlink()
+            taken.mkdir()
+            assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"], str(taken))
+            assert not [p for p in cfg.out_dir.rglob("*") if p.name.endswith(".tmp")], name
+            taken.rmdir()
+
+    @pytest.mark.parametrize("name", ["../../escape", "sub/x"])
+    def test_pathlike_density_name_exits_with_config_code(self, tmp_path, caplog, name):
+        # an external oracle declares no QoI names, so any name reaches the check
+        oracle = {"command": f"{sys.executable} -c 'pass'",
+                  "fidelities": [{"alpha": 1, "cost_weight": 1.0}]}
+        path = write_config(tmp_path, {"oracle": oracle, "forward.qois": [name],
+                                       "forward.densities": [name]})
+        before = sorted(tmp_path.rglob("*"))
+        for stage in ("build", "report"):
+            assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"], name)
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_negative_budget_exits_with_config_code(self, tmp_path):
         path = write_config(tmp_path, {"calibration.budget": {"max_work": -5.0}})

@@ -135,7 +135,7 @@ def external(command, lanes=1, fidelities=(FidelitySpec(1, 1.0), FidelitySpec(2,
 class TestBeamAnalogModel:
     def test_registry(self):
         assert builtin_model("beam-analog").name == "beam-analog"
-        with pytest.raises(OracleError):
+        with pytest.raises(OracleError, match=r"known: \['beam-analog'\]"):
             builtin_model("no-such-model")
 
     def test_center_displacement(self):
@@ -416,6 +416,16 @@ class TestExternalOracle:
     def test_non_numeric_value_is_protocol_error(self, tmp_path):
         cmd = write_script(tmp_path, "text.py", ECHO_SCRIPT.replace(
             '[req["params"][0]]', '["abc"]'))
+        with external(cmd) as backend:
+            oracle = CachedOracle(backend)
+            with pytest.raises(OracleProtocolError, match="non-numeric"):
+                oracle.eval_batch(1, [(1.0,)], ["q"])
+
+    @pytest.mark.parametrize("value", ["True", '"0.5"', "None"])
+    def test_non_number_value_is_protocol_error(self, tmp_path, value):
+        # each value must be a JSON number: no boolean, text or null
+        cmd = write_script(tmp_path, "typed.py", ECHO_SCRIPT.replace(
+            '[req["params"][0]]', f"[{value}]"))
         with external(cmd) as backend:
             oracle = CachedOracle(backend)
             with pytest.raises(OracleProtocolError, match="non-numeric"):
