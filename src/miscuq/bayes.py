@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ParamSpace
+from .params import ParamSpace, check_covariance
 
 __all__ = [
     "CalibrationError",
@@ -379,11 +379,7 @@ class GaussianPosterior:
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance shape {cov.shape} does not match mean size {mean.size}")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * max(1.0, abs(np.trace(cov)))):
-            raise ValueError("covariance must be symmetric")
-        eig = np.linalg.eigvalsh(cov)
-        if eig.min() < -1e-10 * max(abs(np.trace(cov)), 1e-300):
-            raise ValueError(f"covariance is not positive semi-definite (min eig {eig.min()})")
+        check_covariance(cov.tolist())
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 

@@ -5,6 +5,11 @@ Exit codes: 0 success, 2 configuration error, 3 oracle error, 4 numerical
 failure.  All output files carry the provenance hash of the effective
 configuration; anything time-dependent goes to the log on stderr only, so
 reruns with identical config and seeds are byte-identical.
+
+Each stage process loads only what it runs: this module and ``load_config``
+need the standard library, yaml and the numpy-free ``artifacts``, ``params``
+and ``oracle``; each ``cmd_*`` imports the numerical modules it calls, and
+``report`` imports none, so it never loads numpy.
 """
 
 from __future__ import annotations
@@ -19,16 +24,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from . import artifacts, bayes, forward, misc
-from .bayes import GaussianPosterior, ObservationSet
-from .interp import build_grid
-from .misc import AdaptStop
+from . import artifacts
 from .oracle import (BeamAnalogModel, CachedOracle, EvalCache, ExternalProcessModel, FidelitySpec,
                      OracleError, builtin_model)
-from .params import Gaussian, ParamSpace, ParamSpec, Uniform
+from .params import Gaussian, ParamSpace, ParamSpec, Uniform, check_covariance
 
 __all__ = ["main", "load_config", "cmd_build", "cmd_calibrate", "cmd_forward", "cmd_report",
            "ConfigError", "NumericalError", "PipelineConfig"]
@@ -48,6 +49,9 @@ REDUCTION_FILE = "reduction.json"
 REPORT_FILE = "report.txt"
 REPORT_SUMMARY_FILE = "report_summary.csv"
 CACHE_FILE = "cache.jsonl"
+# forward.samples when the config sets none; forward.DEFAULT_SAMPLES, which
+# load_config cannot import without loading numpy
+DEFAULT_SAMPLES = 10_000
 
 
 class ConfigError(Exception):
@@ -134,13 +138,15 @@ def _expand_qois(spec, where: str) -> tuple[str, ...]:
                       f"got {spec!r}")
 
 
-def _parse_stop(section: dict, where: str) -> AdaptStop:
-    """The ``budget`` of a section; a section without one stops at work 50."""
+def _max_work(section: dict, where: str) -> float | None:
+    """The ``budget.max_work`` of a section: 50 without a budget, None (no
+    work limit) for a budget without one."""
     if "budget" not in section:
-        return AdaptStop(max_work=50.0)
+        return 50.0
+    budget = _mapping(section["budget"], where, ("max_work",))
     # a zero max_work is allowed and builds the root entry only
-    return AdaptStop(**{k: _number(float, v, f"{where}.{k}", minimum=0.0)
-                        for k, v in _mapping(section["budget"], where, ("max_work",)).items()})
+    return (_number(float, budget["max_work"], f"{where}.max_work", minimum=0.0)
+            if "max_work" in budget else None)
 
 
 def _parse_space(docs) -> ParamSpace:
@@ -217,10 +223,10 @@ class PipelineConfig:
     calibration_qois: tuple[str, ...]
     observations: Path | None
     n_starts: int
-    build_stop: AdaptStop
+    build_work: float | None
     forward_qois: tuple[str, ...]
     forward_samples: int
-    forward_stop: AdaptStop
+    forward_work: float | None
     density_qois: tuple[str, ...]
     config_hash: str
 
@@ -259,15 +265,21 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
         observations=(base / _text(calib["observations"], "calibration.observations")
                       if "observations" in calib else None),
         n_starts=_number(int, calib.get("n_starts", 20), "calibration.n_starts", minimum=1),
-        build_stop=_parse_stop(calib, "calibration.budget"),
+        build_work=_max_work(calib, "calibration.budget"),
         forward_qois=_expand_qois(_require(fwd, "qois", "forward"), "forward.qois"),
-        forward_samples=_number(int, fwd.get("samples", forward.DEFAULT_SAMPLES),
-                                "forward.samples", minimum=2),
-        forward_stop=_parse_stop(fwd, "forward.budget"),
+        forward_samples=_number(int, fwd.get("samples", DEFAULT_SAMPLES), "forward.samples",
+                                minimum=2),
+        forward_work=_max_work(fwd, "forward.budget"),
         density_qois=tuple(_text(q, f"forward.densities[{i}]") for i, q in
                            enumerate(_typed(fwd.get("densities", []), list, "forward.densities"))),
         config_hash="",
     )
+    for where, qois in (("calibration.qois", cfg.calibration_qois),
+                        ("forward.qois", cfg.forward_qois),
+                        ("forward.densities", cfg.density_qois)):
+        repeated = sorted({q for q in qois if qois.count(q) > 1})
+        if repeated:
+            raise ConfigError(f"{where} repeats QoI names {repeated}")
     declared = getattr(cfg.backend, "qoi_names", None)  # an external backend declares none
     for where, qois in (("calibration.qois", cfg.calibration_qois),
                         ("forward.qois", cfg.forward_qois)):
@@ -285,28 +297,31 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     return cfg
 
 
-def _posterior_families(posterior: GaussianPosterior):
+def _posterior_families(posterior):
     stds = posterior.marginal_std()
-    if np.any(stds <= 0.0):
+    if (stds <= 0.0).any():
         raise NumericalError("posterior has a zero-variance direction; "
                              "cannot place Gaussian knots")
     return tuple(Gaussian(float(m), float(s))
                  for m, s in zip(posterior.mean, stds))
 
 
-def _stage_seed(base: int, stage: int) -> np.random.SeedSequence:
+def _stage_seed(base: int, stage: int):
+    import numpy as np
     return np.random.SeedSequence(entropy=base, spawn_key=(stage,))
 
 
-def _adaptive_surrogates(cfg, qois, stop, *family_sets):
+def _adaptive_surrogates(cfg, qois, max_work, *family_sets):
     """One cached-oracle session: the adapted state for each tuple of knot
     families, in order, and the backend points the session spent.  Each
     backend request asks for every QoI the pipeline reads, so a point that
     build evaluated is a cache hit in forward."""
+    from . import misc
     oracle = CachedOracle(cfg.backend, EvalCache(cfg.out_dir / CACHE_FILE),
                           cfg.calibration_qois + cfg.forward_qois)
     try:
-        states = [misc.adapt(misc.init_adapt(oracle, families, qois), oracle, stop)
+        states = [misc.adapt(misc.init_adapt(oracle, families, qois), oracle,
+                             misc.AdaptStop(max_work=max_work))
                   for families in family_sets]
         return states, dict(oracle.backend_points)
     finally:
@@ -359,11 +374,13 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def cmd_build(cfg: PipelineConfig) -> dict:
     """Adaptive build of the calibration surrogate over the prior space."""
+    from . import misc
+    from .interp import build_grid
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
-    [state], backend_points = _adaptive_surrogates(cfg, cfg.calibration_qois, cfg.build_stop,
+    [state], backend_points = _adaptive_surrogates(cfg, cfg.calibration_qois, cfg.build_work,
                                                    tuple(p.distribution for p in cfg.space.params))
     misc.serialize(state.surrogate, cfg.out_dir / SURROGATE_FILE, cfg.config_hash)
     points_sets: dict[int, set] = {}
@@ -398,7 +415,7 @@ def cmd_build(cfg: PipelineConfig) -> dict:
     return {"report": report, "backend_points": backend_points}
 
 
-def _posterior_to_json(posterior: GaussianPosterior, cfg) -> dict:
+def _posterior_to_json(posterior, cfg) -> dict:
     return {
         "config_hash": cfg.config_hash,
         "parameters": list(cfg.space.names),
@@ -415,20 +432,23 @@ def _posterior_to_json(posterior: GaussianPosterior, cfg) -> dict:
     }
 
 
-def _posterior_from_json(doc: dict, dim: int) -> GaussianPosterior:
-    """The posterior of a mapping whose keys hold ``_POSTERIOR_KINDS``, over
-    ``dim`` parameters."""
-    mean = np.asarray(doc["mean"], dtype=float)
-    if mean.size != dim:
-        raise ValueError(f"mean: expected one entry per parameter ({dim}), got {doc['mean']!r}")
-    cov = np.asarray(doc["covariance"], dtype=float).reshape(mean.size, mean.size)
-    return GaussianPosterior(mean, cov, float(doc["sigma_meas"]),
-                             sigma_floored=bool(doc.get("sigma_floored", False)),
-                             warnings=tuple(doc.get("warnings", ())))
+def _posterior_from_json(doc: dict, dim: int) -> tuple[list, list]:
+    """The mean and the covariance rows of a mapping whose keys hold
+    ``_POSTERIOR_KINDS``, over ``dim`` parameters; the covariance passes
+    ``check_covariance``.  Plain lists, so ``report`` loads no numpy."""
+    mean, flat = doc["mean"], doc["covariance"]
+    if len(mean) != dim:
+        raise ValueError(f"mean: expected one entry per parameter ({dim}), got {mean!r}")
+    if len(flat) != dim * dim:
+        raise ValueError(f"covariance: expected {dim * dim} entries, got {flat!r}")
+    rows = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
+    check_covariance(rows)
+    return mean, rows
 
 
 def cmd_calibrate(cfg: PipelineConfig) -> dict:
     """MAP + Laplace posterior from the built surrogate and observations."""
+    from . import bayes, misc
     if cfg.observations is None:
         raise ConfigError("calibration.observations is required for the calibrate step")
     if not cfg.observations.exists():
@@ -438,7 +458,7 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
         raise ConfigError(f"surrogate file {surrogate_path} not found; run 'build' first")
     surrogate = misc.deserialize(surrogate_path, expect_dim=cfg.space.dim)
     try:
-        obs = ObservationSet.from_csv(cfg.observations)
+        obs = bayes.ObservationSet.from_csv(cfg.observations)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"calibration.observations: {exc}") from exc
     missing = [n for n in obs.names if n not in surrogate.qoi_names]
@@ -463,7 +483,7 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
     artifacts.write_csv(cfg.out_dir / CALIBRATION_TABLE_FILE,
                         ["stage", "parameter", "mean", "std", "cov", "interval_lo", "interval_hi"],
                         rows, f"config {cfg.config_hash}")
-    log.info("calibrate: MAP %s, sigma %.3g", np.round(posterior.mean, 6), posterior.sigma_meas)
+    log.info("calibrate: MAP %s, sigma %.3g", posterior.mean.round(6), posterior.sigma_meas)
     return {"posterior": posterior}
 
 
@@ -474,16 +494,18 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     at the posterior marginals (the posterior usually overflows the prior
     box); the prior push uses knots on the original prior ranges.
     """
+    from . import forward, misc
+    from .bayes import GaussianPosterior
     posterior_path = cfg.out_dir / POSTERIOR_FILE
     if not posterior_path.exists():
         raise ConfigError(f"posterior file {posterior_path} not found; run 'calibrate' first")
-    posterior = _read_artifact(posterior_path, _POSTERIOR_KINDS,
-                               lambda doc: _posterior_from_json(doc, cfg.space.dim))
+    posterior = _read_artifact(posterior_path, _POSTERIOR_KINDS, lambda doc: GaussianPosterior(
+        *_posterior_from_json(doc, cfg.space.dim), float(doc["sigma_meas"])))
 
     # (tag, input distribution, seed stage) of each analysis
     analyses = (("prior", cfg.space, 2), ("posterior", posterior, 3))
     states, backend_points = _adaptive_surrogates(
-        cfg, cfg.forward_qois, cfg.forward_stop,
+        cfg, cfg.forward_qois, cfg.forward_work,
         tuple(p.distribution for p in cfg.space.params), _posterior_families(posterior))
     comment = f"config {cfg.config_hash}"
     bands, extrapolated = [], []
@@ -536,10 +558,11 @@ def cmd_report(cfg: PipelineConfig) -> dict:
     build_report = _read_artifact(out / BUILD_REPORT_FILE, {
         "work_spent": "a finite number", "evaluations_total": "an integer",
         "surrogate_points_by_fidelity": "a mapping of integers"})
-    names, posterior = _read_artifact(
+    names, sigma_meas, (mean, cov) = _read_artifact(
         out / POSTERIOR_FILE, {"parameters": "a list of names", **_POSTERIOR_KINDS},
-        lambda doc: (doc["parameters"], _posterior_from_json(doc, cfg.space.dim)))
-    if len(names) != posterior.mean.size:
+        lambda doc: (doc["parameters"], float(doc["sigma_meas"]),
+                     _posterior_from_json(doc, cfg.space.dim)))
+    if len(names) != len(mean):
         raise ConfigError(f"cannot read {out / POSTERIOR_FILE}: parameters: expected one name "
                           f"per mean entry, got {names!r}")
     reduction_doc = _read_artifact(out / REDUCTION_FILE, dict.fromkeys(
@@ -551,11 +574,11 @@ def cmd_report(cfg: PipelineConfig) -> dict:
             ("evaluations_total", build_report["evaluations_total"])]
     for a, n in sorted(build_report["surrogate_points_by_fidelity"].items()):
         rows.append((f"surrogate_points_alpha_{a}", n))
-    for name, m in zip(names, posterior.mean):
+    for name, m in zip(names, mean):
         rows.append((f"posterior_mean_{name}", float(m)))
-    for name, std in zip(names, posterior.marginal_std()):
-        rows.append((f"posterior_std_{name}", float(std)))
-    rows.append(("sigma_meas", posterior.sigma_meas))
+    for i, name in enumerate(names):
+        rows.append((f"posterior_std_{name}", math.sqrt(max(cov[i][i], 0.0))))
+    rows.append(("sigma_meas", sigma_meas))
     rows.append(("reduction_percent", reduction_doc["reduction_percent"]))
     rows.append(("prior_extrapolated_fraction", reduction_doc["prior_extrapolated_fraction"]))
     rows.append(("posterior_extrapolated_fraction",
@@ -593,16 +616,21 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, out=args.out)
         _COMMANDS[args.command](cfg)
-    except (ConfigError, artifacts.ArtifactError) as exc:
-        log.error("config error: %s", exc)
-        return EXIT_CONFIG
-    except (OracleError, misc.BuildError) as exc:
-        log.error("oracle error: %s", exc)
-        return EXIT_ORACLE
-    except (NumericalError, np.linalg.LinAlgError, misc.SurrogateFormatError,
-            bayes.CalibrationError) as exc:
-        log.error("numerical failure: %s", exc)
-        return EXIT_NUMERICAL
+    except Exception as exc:
+        # the modules of the exception classes: loaded already when one of
+        # them raised, and worth loading on an error path otherwise
+        import numpy as np
+        from . import bayes, misc
+        for code, what, kinds in (
+                (EXIT_CONFIG, "config error", (ConfigError, artifacts.ArtifactError)),
+                (EXIT_ORACLE, "oracle error", (OracleError, misc.BuildError)),
+                (EXIT_NUMERICAL, "numerical failure", (NumericalError, np.linalg.LinAlgError,
+                                                       misc.SurrogateFormatError,
+                                                       bayes.CalibrationError))):
+            if isinstance(exc, kinds):
+                log.error("%s: %s", what, exc)
+                return code
+        raise
     return EXIT_OK
 
 

@@ -24,6 +24,10 @@ original evaluation.  Only finite values are cached: a non-finite value
 fails its point.  A last line without its newline (an append cut short by a
 crash) is dropped on load; any other unreadable record, a record of another
 layout included, is an error.
+
+Importing this module, or building a backend, loads no numpy; the process
+modules (``subprocess``, ``select``, ``shlex``) load only where an external
+backend uses them, so a builtin-oracle stage never loads them.
 """
 
 from __future__ import annotations
@@ -31,14 +35,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-import select
-import shlex
-import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 __all__ = [
     "OracleError",
@@ -218,6 +217,7 @@ class BeamAnalogModel:
             tuple(f"e_{j}" for j in range(1, self.STRAINS + 1))
 
     def exact(self, v, qois) -> np.ndarray:
+        import numpy as np
         t, logh = float(v[0]), float(v[1])
         s = math.tanh((t - 1290.0) / 160.0)
         out = np.empty(len(qois))
@@ -261,6 +261,7 @@ class _Lane:
     """One subprocess speaking the line protocol, one request in flight."""
 
     def __init__(self, argv, cwd):
+        import subprocess
         self.proc = subprocess.Popen(
             argv, cwd=cwd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=None, bufsize=0)
@@ -286,6 +287,7 @@ class _Lane:
         if not self.has_line():
             chunk = self.proc.stdout.read(65536)
             if not chunk:
+                import subprocess
                 try:  # end of output comes before the child is reaped
                     code = self.proc.wait(timeout=1.0)
                 except subprocess.TimeoutExpired:
@@ -347,6 +349,7 @@ class ExternalProcessModel:
     def __init__(self, command: str, workdir: str | Path | None = None, *, dim: int,
                  fidelities, domain=None, lanes: int = 1,
                  timeout: float = 60.0):
+        import shlex
         if lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
         self._argv = shlex.split(command)
@@ -367,6 +370,7 @@ class ExternalProcessModel:
         self._lanes: list[_Lane] = []
 
     def dispatch(self, requests) -> dict[int, EvalResult]:
+        import select
         waiting = list(requests)[::-1]  # popped from the end, so in request order
         if not waiting:
             return {}
@@ -408,6 +412,7 @@ class ExternalProcessModel:
     def close(self) -> None:
         """End every lane's input, give all children one shared 2 s to exit,
         kill the rest and close their pipes."""
+        import subprocess
         for lane in self._lanes:
             lane.proc.stdin.close()  # end of input: a well-behaved child exits
         deadline = time.monotonic() + 2.0
@@ -466,6 +471,7 @@ class CachedOracle:
         return all(lo <= x <= hi for x, (lo, hi) in zip(v, domain))
 
     def eval_batch(self, alpha: int, points, qois) -> list[EvalResult]:
+        import numpy as np
         if alpha not in self._fidelities:
             raise OracleError(f"fidelity {alpha} is not registered "
                               f"(known: {sorted(self._fidelities)})")

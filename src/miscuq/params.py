@@ -1,6 +1,14 @@
 """Uncertain-parameter spaces: named, independent marginals, their nominal
 boxes and joint sampling.
 
+Each supported marginal is one class that samples, gives its nominal box
+and places its nested knots by its own weight (see ``leja``):
+``SymmetricLeja``, a uniform marginal on an interval, and
+``WeightedGaussianLeja``, a Gaussian marginal; the configuration calls them
+``Uniform`` and ``Gaussian``.  Building a marginal or a space loads neither
+numpy nor ``leja``: their methods import them on first use, so a process that
+only validates a configuration stays light.
+
 Parameters are always the variables the rest of the toolkit sees; any
 nonlinear reparametrisation (e.g. working with the log of a physically
 positive coefficient) is applied by the user before building a space.  A
@@ -10,14 +18,95 @@ which the toolkit does not read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
+__all__ = ["SymmetricLeja", "WeightedGaussianLeja", "Uniform", "Gaussian", "ParamSpec",
+           "ParamSpace", "check_covariance"]
 
-# The config's names for the marginals, defined in leja: leja importing params would be a cycle.
-from .leja import SymmetricLeja as Uniform, WeightedGaussianLeja as Gaussian
 
-__all__ = ["Uniform", "Gaussian", "ParamSpec", "ParamSpace"]
+@dataclass(frozen=True)
+class SymmetricLeja:
+    """Uniform marginal on [lo, hi]; its knots are the symmetric Leja points
+    mapped affinely from [-1, 1]."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"uniform bounds must be finite, got [{self.lo}, {self.hi}]")
+        if not self.lo < self.hi:
+            raise ValueError(f"uniform interval needs lo < hi, got [{self.lo}, {self.hi}]")
+
+    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        return gen.uniform(self.lo, self.hi, size=count)
+
+    def bounds(self) -> tuple[float, float]:
+        return (self.lo, self.hi)
+
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def std(self) -> float:
+        return (self.hi - self.lo) / math.sqrt(12.0)
+
+    def knots(self, count: int) -> np.ndarray:
+        from .leja import symmetric_reference
+        # The midpoint form is the bitwise identity on [-1, 1], which keeps the
+        # knots mirror symmetric; the clip keeps rounding inside [lo, hi].
+        radius = 0.5 * (self.hi - self.lo)
+        return (self.center + radius * symmetric_reference().prefix(count)).clip(self.lo, self.hi)
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        return (self.lo, self.hi)
+
+
+@dataclass(frozen=True)
+class WeightedGaussianLeja:
+    """Gaussian marginal N(mean, std^2); its knots are the weighted Gaussian
+    Leja points of that weight."""
+
+    mean: float
+    std: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+            raise ValueError(f"gaussian mean and std must be finite, got {self.mean}, {self.std}")
+        if not self.std > 0.0:
+            raise ValueError(f"gaussian std must be positive, got {self.std}")
+
+    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        return gen.normal(self.mean, self.std, size=count)
+
+    def bounds(self) -> tuple[float, float]:
+        """Nominal box used for box-style bookkeeping (penalty terms, step
+        sizes, probe points); three standard deviations on either side of
+        the mean."""
+        return (self.mean - 3.0 * self.std, self.mean + 3.0 * self.std)
+
+    @property
+    def center(self) -> float:
+        return self.mean
+
+    def knots(self, count: int) -> np.ndarray:
+        from .leja import gaussian_reference
+        return self.mean + self.std * gaussian_reference().prefix(count)
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        """Range covered by the candidate grid; evaluations beyond it are
+        treated as extrapolation."""
+        from .leja import GAUSSIAN_CUTOFF
+        r = GAUSSIAN_CUTOFF * self.std
+        return (self.mean - r, self.mean + r)
+
+
+# the config's names for the marginals
+Uniform, Gaussian = SymmetricLeja, WeightedGaussianLeja
 
 
 @dataclass(frozen=True)
@@ -58,6 +147,7 @@ class ParamSpace:
         (space, count, seed) triples reproduce bit-for-bit on any platform.
         ``seed`` may be an int or a ``numpy.random.SeedSequence``.
         """
+        import numpy as np
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         gen = np.random.Generator(np.random.Philox(seed))
@@ -66,6 +156,7 @@ class ParamSpace:
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension nominal (lo, hi) arrays."""
+        import numpy as np
         los, his = zip(*(p.distribution.bounds() for p in self.params))
         return np.asarray(los, dtype=float), np.asarray(his, dtype=float)
 
@@ -76,3 +167,33 @@ class ParamSpace:
     def __repr__(self) -> str:
         inner = ", ".join(f"{p.name}={p.distribution!r}" for p in self.params)
         return f"ParamSpace({inner})"
+
+
+def check_covariance(rows) -> None:
+    """Raise ValueError unless the square matrix ``rows`` (a sequence of
+    equal-length rows of numbers) is a covariance: symmetric to
+    1e-10 max(1, |trace|), with no eigenvalue below -1e-10 max(|trace|, 1e-300).
+
+    The eigenvalue rule is checked on the matrix plus that tolerance times
+    the identity: its LDL^T factorization over the lower triangle must have
+    positive pivots, which holds when no eigenvalue is below the tolerance
+    (one exactly at it gives a zero pivot and is refused).  Plain Python, so
+    a stage that only reads a posterior loads no numpy."""
+    n = len(rows)
+    trace = sum(rows[i][i] for i in range(n))
+    atol = 1e-10 * max(1.0, abs(trace))
+    if not all(abs(rows[i][j] - rows[j][i]) <= atol for i in range(n) for j in range(i + 1)):
+        raise ValueError("covariance must be symmetric")
+    shift = 1e-10 * max(abs(trace), 1e-300)
+    factor: list[list[float]] = []  # row i: L[i][:i], then the pivot D[i]
+    for i in range(n):
+        row = []
+        for j in range(i):
+            lj = factor[j]
+            row.append((rows[i][j] - sum(row[k] * lj[k] * factor[k][k] for k in range(j)))
+                       / lj[j])
+        pivot = rows[i][i] + shift - sum(row[k] * row[k] * factor[k][k] for k in range(i))
+        if not pivot > 0.0:
+            raise ValueError(f"covariance is not positive semi-definite "
+                             f"(LDL^T pivot {pivot} at row {i})")
+        factor.append(row + [pivot])

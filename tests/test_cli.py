@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from miscuq import misc
+from miscuq import forward, misc
 from miscuq.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -118,6 +118,8 @@ class TestConfigLoading:
         assert cfg.space.dim == 2
         assert cfg.forward_qois == tuple(f"e_{j}" for j in range(1, 9))
         assert len(cfg.config_hash) == 16
+        unset = load_config(write_config(tmp_path, {"forward.samples": None}, name="unset.yaml"))
+        assert unset.forward_samples == forward.DEFAULT_SAMPLES
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -248,6 +250,19 @@ class TestConfigLoading:
         for stage in ("build", "calibrate", "forward", "report"):
             assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"],
                                f"{section}: unknown keys ['{key}']")
+
+    @pytest.mark.parametrize("key, value, repeated", [
+        ("calibration.qois", ["u_1", "u_1", "u_2", "u_3", "e_40", "e_80"], ["u_1"]),
+        ("forward.qois", ["e_1", "e_1", "e_1", "e_60"], ["e_1"]),
+        ("forward.densities", ["e_2", "e_1", "e_2"], ["e_2"]),
+    ], ids=["calibration.qois", "forward.qois", "forward.densities"])
+    def test_repeated_qoi_name_is_config_error(self, tmp_path, caplog, key, value, repeated):
+        # a repeated name would be counted twice in the build report and the
+        # reduction mean, and written twice to each bands file
+        path = write_config(tmp_path, {key: value})
+        for stage in ("build", "calibrate", "forward", "report"):
+            assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"],
+                               f"{key} repeats QoI names {repeated}")
 
     @pytest.mark.parametrize("qois", [[], {"prefix": "e_", "count": 0}])
     def test_empty_forward_qois_is_config_error(self, tmp_path, qois):
@@ -429,8 +444,6 @@ class TestCalibrateAndForward:
             cmd_report(cfg)
 
     def test_forward_estimates_each_band_column_once(self, tmp_path, monkeypatch):
-        from miscuq import forward
-
         cfg = load_config(write_config(tmp_path, {"forward.densities": ["e_1", "e_5"]}))
         cmd_build(cfg)
         make_observations(cfg)
@@ -673,6 +686,21 @@ class TestMainExitCodes:
         (out / name).write_text(text)
         assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"], name)
 
+    @pytest.mark.parametrize("covariance, needle", [
+        ([1.0, 0.5, 0.0, 1.0], "covariance must be symmetric"),
+        ([1.0, 2.0, 2.0, 1.0], "covariance is not positive semi-definite"),
+    ], ids=["asymmetric", "indefinite"])
+    def test_report_rejects_invalid_covariance(self, tmp_path, caplog, covariance, needle):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        for artifact, doc in REPORT_INPUTS.items():
+            (out / artifact).write_text(json.dumps(doc))
+        (out / "posterior.json").write_text(json.dumps(
+            {**REPORT_INPUTS["posterior.json"], "covariance": covariance}))
+        assert_config_exit(caplog, ["report", "--config", str(path), "--quiet"], needle)
+        assert not (out / "report.txt").exists()
+
     @pytest.mark.parametrize("stage, override", [
         ("build", {"parameters.0.lo": 1290.0, "parameters.0.hi": 1290.0 + 1e-12}),
         ("build", {"parameters.0.distribution": "gaussian", "parameters.0.lo": None,
@@ -771,12 +799,34 @@ class TestMainExitCodes:
         assert proc.returncode == EXIT_OK, proc.stderr
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # every stage process pays the CLI's imports; scipy loads only where used
+# the modules that only a stage which computes loads: each pulls in numpy
+NUMERICAL_MODULES = {"numpy", "miscuq.leja", "miscuq.interp", "miscuq.misc", "miscuq.bayes",
+                     "miscuq.forward"}
+# the modules only an external oracle needs
+PROCESS_MODULES = {"subprocess", "select"}
+
+
+def loaded_modules(code, *args):
+    """The names in ``sys.modules`` after a fresh interpreter runs ``code``
+    with ``args``, and the finished process, whose exit code is the ``rc``
+    that ``code`` sets."""
     import subprocess
-    code = "import sys, miscuq.cli; sys.exit('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr or "scipy was imported"
+    code += "\nimport json\nprint(json.dumps(sorted(sys.modules)))\nsys.exit(rc)"
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True)
+    assert proc.stdout.strip(), proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1])), proc
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # every stage process pays the CLI's imports and the config check; they
+    # load no scipy, no numpy and no numerical module
+    loaded, proc = loaded_modules(
+        "import sys, miscuq.cli as c\nc.load_config(sys.argv[1])\nrc = 0", write_config(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy" not in loaded, "scipy was imported"
+    assert not loaded & NUMERICAL_MODULES, sorted(loaded & NUMERICAL_MODULES)
+    assert not loaded & PROCESS_MODULES, sorted(loaded & PROCESS_MODULES)
 
 
 def test_bare_package_import_loads_no_numpy():
@@ -790,18 +840,20 @@ def test_bare_package_import_loads_no_numpy():
 
 
 def test_stage_processes_leave_scipy_unloaded(tmp_path):
-    # no stage loads scipy; the test suite alone uses it, as a reference
-    import subprocess
+    # no stage loads scipy; the test suite alone uses it, as a reference.
+    # With the builtin oracle no stage loads the process modules, and
+    # report, which only reads and writes files, loads no numerical module.
     path = write_config(tmp_path)
-    code = ("import sys\nfrom miscuq.cli import main\nrc = main(sys.argv[1:])\n"
-            "print('scipy' in sys.modules)\nsys.exit(rc)")
+    code = "import sys\nfrom miscuq.cli import main\nrc = main(sys.argv[1:])"
     for stage in ("build", "calibrate", "forward", "report"):
         if stage == "calibrate":
             make_observations(load_config(path))
-        proc = subprocess.run([sys.executable, "-c", code, stage, "--config", str(path),
-                               "--quiet"], capture_output=True, text=True)
+        loaded, proc = loaded_modules(code, stage, "--config", path, "--quiet")
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert proc.stdout.strip() == "False", f"{stage} imported scipy"
+        assert "scipy" not in loaded, f"{stage} imported scipy"
+        assert not loaded & PROCESS_MODULES, (stage, sorted(loaded & PROCESS_MODULES))
+        if stage == "report":
+            assert not loaded & NUMERICAL_MODULES, sorted(loaded & NUMERICAL_MODULES)
 
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "demo_config.yaml"

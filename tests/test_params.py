@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from miscuq.params import Gaussian, ParamSpace, ParamSpec, Uniform
+from miscuq.params import Gaussian, ParamSpace, ParamSpec, Uniform, check_covariance
 
 
 def make_space(*dists):
@@ -74,3 +74,43 @@ class TestSampling:
         space = make_space(Uniform(-5.0, 0.0))
         draws = space.sample(1000, seed=5)
         assert draws.min() >= -5.0 and draws.max() <= 0.0
+
+
+def eigenvalue_rule(cov):
+    """The covariance rule with numpy's symmetric eigensolver, as the
+    reference: None, "symmetric" or "semi-definite"."""
+    trace = abs(np.trace(cov))
+    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * max(1.0, trace)):
+        return "symmetric"
+    if np.linalg.eigvalsh(cov).min() < -1e-10 * max(trace, 1e-300):
+        return "semi-definite"
+    return None
+
+
+def covariance_rule(cov):
+    try:
+        check_covariance(cov.tolist())
+    except ValueError as exc:
+        return "symmetric" if "symmetric" in str(exc) else "semi-definite"
+    return None
+
+
+def test_covariance_check_matches_eigenvalue_rule():
+    # random symmetric, indefinite, low-rank and widely scaled matrices, and
+    # low-rank ones shifted down by clearly less or clearly more than the
+    # tolerance of 1e-10 |trace|; each gets the same verdict from both rules
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for trial in range(3000):
+        n = int(rng.integers(1, 7))
+        a = rng.normal(size=(n, n))
+        low = rng.normal(size=(n, max(1, n - 2)))
+        low = low @ low.T
+        shift = rng.choice([rng.uniform(0.0, 0.5e-10), rng.uniform(1.5e-10, 3e-10)])
+        cov = [a @ a.T, (a + a.T) / 2, a, low - shift * np.trace(low) * np.eye(n),
+               a @ a.T * 10.0 ** rng.integers(-30, 30)][trial % 5]
+        verdicts.append(covariance_rule(cov))
+        assert verdicts[-1] == eigenvalue_rule(cov), cov
+    assert {None, "symmetric", "semi-definite"} <= set(verdicts)
+    for cov in (np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([np.nan, 1.0])):
+        assert covariance_rule(cov) == eigenvalue_rule(cov)
