@@ -6,7 +6,8 @@ an in-repo port with SciPy's coefficients that advances all starts
 together; its covariance is ``sigma^2 (J^T J)^{-1}`` with J the
 finite-difference Jacobian of the surrogate predictions at the minimizer
 (the Gauss-Newton inverse Hessian of the negative log-posterior under a
-flat prior).
+flat prior).  Observations that leave a parameter direction unconstrained
+make J^T J singular; that is a CalibrationError, not a posterior.
 
 Functions taking a ``surrogate`` only need ``qoi_names`` and
 ``evaluate_many(points) -> (S, n_qois) array``; any object with that
@@ -251,8 +252,8 @@ class MapResult(NamedTuple):
     surrogate_evals: int
 
 
-def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int = 20,
-             seed=0) -> MapResult:
+def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int,
+             seed) -> MapResult:
     """Multistart Nelder-Mead minimization of the observation misfit.
 
     Starts are prior samples, all advanced together: every round evaluates
@@ -328,7 +329,6 @@ def estimate_sigma(surrogate, obs: ObservationSet, v_map) -> SigmaEstimate:
 class LaplaceResult(NamedTuple):
     covariance: np.ndarray
     jacobian: np.ndarray
-    warnings: tuple[str, ...]
 
 
 def laplace_covariance(surrogate, obs: ObservationSet, v_map, sigma: float,
@@ -336,8 +336,8 @@ def laplace_covariance(surrogate, obs: ObservationSet, v_map, sigma: float,
     """Gaussian posterior covariance sigma^2 (J^T J)^{-1} at the minimizer.
 
     J is the Jacobian of the surrogate predictions, by central differences
-    with per-dimension step 1e-4 times the box width.  A rank-deficient
-    J^T J falls back to the pseudo-inverse, reporting the flat directions.
+    with per-dimension step 1e-4 times the box width.  A CalibrationError
+    names each direction whose singular value of J^T J is <= 1e-12 s_max.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -350,17 +350,13 @@ def laplace_covariance(surrogate, obs: ObservationSet, v_map, sigma: float,
     J = ((p[:n] - p[n:]) / (2.0 * h)[:, None]).T
     M = J.T @ J
     u, s, vt = np.linalg.svd(M)
-    warnings = []
     rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
     if rank < n:
-        flat = [f"direction {np.round(vt[i], 6).tolist()} is unconstrained by the data"
-                for i in range(rank, n)]
-        warnings.append("J^T J is singular; using the pseudo-inverse. " + " ".join(flat))
-    inv_s = np.zeros_like(s)
-    np.divide(1.0, s, out=inv_s, where=np.arange(n) < rank)
-    cov = sigma**2 * (vt.T @ np.diag(inv_s) @ u.T)
+        raise CalibrationError("the observations leave parameter direction(s) " + ", ".join(
+            str(np.round(v, 6).tolist()) for v in vt[rank:]) + " unconstrained")
+    cov = sigma**2 * (vt.T @ np.diag(1.0 / s) @ u.T)
     cov = 0.5 * (cov + cov.T)
-    return LaplaceResult(cov, J, tuple(warnings))
+    return LaplaceResult(cov, J)
 
 
 @dataclass(frozen=True)
@@ -372,7 +368,6 @@ class GaussianPosterior:
     sigma_meas: float
     multistart: tuple[MultistartRecord, ...] = ()
     sigma_floored: bool = False
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
@@ -395,11 +390,11 @@ class GaussianPosterior:
                                        method="svd")
 
 
-def calibrate(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int = 20,
-              seed=0) -> GaussianPosterior:
+def calibrate(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int,
+              seed) -> GaussianPosterior:
     """Full inverse step: MAP search, noise estimate, Laplace covariance."""
     map_result = find_map(surrogate, obs, space, n_starts, seed)
     sig = estimate_sigma(surrogate, obs, map_result.point)
     lap = laplace_covariance(surrogate, obs, map_result.point, sig.sigma, space)
     return GaussianPosterior(map_result.point, lap.covariance, sig.sigma,
-                             map_result.report, sig.floored, lap.warnings)
+                             map_result.report, sig.floored)

@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,9 +50,7 @@ REDUCTION_FILE = "reduction.json"
 REPORT_FILE = "report.txt"
 REPORT_SUMMARY_FILE = "report_summary.csv"
 CACHE_FILE = "cache.jsonl"
-# forward.samples when the config sets none; forward.DEFAULT_SAMPLES, which
-# load_config cannot import without loading numpy
-DEFAULT_SAMPLES = 10_000
+DEFAULT_SAMPLES = 10_000  # forward.samples when the config sets none
 
 
 class ConfigError(Exception):
@@ -60,6 +59,25 @@ class ConfigError(Exception):
 
 class NumericalError(Exception):
     """A numerical step produced an unusable result."""
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, refusing a key repeated in one mapping (PyYAML keeps
+    the last); an unhashable key is left to PyYAML's own error."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":  # a << merge may override
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if isinstance(key, Hashable):
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 def _config_hash(doc: dict, observations: Path | None) -> str:
@@ -242,7 +260,7 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = yaml.load(path.read_text(encoding="utf-8"), Loader=_UniqueKeyLoader)
     except (OSError, ValueError, yaml.YAMLError) as exc:  # unreadable, not UTF-8, not YAML
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     _mapping(doc, f"{path} top level", ("seed", "output_dir", "oracle", "parameters",
@@ -364,7 +382,7 @@ def _read_artifact(path: Path, kinds: dict, parse=None):
             if not _KINDS[kind](doc[key]):
                 raise ValueError(f"{key}: expected {kind}, got {doc[key]!r}")
         return doc if parse is None else parse(doc)
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
@@ -423,7 +441,6 @@ def _posterior_to_json(posterior, cfg) -> dict:
         "covariance": [float(x) for x in posterior.covariance.reshape(-1)],
         "sigma_meas": float(posterior.sigma_meas),
         "sigma_floored": posterior.sigma_floored,
-        "warnings": list(posterior.warnings),
         "multistart": [
             {"start": list(r.start), "point": list(r.point), "misfit": r.misfit,
              "objective": r.objective, "iterations": r.iterations}
@@ -467,8 +484,6 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
 
     posterior = bayes.calibrate(surrogate, obs, cfg.space, cfg.n_starts,
                                 _stage_seed(cfg.seed, 1))
-    for w in posterior.warnings:
-        log.warning("calibrate: %s", w)
     _write_json(cfg.out_dir / POSTERIOR_FILE, _posterior_to_json(posterior, cfg))
 
     # (stage, parameter, mean, std, interval_lo, interval_hi) of each marginal

@@ -29,7 +29,6 @@ __all__ = [
     "write_density_csv",
 ]
 
-DEFAULT_SAMPLES = 10_000
 GRID_SIZE = 512
 
 
@@ -46,7 +45,7 @@ class PushResult:
         return self.samples.shape[0]
 
 
-def push_samples(surrogate, distribution, count: int = DEFAULT_SAMPLES, seed=0) -> PushResult:
+def push_samples(surrogate, distribution, count: int, seed) -> PushResult:
     """Draw ``count`` points from ``distribution`` (anything with a
     ``sample(count, seed)`` method: a ParamSpace or a GaussianPosterior) and
     evaluate the surrogate at each.

@@ -354,7 +354,7 @@ def _family_from_json(d):
             return SymmetricLeja(float.fromhex(d["lo"]), float.fromhex(d["hi"]))
         if kind == "gaussian-leja":
             return WeightedGaussianLeja(float.fromhex(d["mean"]), float.fromhex(d["std"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise SurrogateFormatError(f"bad knot family record {d!r}: {exc}") from exc
     raise SurrogateFormatError(f"unknown knot family kind {kind!r}")
 
@@ -440,7 +440,7 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
         index_set = MultiIndexSet(entries, dim=dim)
         if not entries:
             raise SurrogateFormatError(f"{path}: the index set is empty")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SurrogateFormatError):
             raise
         raise SurrogateFormatError(f"corrupt surrogate payload in {path}: {exc}") from exc

@@ -151,7 +151,7 @@ class EvalCache:
                         isinstance(x, str) and float.fromhex(x).hex() == x for x in point)):
                     raise ValueError(f"point {point!r} is not a list of hex floats")
                 self._store.setdefault((alpha, tuple(point)), {}).update(values)
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
                 raise OracleError(f"corrupt cache record at {self.path}:{lineno} (expected "
                                   f'{{"alpha", "point", "values": {{qoi: hex}}}}): {exc}') from exc
 

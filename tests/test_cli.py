@@ -119,7 +119,7 @@ class TestConfigLoading:
         assert cfg.forward_qois == tuple(f"e_{j}" for j in range(1, 9))
         assert len(cfg.config_hash) == 16
         unset = load_config(write_config(tmp_path, {"forward.samples": None}, name="unset.yaml"))
-        assert unset.forward_samples == forward.DEFAULT_SAMPLES
+        assert unset.forward_samples == 10_000
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -536,6 +536,19 @@ class TestMainExitCodes:
         path.write_bytes(data)
         assert_config_exit(caplog, ["build", "--config", str(path), "--quiet"], "cannot parse")
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("seed: 77\n", "seed: 77\nseed: 78\n", "seed"),
+        ("  samples: 400\n", "  samples: 400\n  samples: 7\n", "samples"),
+    ], ids=["top_level", "nested"])
+    def test_repeated_key_exits_with_config_code(self, tmp_path, caplog, old, new, key):
+        path = write_config(tmp_path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        for stage in ("build", "report"):
+            assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"],
+                               f"found duplicate key {key!r}")
+
     def test_config_path_is_a_directory(self, tmp_path, caplog):
         assert_config_exit(caplog, ["build", "--config", str(tmp_path), "--quiet"],
                            "cannot parse")
@@ -559,6 +572,22 @@ class TestMainExitCodes:
         make_observations(cfg)
         cmd_calibrate(cfg)
         assert main(["forward", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
+
+    def test_displacement_only_calibration_exits_with_numerical_code(self, tmp_path, caplog):
+        # the builtin displacements are mutually proportional, so alone they
+        # leave one parameter direction unconstrained
+        doc = yaml.safe_load(DEMO_CONFIG.read_text())
+        doc["calibration"]["qois"] = ["u_1", "u_2", "u_3"]
+        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(doc))
+        lines = (DEMO_CONFIG.parent / doc["calibration"]["observations"]).read_text().splitlines()
+        (tmp_path / doc["calibration"]["observations"]).write_text(
+            "".join(f"{line}\n" for line in lines if not line.startswith("e_")))
+        argv = ["--config", str(tmp_path / "cfg.yaml"), "--out", str(tmp_path / "out"), "--quiet"]
+        assert main(["build", *argv]) == EXIT_OK
+        assert_exit(caplog, ["calibrate", *argv], EXIT_NUMERICAL,
+                    "the observations leave parameter direction(s) [0.999961, -0.00888] "
+                    "unconstrained")
+        assert not (tmp_path / "out" / "posterior.json").exists()
 
     def test_zero_variance_posterior_fails_before_any_simulator_call(self, tmp_path, caplog):
         path = write_config(tmp_path)
@@ -671,10 +700,16 @@ class TestMainExitCodes:
                                                  "sigma_meas": 1.0})),
         ("report", "build_report.json", json.dumps({"work_spent": 1.0, "evaluations_total": 5,
                                                     "surrogate_points_by_fidelity": []})),
+        # integers beyond the float range
+        ("report", "build_report.json", json.dumps({**REPORT_INPUTS["build_report.json"],
+                                                    "work_spent": 10**400})),
+        ("forward", "posterior.json", json.dumps({**REPORT_INPUTS["posterior.json"],
+                                                  "sigma_meas": 10**400})),
     ], ids=["build_report_not_json", "reduction_lacks_key", "forward_posterior_list",
             "report_posterior_list", "reduction_list_of_keys", "posterior_mean_not_numbers",
             "posterior_covariance_too_short", "posterior_mean_nested", "parameters_not_a_list",
-            "points_by_fidelity_not_a_mapping"])
+            "points_by_fidelity_not_a_mapping", "work_spent_out_of_range",
+            "sigma_meas_out_of_range"])
     def test_malformed_stage_artifact_exits_with_config_code(self, tmp_path, caplog,
                                                              stage, name, text):
         path = write_config(tmp_path)

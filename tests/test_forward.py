@@ -75,10 +75,6 @@ class TestPushSamples:
         push = push_samples(FakeSurrogate([[1.0]]), normal_space(), count=100_000, seed=2)
         assert abs(push.samples.std(ddof=1) - 1.0) < 0.02
 
-    def test_default_sample_count(self):
-        push = push_samples(FakeSurrogate([[1.0]]), normal_space(), seed=3)
-        assert push.count == 10_000
-
     def test_extrapolated_fraction_counted(self):
         surrogate = FakeSurrogate([[1.0]], domain=((-1.0, 1.0),))
         push = push_samples(surrogate, normal_space(), count=100_000, seed=4)

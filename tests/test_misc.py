@@ -711,11 +711,15 @@ class TestSerialization:
         *[(lambda d, mean=mean: d["families"].__setitem__(
             0, {"kind": "gaussian-leja", "mean": mean, "std": (40.0).hex()}),
            "bad knot family record") for mean in ("inf", "nan")],
+        (lambda d: next(r for r in d["entries"] if "values" in r)["values"].__setitem__(
+            0, "0x1p+2000"), "corrupt surrogate payload"),
+        (lambda d: d["families"][0].update(lo="0x1p+2000"), "bad knot family record"),
     ], ids=["extra_qoi", "missing_qoi", "missing_values", "not_downward_closed",
             "wrong_level_count", "no_entries", "dim_infinite", "version_bool",
             "alpha_infinite", "alpha_bool", "alpha_float", "alpha_text", "coeff_infinite",
             "beta_infinite", "beta_bool", "beta_float", "beta_text", "symmetric_lo_infinite",
-            "symmetric_hi_infinite", "gaussian_mean_infinite", "gaussian_mean_nan"])
+            "symmetric_hi_infinite", "gaussian_mean_infinite", "gaussian_mean_nan",
+            "value_out_of_range", "symmetric_lo_out_of_range"])
     def test_inconsistent_payload_rejected(self, tmp_path, edit, match):
         path = tmp_path / "s.json"
         serialize(self.build_sample(), path)

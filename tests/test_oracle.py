@@ -216,9 +216,11 @@ class TestEvalCache:
           for alpha in (1.5, True, "1", -1)],
         *[{"alpha": 1, "point": point, "values": {"u_1": "0x1.0p+0"}}
           for point in ("x", {}, [1.0, 2.0], ["zz", "zz"])],
+        {"alpha": 1, "point": ["0x0.0p+0"], "values": {"u_1": "0x1p+2000"}},
+        {"alpha": 1, "point": ["0x1p+2000"], "values": {"u_1": "0x1.0p+0"}},
     ], ids=["per_qoi_layout", "values_not_a_mapping", "alpha_float", "alpha_bool",
             "alpha_text", "alpha_negative", "point_text", "point_mapping", "point_numbers",
-            "point_not_hex"])
+            "point_not_hex", "value_out_of_range", "point_out_of_range"])
     def test_record_of_another_layout_rejected(self, tmp_path, rec):
         path = tmp_path / "cache.jsonl"
         EvalCache(path).put_many([(1, point_key((1.0,)), {"u_1": 1.0})])
