@@ -523,15 +523,17 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
         cfg, cfg.forward_qois, cfg.forward_work,
         tuple(p.distribution for p in cfg.space.params), _posterior_families(posterior))
     comment = f"config {cfg.config_hash}"
-    bands, extrapolated = [], []
+    bands = []
     for (tag, dist, stage), state in zip(analyses, states):
         misc.serialize(state.surrogate, cfg.out_dir / f"surrogate_forward_{tag}.json",
                        cfg.config_hash)
-        push = forward.push_samples(state.surrogate, dist, cfg.forward_samples,
-                                    _stage_seed(cfg.seed, stage))
-        extrapolated.append(push.extrapolated_fraction)
-        bands.append(forward.summarize_bands(push, cfg.density_qois))
+        # no name holds the push: it is freed once summarized, before the next one
+        bands.append(forward.summarize_bands(
+            forward.push_samples(state.surrogate, dist, cfg.forward_samples,
+                                 _stage_seed(cfg.seed, stage)),
+            cfg.density_qois))
         forward.write_bands_csv(bands[-1], cfg.out_dir / f"bands_{tag}.csv", comment)
+    extrapolated = [float(b.extrapolated_fraction[0]) for b in bands]
 
     try:
         reduction = forward.uncertainty_reduction(*bands)

@@ -2,6 +2,11 @@
 surrogate, estimate per-QoI densities by Gaussian-kernel KDE (linear
 binning plus one FFT convolution), and summarize them as modes with
 5%-95% quantile bands.
+
+The summary walks the QoIs one column at a time: each column is copied
+out of the push once, and its quantiles, KDE and mode come from that copy.
+Beside the (S, J) push it holds one column's work arrays and the columns
+of the densities it keeps.
 """
 
 from __future__ import annotations
@@ -173,15 +178,18 @@ class BandSummary:
 
 
 def summarize_bands(push: PushResult, densities: tuple[str, ...] = ()) -> BandSummary:
-    """KDE mode and empirical 5%/95% quantiles for every QoI column; one
-    :func:`quantiles` call also gives every column's IQR for the Silverman
+    """KDE mode and empirical 5%/95% quantiles for every QoI column.
+
+    Each column is copied out of the push into a contiguous array, and one
+    :func:`quantiles` call on it also gives its IQR for the Silverman
     bandwidth.  The estimates of the QoIs named in ``densities`` are kept in
-    the summary."""
-    q05, q25, q75, q95 = quantiles(push.samples, [0.05, 0.25, 0.75, 0.95])
-    modes = np.empty(len(push.qoi_names))
+    the summary; each owns its column, so none keeps the push alive."""
+    modes, q05, q95 = (np.empty(len(push.qoi_names)) for _ in range(3))
     kept = {}
     for j, name in enumerate(push.qoi_names):
-        pdf = kde(push.samples[:, j], iqr=float(q75[j] - q25[j]))
+        column = push.samples[:, j].copy()
+        q05[j], q25, q75, q95[j] = quantiles(column, [0.05, 0.25, 0.75, 0.95])
+        pdf = kde(column, iqr=float(q75 - q25))
         modes[j] = mode(pdf)
         if name in densities:
             kept[name] = pdf

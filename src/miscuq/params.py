@@ -172,7 +172,8 @@ class ParamSpace:
 def check_covariance(rows) -> None:
     """Raise ValueError unless the square matrix ``rows`` (a sequence of
     equal-length rows of numbers) is a covariance: symmetric to
-    1e-10 max(1, |trace|), with no eigenvalue below -1e-10 max(|trace|, 1e-300).
+    1e-10 max(1, |trace|), with a finite trace, and with no eigenvalue below
+    -1e-10 max(|trace|, 1e-300).
 
     The eigenvalue rule is checked on the matrix plus that tolerance times
     the identity: its LDL^T factorization over the lower triangle must have
@@ -184,6 +185,8 @@ def check_covariance(rows) -> None:
     atol = 1e-10 * max(1.0, abs(trace))
     if not all(abs(rows[i][j] - rows[j][i]) <= atol for i in range(n) for j in range(i + 1)):
         raise ValueError("covariance must be symmetric")
+    if not math.isfinite(trace):  # finite entries here: a nan or inf one fails symmetry
+        raise ValueError(f"covariance trace overflows the float range ({trace})")
     shift = 1e-10 * max(abs(trace), 1e-300)
     factor: list[list[float]] = []  # row i: L[i][:i], then the pivot D[i]
     for i in range(n):

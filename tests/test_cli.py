@@ -2,10 +2,12 @@
 exit-code contract."""
 
 import fnmatch
+import gc
 import json
 import math
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +458,24 @@ class TestCalibrateAndForward:
         for name in ("e_1_prior", "e_1_posterior", "e_5_prior", "e_5_posterior"):
             assert (cfg.out_dir / "densities" / f"{name}.csv").exists()
 
+    def test_forward_frees_each_push_before_the_next(self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path))
+        cmd_build(cfg)
+        make_observations(cfg)
+        cmd_calibrate(cfg)
+        pushes = []
+        original = forward.push_samples
+
+        def tracked(*args):
+            gc.collect()
+            assert all(ref() is None for ref in pushes), "an earlier push is still alive"
+            pushes.append(weakref.ref(result := original(*args)))
+            return result
+
+        monkeypatch.setattr(forward, "push_samples", tracked)
+        cmd_forward(cfg)
+        assert len(pushes) == 2
+
     def test_band_rows_cover_all_prediction_qois(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         run_pipeline(cfg)
@@ -724,7 +744,8 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("covariance, needle", [
         ([1.0, 0.5, 0.0, 1.0], "covariance must be symmetric"),
         ([1.0, 2.0, 2.0, 1.0], "covariance is not positive semi-definite"),
-    ], ids=["asymmetric", "indefinite"])
+        ([1e308, 0.0, 0.0, 1e308], "covariance trace overflows the float range (inf)"),
+    ], ids=["asymmetric", "indefinite", "overflowing_trace"])
     def test_report_rejects_invalid_covariance(self, tmp_path, caplog, covariance, needle):
         path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -735,6 +756,17 @@ class TestMainExitCodes:
             {**REPORT_INPUTS["posterior.json"], "covariance": covariance}))
         assert_config_exit(caplog, ["report", "--config", str(path), "--quiet"], needle)
         assert not (out / "report.txt").exists()
+
+    def test_forward_rejects_overflowing_covariance_trace(self, tmp_path, caplog):
+        # finite and positive definite, but 1e308 + 1e308 overflows the trace
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "posterior.json").write_text(json.dumps(
+            {**REPORT_INPUTS["posterior.json"], "covariance": [1e308, 0.0, 0.0, 1e308]}))
+        assert_config_exit(caplog, ["forward", "--config", str(path), "--quiet"],
+                           "covariance trace overflows the float range (inf)")
+        assert not (out / "cache.jsonl").exists()
 
     @pytest.mark.parametrize("stage, override", [
         ("build", {"parameters.0.lo": 1290.0, "parameters.0.hi": 1290.0 + 1e-12}),

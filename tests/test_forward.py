@@ -1,5 +1,7 @@
 """Forward propagation: sample pushes, KDE, modes, quantiles, band math."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,16 +274,41 @@ class TestBands:
         assert np.array_equal(bands.q05, per_column[:, 0])
         assert np.array_equal(bands.q95, per_column[:, 1])
 
-    def test_one_quantile_call(self, monkeypatch):
+    def test_one_quantile_call_per_column(self, monkeypatch):
+        # the IQR comes from the band call: kde never computes it again
         calls = []
         original = forward.quantiles
         monkeypatch.setattr(forward, "quantiles",
                             lambda *a: calls.append(a) or original(*a))
-        summarize_bands(self.make_push())
-        assert len(calls) == 1
+        push = self.make_push()
+        summarize_bands(push)
+        assert len(calls) == push.samples.shape[1]
+        for samples, _ in calls:
+            assert samples.ndim == 1 and samples.flags.c_contiguous
+
+    def test_kept_density_owns_its_column(self):
+        push = self.make_push()
+        bands = summarize_bands(push, densities=("q_1",))
+        kept = bands.densities["q_1"].samples
+        assert not np.shares_memory(kept, push.samples)
+        assert np.array_equal(kept, push.samples[:, 1])
+
+    def test_memory_peak_is_a_few_columns(self):
+        # a (10 000, 120) push is 9.6 MB; one column and its KDE work arrays
+        # are well under 4 MB, a copy of the whole push is not
+        rng = np.random.default_rng(5)
+        push = PushResult(tuple(f"q_{j}" for j in range(120)),
+                          rng.normal(size=(10_000, 120)), 0.0)
+        tracemalloc.start()
+        try:
+            summarize_bands(push, densities=("q_0", "q_119"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
     def test_band_modes_equal_standalone_kde(self):
-        # the shared quantile call must give the bandwidth kde computes alone;
+        # the IQR from the band quantiles must give the bandwidth kde computes alone;
         # the skewed column makes IQR/1.34 the smaller scale, the zero one is degenerate
         push = self.make_push()
         cols = np.column_stack([push.samples, np.exp(push.samples[:, 0]),

@@ -114,3 +114,10 @@ def test_covariance_check_matches_eigenvalue_rule():
     assert {None, "symmetric", "semi-definite"} <= set(verdicts)
     for cov in (np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([np.nan, 1.0])):
         assert covariance_rule(cov) == eigenvalue_rule(cov)
+
+
+@pytest.mark.parametrize("diagonal", [(1e308, 1e308), (-1e308, -1e308), (1e308, 1e308, -1e308)])
+def test_covariance_with_overflowing_trace_names_the_overflow(diagonal):
+    # every entry is finite, but the diagonal does not sum to a float
+    with pytest.raises(ValueError, match=r"covariance trace overflows the float range \((-)?inf\)"):
+        check_covariance(np.diag(diagonal).tolist())
