@@ -1,8 +1,13 @@
-"""Atomic artifact writers.
+"""Atomic artifact writers, and the rule for malformed input.
 
 Every output file is written to a temporary file next to it and then moved
 over it with ``os.replace``, so a reader, or a rerun after a crash, finds
 either the previous artifact or the complete new one, never a torn file.
+
+``MALFORMED`` lists what decoding a malformed input raises.  Every parser
+of a stage input (the config, the observations, the JSON artifacts, the
+evaluation cache and simulator replies) catches it and raises its own
+error class, whose exit code the CLI documents.
 """
 
 from __future__ import annotations
@@ -12,7 +17,13 @@ import io
 import os
 from pathlib import Path
 
-__all__ = ["ArtifactError", "write_text", "write_csv"]
+__all__ = ["ArtifactError", "MALFORMED", "write_text", "write_csv"]
+
+# a missing key, a wrong type or value (JSONDecodeError and UnicodeDecodeError
+# are ValueErrors), an attribute a non-mapping lacks, a number beyond the
+# float range, nesting deeper than the recursion limit, and a bad CSV field
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError,
+             csv.Error)
 
 
 class ArtifactError(OSError):

@@ -131,7 +131,7 @@ def _number(cast, value, where: str, minimum=None):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         x = cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except artifacts.MALFORMED as exc:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
     if cast is int and isinstance(value, float) and x != value:  # int(1.5) is 1
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
@@ -178,6 +178,8 @@ def _parse_space(docs) -> ParamSpace:
         if bounds is None:
             raise ConfigError(f"{where}: unknown distribution {kind!r}")
         _mapping(doc, where, ("name", "distribution", "transform") + bounds)
+        if "transform" in doc:  # free text that no stage reads
+            _text(doc["transform"], f"{where}.transform")
         args = [_number(float, _require(doc, k, where), f"{where}.{k}") for k in bounds]
         try:
             dist = Uniform(*args) if kind == "uniform" else Gaussian(*args)
@@ -261,7 +263,7 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         doc = yaml.load(path.read_text(encoding="utf-8"), Loader=_UniqueKeyLoader)
-    except (OSError, ValueError, yaml.YAMLError) as exc:  # unreadable, not UTF-8, not YAML
+    except (OSError, yaml.YAMLError, *artifacts.MALFORMED) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     _mapping(doc, f"{path} top level", ("seed", "output_dir", "oracle", "parameters",
                                         "calibration", "forward"))
@@ -382,7 +384,7 @@ def _read_artifact(path: Path, kinds: dict, parse=None):
             if not _KINDS[kind](doc[key]):
                 raise ValueError(f"{key}: expected {kind}, got {doc[key]!r}")
         return doc if parse is None else parse(doc)
-    except (OSError, TypeError, ValueError, OverflowError) as exc:
+    except (OSError, *artifacts.MALFORMED) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
@@ -476,7 +478,7 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
     surrogate = misc.deserialize(surrogate_path, expect_dim=cfg.space.dim)
     try:
         obs = bayes.ObservationSet.from_csv(cfg.observations)
-    except (OSError, ValueError) as exc:
+    except (OSError, *artifacts.MALFORMED) as exc:
         raise ConfigError(f"calibration.observations: {exc}") from exc
     missing = [n for n in obs.names if n not in surrogate.qoi_names]
     if missing:
@@ -634,16 +636,15 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, out=args.out)
         _COMMANDS[args.command](cfg)
     except Exception as exc:
-        # the modules of the exception classes: loaded already when one of
-        # them raised, and worth loading on an error path otherwise
-        import numpy as np
-        from . import bayes, misc
+        # a class whose module was never loaded cannot have raised, so the
+        # numerical classes are looked up only among the loaded modules
+        numerical = (NumericalError, *(getattr(sys.modules[module], name) for module, name in (
+            ("numpy.linalg", "LinAlgError"), (f"{__package__}.misc", "SurrogateFormatError"),
+            (f"{__package__}.bayes", "CalibrationError")) if module in sys.modules))
         for code, what, kinds in (
                 (EXIT_CONFIG, "config error", (ConfigError, artifacts.ArtifactError)),
-                (EXIT_ORACLE, "oracle error", (OracleError, misc.BuildError)),
-                (EXIT_NUMERICAL, "numerical failure", (NumericalError, np.linalg.LinAlgError,
-                                                       misc.SurrogateFormatError,
-                                                       bayes.CalibrationError))):
+                (EXIT_ORACLE, "oracle error", OracleError),
+                (EXIT_NUMERICAL, "numerical failure", numerical)):
             if isinstance(exc, kinds):
                 log.error("%s: %s", what, exc)
                 return code

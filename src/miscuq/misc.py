@@ -27,7 +27,7 @@ from . import artifacts
 from .interp import TensorInterpolant, _axis_basis, _basis_matrix, build_grid
 from .leja import SymmetricLeja, WeightedGaussianLeja, level_to_knots
 from .multiindex import ExtIndex, MultiIndexSet, combination_coefficients, reduced_margin, weight_changes
-from .oracle import point_key
+from .oracle import OracleError, point_key
 
 __all__ = [
     "BuildError",
@@ -47,7 +47,7 @@ log = logging.getLogger(__name__)
 PROBE_COUNT = 64
 
 
-class BuildError(Exception):
+class BuildError(OracleError):
     """A required oracle evaluation failed; lists the missing points."""
 
     def __init__(self, failures):
@@ -354,7 +354,7 @@ def _family_from_json(d):
             return SymmetricLeja(float.fromhex(d["lo"]), float.fromhex(d["hi"]))
         if kind == "gaussian-leja":
             return WeightedGaussianLeja(float.fromhex(d["mean"]), float.fromhex(d["std"]))
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+    except artifacts.MALFORMED as exc:
         raise SurrogateFormatError(f"bad knot family record {d!r}: {exc}") from exc
     raise SurrogateFormatError(f"unknown knot family kind {kind!r}")
 
@@ -393,58 +393,48 @@ def _json_int(value) -> int:
 
 
 def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogate:
-    """Load a surrogate written by :func:`serialize`."""
+    """Load a surrogate written by :func:`serialize`; a file that cannot be
+    read or holds anything else is a SurrogateFormatError naming it."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable (a directory, say), not UTF-8, not JSON
-        raise SurrogateFormatError(f"cannot read surrogate file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise SurrogateFormatError(f"{path} is not a surrogate container")
-    if type(doc.get("version")) is not int or doc["version"] != _VERSION:
-        raise SurrogateFormatError(
-            f"unsupported surrogate version {doc.get('version')!r} (expected {_VERSION})")
-    try:
+        if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+            raise ValueError("not a surrogate container")
+        if type(doc.get("version")) is not int or doc["version"] != _VERSION:
+            raise ValueError(f"unsupported version {doc.get('version')!r} (expected {_VERSION})")
         dim = _json_int(doc["dim"])
         qois = tuple(doc["qois"])
         if not (isinstance(doc["qois"], list) and all(isinstance(q, str) for q in qois)):
             raise TypeError(f"qois: expected a list of names, got {doc['qois']!r}")
         families = tuple(_family_from_json(d) for d in doc["families"])
-        raw_entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SurrogateFormatError(f"corrupt surrogate payload in {path}: {exc}") from exc
-    if len(families) != dim:
-        raise SurrogateFormatError(f"{path}: {len(families)} families for dim {dim}")
-    if expect_dim is not None and dim != expect_dim:
-        raise SurrogateFormatError(f"{path} has dimension {dim}, expected {expect_dim}")
-    entries = []
-    coeffs: dict[ExtIndex, int] = {}
-    values: dict[ExtIndex, np.ndarray] = {}
-    try:
-        for rec in raw_entries:
+        if len(families) != dim:
+            raise ValueError(f"{len(families)} families for dim {dim}")
+        if expect_dim is not None and dim != expect_dim:
+            raise ValueError(f"dimension {dim}, expected {expect_dim}")
+        entries = []
+        coeffs: dict[ExtIndex, int] = {}
+        values: dict[ExtIndex, np.ndarray] = {}
+        for rec in doc["entries"]:
             entry = ExtIndex(_json_int(rec["alpha"]), tuple(map(_json_int, rec["beta"])))
             entries.append(entry)
             c = _json_int(rec["coeff"])
             if c != 0:
                 coeffs[entry] = c
                 if "values" not in rec:
-                    raise SurrogateFormatError(f"{path}: missing grid values for {entry}")
+                    raise ValueError(f"missing grid values for {entry}")
             if "values" in rec:
                 size = math.prod(level_to_knots(b) for b in entry.beta)
                 if not isinstance(rec["values"], list):  # text iterates too
                     raise TypeError(f"values of {entry}: expected a list")
                 flat = np.array([float.fromhex(h) for h in rec["values"]])
                 if flat.size != size * len(qois):
-                    raise SurrogateFormatError(f"{path}: entry {entry} has {flat.size} values, "
-                                               f"expected {size} points x {len(qois)} QoIs")
+                    raise ValueError(f"entry {entry} has {flat.size} values, "
+                                     f"expected {size} points x {len(qois)} QoIs")
                 values[entry] = flat.reshape(size, len(qois))
         index_set = MultiIndexSet(entries, dim=dim)
         if not entries:
-            raise SurrogateFormatError(f"{path}: the index set is empty")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, SurrogateFormatError):
-            raise
+            raise ValueError("the index set is empty")
+        if combination_coefficients(index_set) != coeffs:
+            raise ValueError("stored coefficients disagree with the index set")
+    except (OSError, *artifacts.MALFORMED) as exc:
         raise SurrogateFormatError(f"corrupt surrogate payload in {path}: {exc}") from exc
-    recomputed = combination_coefficients(index_set)
-    if recomputed != coeffs:
-        raise SurrogateFormatError(f"{path}: stored coefficients disagree with the index set")
     return MiscSurrogate(index_set, values, families, qois)

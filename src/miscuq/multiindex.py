@@ -7,6 +7,7 @@ multi-index ``beta``; sets of them are value objects kept in canonical
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, NamedTuple
 
@@ -33,33 +34,28 @@ class ExtIndex(NamedTuple):
                         tuple(b + o for b, o in zip(self.beta, offsets[1:])))
 
 
-def _backward_neighbors(e: ExtIndex):
+def _neighbors(e: ExtIndex, step: int):
+    """The indices ``step`` (+1 forward, -1 backward) from ``e`` in one
+    component, leaving out those with a component below 1."""
     vec = e.as_vector()
     for n, c in enumerate(vec):
-        if c > 1:
-            nb = list(vec)
-            nb[n] -= 1
-            yield ExtIndex(nb[0], tuple(nb[1:]))
-
-
-def _forward_neighbors(e: ExtIndex):
-    vec = e.as_vector()
-    for n in range(len(vec)):
-        nb = list(vec)
-        nb[n] += 1
-        yield ExtIndex(nb[0], tuple(nb[1:]))
+        if c + step >= 1:
+            nb = vec[:n] + (c + step,) + vec[n + 1:]
+            yield ExtIndex(nb[0], nb[1:])
 
 
 def is_downward_closed(entries: Iterable[ExtIndex]) -> bool:
     """True iff every backward neighbor of every entry is in the set."""
     s = set(entries)
-    return all(nb in s for e in s for nb in _backward_neighbors(e))
+    return all(nb in s for e in s for nb in _neighbors(e, -1))
 
 
+@dataclass(frozen=True)
 class MultiIndexSet:
     """Finite downward-closed set of extended indices; immutable value type."""
 
-    __slots__ = ("entries", "dim")
+    entries: tuple[ExtIndex, ...]
+    dim: int
 
     def __init__(self, entries: Iterable[ExtIndex], dim: int | None = None):
         normalized = []
@@ -84,29 +80,17 @@ class MultiIndexSet:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "dim", int(dim))
 
-    def __setattr__(self, *_):
-        raise AttributeError("MultiIndexSet is immutable")
-
     def with_entry(self, e: ExtIndex) -> "MultiIndexSet":
         return MultiIndexSet(self.entries + (e,), dim=self.dim)
 
     def __contains__(self, e) -> bool:
-        return e in set(self.entries)
+        return e in self.entries
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiIndexSet) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"MultiIndexSet({list(self.entries)!r})"
 
 
 def _as_index_set(entries) -> MultiIndexSet:
@@ -143,6 +127,6 @@ def reduced_margin(index_set) -> tuple[ExtIndex, ...]:
     """
     index_set = _as_index_set(index_set)
     members = set(index_set.entries)
-    candidates = {nb for e in index_set for nb in _forward_neighbors(e)} - members
-    margin = [c for c in candidates if all(nb in members for nb in _backward_neighbors(c))]
+    candidates = {nb for e in index_set for nb in _neighbors(e, 1)} - members
+    margin = [c for c in candidates if all(nb in members for nb in _neighbors(c, -1))]
     return tuple(sorted(margin))

@@ -39,6 +39,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import artifacts
+
 __all__ = [
     "OracleError",
     "OracleProtocolError",
@@ -126,16 +128,17 @@ class EvalCache:
     def _load(self) -> None:
         try:
             data = self.path.read_bytes()
-        except OSError as exc:  # a directory, say
-            raise OracleError(f"cannot read evaluation cache {self.path}: {exc}") from exc
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            # Every record is written with its newline, so a last line without
-            # one is an append cut short by a crash.  Drop it from the file as
-            # well, or the next append would extend it into mid-file garbage.
-            log.warning("dropping a torn last record (%d bytes) from %s", len(data) - end, self.path)
-            with open(self.path, "r+b") as fh:
-                fh.truncate(end)
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                # Every record is written with its newline, so a last line without
+                # one is an append cut short by a crash.  Drop it from the file as
+                # well, or the next append would extend it into mid-file garbage.
+                log.warning("dropping a torn last record (%d bytes) from %s",
+                            len(data) - end, self.path)
+                with open(self.path, "r+b") as fh:
+                    fh.truncate(end)
+        except OSError as exc:  # a directory, say, or a read-only file with a torn record
+            raise OracleError(f"cannot load evaluation cache {self.path}: {exc}") from exc
         for lineno, line in enumerate(data[:end].splitlines(), start=1):
             if not line.strip():
                 continue
@@ -151,7 +154,7 @@ class EvalCache:
                         isinstance(x, str) and float.fromhex(x).hex() == x for x in point)):
                     raise ValueError(f"point {point!r} is not a list of hex floats")
                 self._store.setdefault((alpha, tuple(point)), {}).update(values)
-            except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+            except artifacts.MALFORMED as exc:
                 raise OracleError(f"corrupt cache record at {self.path}:{lineno} (expected "
                                   f'{{"alpha", "point", "values": {{qoi: hex}}}}): {exc}') from exc
 
@@ -165,10 +168,13 @@ class EvalCache:
         for alpha, key, values in records:
             self._store.setdefault((alpha, key), {}).update((q, float(v)) for q, v in values.items())
         if self.path is not None and records:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                for alpha, key, values in records:
-                    fh.write(json.dumps({"alpha": alpha, "point": list(key), "values": {
-                        q: float(v).hex() for q, v in values.items()}}) + "\n")
+            try:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    for alpha, key, values in records:
+                        fh.write(json.dumps({"alpha": alpha, "point": list(key), "values": {
+                            q: float(v).hex() for q, v in values.items()}}) + "\n")
+            except OSError as exc:  # a full disk, say
+                raise OracleError(f"cannot append to evaluation cache {self.path}: {exc}") from exc
 
     def __len__(self) -> int:
         return sum(map(len, self._store.values()))
@@ -300,7 +306,7 @@ class _Lane:
         line, self._buf = self._buf.split(b"\n", 1)
         try:
             reply = json.loads(line)  # bytes: invalid UTF-8 is a ValueError too
-        except (ValueError, RecursionError) as exc:
+        except artifacts.MALFORMED as exc:
             text = line.decode("utf-8", "replace")
             raise OracleProtocolError(
                 f"malformed oracle response {text!r} for {request.to_wire()}") from exc

@@ -1,6 +1,7 @@
 """Pipeline driver: config validation, command plumbing, determinism,
 exit-code contract."""
 
+import datetime
 import fnmatch
 import gc
 import json
@@ -54,6 +55,7 @@ BASE_CONFIG = {
 
 
 NULL = object()  # an override value written as a YAML null; None removes the key
+DEEP = "[" * 100_000 + "]" * 100_000  # nested beyond the recursion limit, in JSON and YAML
 
 # the smallest artifacts `report` reads without error
 REPORT_INPUTS = {
@@ -229,6 +231,7 @@ class TestConfigLoading:
         ("oracle", {"builtin": "beam-analog", "lanes": True}),
         ("output_dir", [1]),
         ("parameters.0.name", False),
+        ("parameters.1.transform", datetime.date(2026, 1, 1)),
     ])
     def test_bad_scalar_is_config_error(self, tmp_path, caplog, key, value):
         path = write_config(tmp_path, {key: value})
@@ -424,8 +427,9 @@ class TestCalibrateAndForward:
             cmd_calibrate(cfg)
 
     @pytest.mark.parametrize("row, match", [("u_1", "no value column"),
-                                            ("u_1,nan", "non-finite")],
-                             ids=["no_value", "nan"])
+                                            ("u_1,nan", "non-finite"),
+                                            ("u_1," + "1" * 200_000, "field larger")],
+                             ids=["no_value", "nan", "oversized_field"])
     def test_bad_observation_row_exits_with_config_code(self, tmp_path, caplog, row, match):
         path = write_config(tmp_path)
         cfg = load_config(path)
@@ -550,11 +554,32 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("data", [b"seed: [1, 2\n", b"seed: 1\n  bad: indent\n",
                                       b"seed: &a 1\nother: *b\n", b"\tseed: 1\n",
-                                      b"seed: 1\n\xff\xfe\n"])
+                                      b"seed: 1\n\xff\xfe\n",
+                                      pytest.param(b"seed: " + DEEP.encode() + b"\n", id="deep")])
     def test_unparsable_config(self, tmp_path, caplog, data):
         path = tmp_path / "cfg.yaml"
         path.write_bytes(data)
         assert_config_exit(caplog, ["build", "--config", str(path), "--quiet"], "cannot parse")
+
+    @pytest.mark.parametrize("mode", ["a", "r+b"], ids=["append", "drop_torn_record"])
+    def test_unwritable_cache_is_oracle_error(self, tmp_path, caplog, monkeypatch, mode):
+        # a failed cache append, or a failed drop of a torn last record, exits
+        # 3 with one line naming the cache
+        from miscuq import oracle
+        path = write_config(tmp_path)
+        cache = tmp_path / "out" / "cache.jsonl"
+        if mode == "r+b":
+            assert main(["build", "--config", str(path), "--quiet"]) == EXIT_OK
+            with open(cache, "a", encoding="utf-8") as fh:
+                fh.write('{"alpha": 1')
+
+        def full_disk(file, file_mode="r", *args, **kwargs):
+            if file_mode == mode:
+                raise OSError(28, "No space left on device")
+            return open(file, file_mode, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "open", full_disk, raising=False)
+        assert_exit(caplog, ["build", "--config", str(path), "--quiet"], EXIT_ORACLE, str(cache))
 
     @pytest.mark.parametrize("old, new, key", [
         ("seed: 77\n", "seed: 77\nseed: 78\n", "seed"),
@@ -582,6 +607,17 @@ class TestMainExitCodes:
         }
         path = write_config(tmp_path, overrides)
         assert main(["build", "--config", str(path), "--quiet"]) == EXIT_ORACLE
+
+    def test_failed_evaluations_are_oracle_error(self, tmp_path, caplog):
+        # a simulator that fails every point fails the build's root entry
+        script = tmp_path / "failing_oracle.py"
+        script.write_text("import json, sys\nfor line in sys.stdin:\n    print(json.dumps("
+                          "{'id': json.loads(line)['id'], 'error': 'boom'}), flush=True)\n")
+        path = write_config(tmp_path, {"oracle": {
+            "command": f"{sys.executable} {script}",
+            "fidelities": [{"alpha": 1, "cost_weight": 1.0}]}})
+        assert_exit(caplog, ["build", "--config", str(path), "--quiet"], EXIT_ORACLE,
+                    "oracle evaluation(s) failed")
 
     def test_numerical_error_on_degenerate_prior_bands(self, tmp_path):
         # zero forward budget -> constant prediction surrogate -> zero-width
@@ -923,6 +959,16 @@ def test_stage_processes_leave_scipy_unloaded(tmp_path):
             assert not loaded & NUMERICAL_MODULES, sorted(loaded & NUMERICAL_MODULES)
 
 
+def test_error_exit_loads_no_numerical_module(tmp_path):
+    # classifying an error imports nothing: report on an empty output
+    # directory exits 2 and still loads no numpy
+    code = "import sys\nfrom miscuq.cli import main\nrc = main(sys.argv[1:])"
+    loaded, proc = loaded_modules(code, "report", "--config", write_config(tmp_path), "--quiet")
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "missing artifacts" in proc.stderr
+    assert not loaded & NUMERICAL_MODULES, sorted(loaded & NUMERICAL_MODULES)
+
+
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "demo_config.yaml"
 EXTERNAL_ORACLE = {
     "command": "python3 sim.py", "workdir": "sim", "lanes": 2, "timeout": 60.0,
@@ -978,13 +1024,13 @@ def sweep_cases():
 
 
 # the only mutations that still load: dropping an optional key or list
-# item, a number that stays in range, and anything in the unread `transform`
+# item (the unread `transform` included) and a number that stays in range
 SWEEP_LOADS = [
     "oracle.lanes-drop", "calibration.qois.*-drop", "calibration.observations-drop",
     "calibration.n_starts-drop", "calibration.budget-drop", "calibration.budget.max_work-drop",
     "forward.qois.start-drop", "forward.samples-drop", "forward.budget-drop",
     "forward.budget.max_work-drop", "forward.densities-drop", "forward.densities.*-drop",
-    "forward.densities-empty", "parameters.1.transform-*",
+    "forward.densities-empty", "parameters.1.transform-drop",
     "parameters.0.lo-negative", "parameters.1.lo-negative", "parameters.1.hi-negative",
     "parameters.*.*-non_integral", "*.budget.max_work-non_integral",
     "external:oracle.lanes-drop", "external:oracle.workdir-drop", "external:oracle.timeout-drop",
@@ -1048,13 +1094,15 @@ def artifact_cases(out):
     """(id, stage, file, malformed text, expected exit code) over the real
     artifacts under ``out``: each JSON file cut at half, replaced whole,
     missing a required key or with that key's value replaced, a posterior
-    with a NaN entry, and the cache with one record replaced or missing a
+    with a NaN entry, each file and the cache's first record nested beyond
+    the recursion limit, and the cache with one record replaced or missing a
     field."""
     for stage, name, keys, code in ARTIFACT_INPUTS:
         text = (out / name).read_text()
         yield f"{stage}:{name}-half", stage, name, text[: len(text) // 2], code
         for tag, doc in (("list", []), ("null", None), ("text", "x")):
             yield f"{stage}:{name}-{tag}", stage, name, json.dumps(doc), code
+        yield f"{stage}:{name}-deep", stage, name, DEEP, code
         edits = [(f"drop_{key}", lambda doc, key=key: doc.pop(key)) for key in keys]
         edits += [(f"{key}_{tag}", lambda doc, key=key, value=value: doc.update({key: value}))
                   for key in keys for tag, value in WRONG_VALUES]
@@ -1072,6 +1120,8 @@ def artifact_cases(out):
             case = f"{stage}:{name}-{tag}"
             yield case, stage, name, json.dumps(doc), EXIT_OK if case in ARTIFACT_LOADS else code
     first, *rest = (out / "cache.jsonl").read_text().splitlines(keepends=True)
+    yield "build:cache.jsonl-deep", "build", "cache.jsonl", "".join([DEEP + "\n", *rest]), \
+        EXIT_ORACLE
     records = [("list", []), ("null", None), ("text", "x"), ("empty", {})]
     for key in ("alpha", "point", "values"):
         rec = json.loads(first)
