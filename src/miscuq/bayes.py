@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import MALFORMED
 from .params import ParamSpace, check_covariance
 
 __all__ = [
@@ -55,6 +56,16 @@ MAX_ITER = 2000             # Nelder-Mead iterations per start, see find_map
 SIGMA_FLOOR_REL = 1e-12     # noise floor relative to the largest observation
 
 
+def _observation(name: str, value: float, seen: set[str]) -> tuple[str, float]:
+    """``(name, value)``, refusing a non-finite value or a name in ``seen``."""
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite observed value {value} for {name!r}")
+    if name in seen:
+        raise ValueError(f"repeated QoI name {name!r}")
+    seen.add(name)
+    return name, value
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Measured values keyed by the surrogate QoI they correspond to."""
@@ -64,9 +75,9 @@ class ObservationSet:
     def __post_init__(self) -> None:
         if len(self.entries) < 1:
             raise ValueError("need at least one observation")
-        bad = [n for n, v in self.entries if not math.isfinite(v)]
-        if bad:
-            raise ValueError(f"non-finite observed values for {bad}")
+        seen: set[str] = set()
+        for name, value in self.entries:
+            _observation(name, value, seen)
 
     @property
     def K(self) -> int:
@@ -86,15 +97,25 @@ class ObservationSet:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ObservationSet":
-        """Read a two-column CSV with header ``qoi,value``."""
+        """Read a two-column CSV with header ``qoi,value``; errors name ``path`` and the line."""
+        pairs, seen = [], set()
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-        if not rows or [c.strip() for c in rows[0][:2]] != ["qoi", "value"]:
-            raise ValueError(f"{path}: expected header 'qoi,value'")
-        short = [r for r in rows[1:] if len(r) < 2]
-        if short:
-            raise ValueError(f"{path}: row {short[0]!r} has no value column")
-        return cls.from_pairs((r[0].strip(), float(r[1])) for r in rows[1:])
+            reader = csv.reader(fh)
+            try:
+                rows = (r for r in reader if r and not r[0].startswith("#"))
+                if [c.strip() for c in next(rows, [])[:2]] != ["qoi", "value"]:
+                    raise ValueError("expected header 'qoi,value'")
+                for r in rows:
+                    if len(r) < 2:
+                        raise ValueError(f"row {r!r} has no value column")
+                    pairs.append(_observation(r[0].strip(), float(r[1]), seen))
+            except MALFORMED as exc:
+                line = f", line {reader.line_num}" if reader.line_num else ""
+                raise ValueError(f"{path}{line}: {exc}") from exc
+        try:
+            return cls(tuple(pairs))
+        except ValueError as exc:  # no rows
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 class _Misfit:

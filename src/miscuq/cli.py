@@ -6,6 +6,10 @@ failure.  All output files carry the provenance hash of the effective
 configuration; anything time-dependent goes to the log on stderr only, so
 reruns with identical config and seeds are byte-identical.
 
+``_STAGES`` lists the stages in order, with the artifacts each reads and
+those of its outputs that a later stage reads; ``main`` refuses a stage
+whose inputs are missing and names the stage to run first.
+
 Each stage process loads only what it runs: this module and ``load_config``
 need the standard library, yaml and the numpy-free ``artifacts``, ``params``
 and ``oracle``; each ``cmd_*`` imports the numerical modules it calls, and
@@ -470,12 +474,7 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
     from . import bayes, misc
     if cfg.observations is None:
         raise ConfigError("calibration.observations is required for the calibrate step")
-    if not cfg.observations.exists():
-        raise ConfigError(f"observations file {cfg.observations} does not exist")
-    surrogate_path = cfg.out_dir / SURROGATE_FILE
-    if not surrogate_path.exists():
-        raise ConfigError(f"surrogate file {surrogate_path} not found; run 'build' first")
-    surrogate = misc.deserialize(surrogate_path, expect_dim=cfg.space.dim)
+    surrogate = misc.deserialize(cfg.out_dir / SURROGATE_FILE, expect_dim=cfg.space.dim)
     try:
         obs = bayes.ObservationSet.from_csv(cfg.observations)
     except (OSError, *artifacts.MALFORMED) as exc:
@@ -513,11 +512,8 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     """
     from . import forward, misc
     from .bayes import GaussianPosterior
-    posterior_path = cfg.out_dir / POSTERIOR_FILE
-    if not posterior_path.exists():
-        raise ConfigError(f"posterior file {posterior_path} not found; run 'calibrate' first")
-    posterior = _read_artifact(posterior_path, _POSTERIOR_KINDS, lambda doc: GaussianPosterior(
-        *_posterior_from_json(doc, cfg.space.dim), float(doc["sigma_meas"])))
+    posterior = _read_artifact(cfg.out_dir / POSTERIOR_FILE, _POSTERIOR_KINDS, lambda doc: (
+        GaussianPosterior(*_posterior_from_json(doc, cfg.space.dim), float(doc["sigma_meas"]))))
 
     # (tag, input distribution, seed stage) of each analysis
     analyses = (("prior", cfg.space, 2), ("posterior", posterior, 3))
@@ -570,10 +566,6 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
 def cmd_report(cfg: PipelineConfig) -> dict:
     """Consolidate the build/calibrate/forward artifacts into one summary."""
     out = cfg.out_dir
-    missing = [f for f in (BUILD_REPORT_FILE, POSTERIOR_FILE, REDUCTION_FILE)
-               if not (out / f).exists()]
-    if missing:
-        raise ConfigError(f"cannot report: missing artifacts {missing} in {out}")
     build_report = _read_artifact(out / BUILD_REPORT_FILE, {
         "work_spent": "a finite number", "evaluations_total": "an integer",
         "surrogate_points_by_fidelity": "a mapping of integers"})
@@ -611,15 +603,20 @@ def cmd_report(cfg: PipelineConfig) -> dict:
     return {"rows": rows}
 
 
-_COMMANDS = {"build": cmd_build, "calibrate": cmd_calibrate,
-             "forward": cmd_forward, "report": cmd_report}
+# in pipeline order: (function, artifacts it reads, outputs a later stage reads)
+_STAGES = {
+    "build": (cmd_build, (), (SURROGATE_FILE, BUILD_REPORT_FILE)),
+    "calibrate": (cmd_calibrate, (SURROGATE_FILE,), (POSTERIOR_FILE,)),
+    "forward": (cmd_forward, (POSTERIOR_FILE,), (REDUCTION_FILE,)),
+    "report": (cmd_report, (BUILD_REPORT_FILE, POSTERIOR_FILE, REDUCTION_FILE), ()),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="miscuq",
                                      description="Multi-fidelity surrogate UQ pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name, (fn, _, _) in _STAGES.items():
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower())
         p.add_argument("--config", required=True, help="pipeline configuration file (YAML)")
         p.add_argument("--out", help="override the configured output directory")
@@ -634,7 +631,13 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     try:
         cfg = load_config(args.config, out=args.out)
-        _COMMANDS[args.command](cfg)
+        run, reads, _ = _STAGES[args.command]
+        missing = [f for f in reads if not (cfg.out_dir / f).exists()]
+        if missing:
+            first = next(n for n, (*_, provides) in _STAGES.items() if set(provides) & set(missing))
+            raise ConfigError(f"{args.command}: missing artifacts {missing} in {cfg.out_dir}; "
+                              f"run '{first}' first")
+        run(cfg)
     except Exception as exc:
         # a class whose module was never loaded cannot have raised, so the
         # numerical classes are looked up only among the loaded modules

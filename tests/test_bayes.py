@@ -8,6 +8,7 @@ sigma^2 (A^T A)^{-1}.
 """
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -464,11 +465,15 @@ class TestObservationCsv:
 
     @pytest.mark.parametrize("row, match", [("u_2", "no value column"),
                                             ("u_2,nan", "non-finite"),
-                                            ("u_2,-inf", "non-finite")])
+                                            ("u_2,-inf", "non-finite"),
+                                            ("u_2,abc", "could not convert string to float"),
+                                            ("u_1,0.25", "repeated QoI name 'u_1'"),
+                                            ("u_1,0.5", "repeated QoI name 'u_1'")])
     def test_bad_row_rejected(self, tmp_path, row, match):
+        # the error names the file and the line of the faulty row
         path = tmp_path / "obs.csv"
         path.write_text(f"qoi,value\nu_1,0.25\n{row}\n")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"{re.escape(f'{path}, line 3: ')}.*{match}"):
             ObservationSet.from_csv(path)
 
     def test_missing_header_rejected(self, tmp_path):

@@ -6,17 +6,20 @@ import fnmatch
 import gc
 import json
 import math
+import shutil
 import sys
 import textwrap
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 
-from miscuq import forward, misc
+from miscuq import artifacts, forward, misc, oracle
 from miscuq.cli import (
+    _STAGES,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -102,18 +105,72 @@ def run_pipeline(cfg):
     return build, cal, fwd, rep
 
 
-def assert_exit(caplog, argv, code, needle=""):
-    """``main(argv)`` exits ``code`` with one ERROR record, holding ``needle``,
-    and logs no traceback."""
+def assert_exit(caplog, argv, code, *needles):
+    """``main(argv)`` exits ``code`` with one ERROR record, holding each of
+    ``needles``, and logs no traceback."""
     caplog.clear()
     assert main(argv) == code
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and needle in errors[0], errors
+    assert len(errors) == 1 and all(n in errors[0] for n in needles), errors
     assert all(r.exc_info is None for r in caplog.records)
 
 
-def assert_config_exit(caplog, argv, needle=""):
-    assert_exit(caplog, argv, EXIT_CONFIG, needle)
+def assert_config_exit(caplog, argv, *needles):
+    assert_exit(caplog, argv, EXIT_CONFIG, *needles)
+
+
+STAGES = ("build", "calibrate", "forward", "report")
+
+
+def snapshot(out):
+    """Every file under ``out``, by relative path, with its bytes."""
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class CountingOpen:
+    """``open`` for the ``artifacts`` and ``oracle`` modules: it counts the
+    opens that write (mode ``w`` or ``a``), and the ``fail_at``-th one raises."""
+
+    def __init__(self, fail_at=None):
+        self.writes = 0
+        self.fail_at = fail_at
+
+    def __call__(self, file, mode="r", *args, **kwargs):
+        if mode[0] in "wa":
+            self.writes += 1
+            if self.writes == self.fail_at:
+                raise OSError(28, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+
+def counting_writes(mp, fail_at=None):
+    """A ``CountingOpen`` patched into ``artifacts`` and ``oracle`` through ``mp``."""
+    opener = CountingOpen(fail_at)
+    for module in (artifacts, oracle):
+        mp.setattr(module, "open", opener, raising=False)
+    return opener
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """A config whose observations exist before its build (so every file
+    carries one hash), and what the four stages leave when run through
+    ``main``: the files after each stage (``files[0]`` before the first), the
+    final snapshot, and the number of writes."""
+    tmp = tmp_path_factory.mktemp("clean_run")
+    path = write_config(tmp)
+    out = tmp / "out"
+    assert main(["build", "--config", str(path), "--quiet"]) == EXIT_OK
+    make_observations(load_config(path))
+    shutil.rmtree(out)
+    files = [set()]
+    with pytest.MonkeyPatch.context() as mp:
+        opener = counting_writes(mp)
+        for stage in STAGES:
+            assert main([stage, "--config", str(path), "--quiet"]) == EXIT_OK
+            files.append({p.name for p in out.iterdir()})
+    return SimpleNamespace(config=path, out=out, files=files, snapshot=snapshot(out),
+                           writes=opener.writes)
 
 
 class TestConfigLoading:
@@ -413,12 +470,6 @@ class TestCalibrateAndForward:
         mean, std, _, lo, hi = map(float, rows[0][2:])
         assert (mean, std, lo, hi) == (-2.5, 0.8, -2.5 - 3 * 0.8, -2.5 + 3 * 0.8)
 
-    def test_calibrate_without_surrogate_fails(self, tmp_path):
-        cfg = load_config(write_config(tmp_path))
-        cfg.observations.write_text("qoi,value\nu_1,0.1\n")
-        with pytest.raises(ConfigError, match="build"):
-            cmd_calibrate(cfg)
-
     def test_unknown_observation_qoi_fails(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         cmd_build(cfg)
@@ -428,26 +479,33 @@ class TestCalibrateAndForward:
 
     @pytest.mark.parametrize("row, match", [("u_1", "no value column"),
                                             ("u_1,nan", "non-finite"),
-                                            ("u_1," + "1" * 200_000, "field larger")],
-                             ids=["no_value", "nan", "oversized_field"])
-    def test_bad_observation_row_exits_with_config_code(self, tmp_path, caplog, row, match):
+                                            ("u_1," + "1" * 200_000, "field larger"),
+                                            ("u_1,abc", "could not convert string to float"),
+                                            ("u_2,0.1", "repeated QoI name 'u_2'"),
+                                            ("u_2,0.3", "repeated QoI name 'u_2'")],
+                             ids=["no_value", "nan", "oversized_field", "unparsable_value",
+                                  "repeated_verbatim", "repeated_with_another_value"])
+    def test_bad_observation_row_exits_with_config_code(self, tmp_path, caplog, clean_run,
+                                                        row, match):
+        # the one error line names the file and the line of the faulty row
         path = write_config(tmp_path)
         cfg = load_config(path)
-        cmd_build(cfg)
+        shutil.copytree(clean_run.out, cfg.out_dir)
+        (cfg.out_dir / "posterior.json").unlink()
         cfg.observations.write_text(f"qoi,value\nu_2,0.1\n{row}\n")
-        assert main(["calibrate", "--config", str(path), "--quiet"]) == EXIT_CONFIG
-        assert match in caplog.text
+        assert_config_exit(caplog, ["calibrate", "--config", str(path), "--quiet"],
+                           f"{cfg.observations}, line 3: ", match)
         assert not (cfg.out_dir / "posterior.json").exists()
 
-    def test_forward_without_posterior_fails(self, tmp_path):
-        cfg = load_config(write_config(tmp_path))
-        with pytest.raises(ConfigError, match="calibrate"):
-            cmd_forward(cfg)
-
-    def test_report_on_empty_dir_fails(self, tmp_path):
-        cfg = load_config(write_config(tmp_path))
-        with pytest.raises(ConfigError, match="missing artifacts"):
-            cmd_report(cfg)
+    @pytest.mark.parametrize("observations", [None, "missing.csv"], ids=["unset", "missing"])
+    def test_observations_input_exits_with_config_code(self, tmp_path, caplog, clean_run,
+                                                       observations):
+        # an unset key is named, and so is the path of a missing file
+        path = write_config(tmp_path, {"calibration.observations": observations})
+        shutil.copytree(clean_run.out, tmp_path / "out")
+        assert_config_exit(caplog, ["calibrate", "--config", str(path), "--quiet"],
+                           "calibration.observations is required" if observations is None
+                           else str(tmp_path / observations))
 
     def test_forward_estimates_each_band_column_once(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(tmp_path, {"forward.densities": ["e_1", "e_5"]}))
@@ -492,19 +550,17 @@ class TestDeterminism:
     def test_rerun_is_byte_identical_with_zero_backend_calls(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         run_pipeline(cfg)
-        snapshot = {p.relative_to(cfg.out_dir): p.read_bytes()
-                    for p in sorted(cfg.out_dir.rglob("*")) if p.is_file()}
+        before = snapshot(cfg.out_dir)
         build2 = cmd_build(cfg)
         cal2 = cmd_calibrate(cfg)
         fwd2 = cmd_forward(cfg)
         cmd_report(cfg)
         assert build2["backend_points"] == {}
         assert fwd2["backend_points"] == {}
-        after = {p.relative_to(cfg.out_dir): p.read_bytes()
-                 for p in sorted(cfg.out_dir.rglob("*")) if p.is_file()}
-        assert snapshot.keys() == after.keys()
-        for name in snapshot:
-            assert snapshot[name] == after[name], name
+        after = snapshot(cfg.out_dir)
+        assert before.keys() == after.keys()
+        for name in before:
+            assert before[name] == after[name], name
 
 
 class TestExternalOracleConfig:
@@ -565,7 +621,6 @@ class TestMainExitCodes:
     def test_unwritable_cache_is_oracle_error(self, tmp_path, caplog, monkeypatch, mode):
         # a failed cache append, or a failed drop of a torn last record, exits
         # 3 with one line naming the cache
-        from miscuq import oracle
         path = write_config(tmp_path)
         cache = tmp_path / "out" / "cache.jsonl"
         if mode == "r+b":
@@ -593,6 +648,24 @@ class TestMainExitCodes:
         for stage in ("build", "report"):
             assert_config_exit(caplog, [stage, "--config", str(path), "--quiet"],
                                f"found duplicate key {key!r}")
+
+    @pytest.mark.parametrize("stage, name, provider", [
+        ("calibrate", "surrogate.json", "build"),
+        ("forward", "posterior.json", "calibrate"),
+        ("report", "build_report.json", "build"),
+        ("report", "posterior.json", "calibrate"),
+        ("report", "reduction.json", "forward"),
+    ])
+    def test_missing_read_exits_with_config_code(self, tmp_path, caplog, clean_run,
+                                                 stage, name, provider):
+        # after a full run, each file a stage reads is deleted in turn: the
+        # stage exits 2 and names the file and the stage that writes it
+        out = tmp_path / "out"
+        shutil.copytree(clean_run.out, out)
+        (out / name).unlink()
+        assert_config_exit(
+            caplog, [stage, "--config", str(clean_run.config), "--out", str(out), "--quiet"],
+            f"{stage}: missing artifacts [{name!r}] in {out}; run '{provider}' first")
 
     def test_config_path_is_a_directory(self, tmp_path, caplog):
         assert_config_exit(caplog, ["build", "--config", str(tmp_path), "--quiet"],
@@ -1186,11 +1259,9 @@ class TestAtomicArtifacts:
     ]
 
     def test_failed_rewrite_keeps_previous_artifacts(self, tmp_path, monkeypatch):
-        from miscuq import artifacts
         cfg = load_config(write_config(tmp_path))
         run_pipeline(cfg)
-        snapshot = {p.relative_to(cfg.out_dir): p.read_bytes()
-                    for p in sorted(cfg.out_dir.rglob("*")) if p.is_file()}
+        before = snapshot(cfg.out_dir)
         for stage, name in self.TEARS:
             def torn_open(file, *args, _name=name, **kwargs):
                 fh = open(file, *args, **kwargs)
@@ -1200,8 +1271,44 @@ class TestAtomicArtifacts:
             with pytest.raises(OSError, match="No space left"):
                 stage(cfg)
             monkeypatch.undo()
-            after = {p.relative_to(cfg.out_dir): p.read_bytes()
-                     for p in sorted(cfg.out_dir.rglob("*")) if p.is_file()}
-            assert after.keys() == snapshot.keys(), name
-            for rel in snapshot:
-                assert after[rel] == snapshot[rel], (name, rel)
+            after = snapshot(cfg.out_dir)
+            assert after.keys() == before.keys(), name
+            for rel in before:
+                assert after[rel] == before[rel], (name, rel)
+
+
+def test_stage_table_reads_what_earlier_stages_provide(clean_run):
+    # the table lists the stages in pipeline order; each stage reads only
+    # files an earlier stage provides, and in a real run each stage writes
+    # the files it provides, which were absent before it
+    assert tuple(_STAGES) == STAGES
+    provided = set()
+    for (stage, (_, reads, provides)), before, after in zip(
+            _STAGES.items(), clean_run.files, clean_run.files[1:]):
+        assert set(reads) <= provided, stage
+        assert not set(provides) & before and set(provides) <= after, stage
+        provided |= set(provides)
+
+
+CRASH_WRITES = 28  # artifact writes and cache appends in a clean run of the four stages
+
+
+@pytest.mark.parametrize("k", range(1, CRASH_WRITES + 1))
+def test_rerun_after_failed_write_matches_clean_run(tmp_path, monkeypatch, clean_run, k):
+    # the k-th write of the pipeline fails and its stage exits with an error;
+    # the four stages then run again without the fault and leave every file,
+    # the cache included, byte for byte as a clean run leaves it
+    assert clean_run.writes == CRASH_WRITES
+    argv = ["--config", str(clean_run.config), "--out", str(tmp_path / "out"), "--quiet"]
+    with monkeypatch.context() as mp:
+        opener = counting_writes(mp, fail_at=k)
+        codes = []
+        for stage in STAGES:
+            codes.append(main([stage, *argv]))
+            if codes[-1] != EXIT_OK:
+                break
+    assert opener.writes == k and codes[-1] in (EXIT_CONFIG, EXIT_ORACLE), codes
+    assert [main([stage, *argv]) for stage in STAGES] == [EXIT_OK] * 4
+    after = snapshot(tmp_path / "out")
+    assert after.keys() == clean_run.snapshot.keys()
+    assert [rel for rel in after if after[rel] != clean_run.snapshot[rel]] == []
