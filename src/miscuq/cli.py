@@ -481,7 +481,8 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
         raise ConfigError(f"calibration.observations: {exc}") from exc
     missing = [n for n in obs.names if n not in surrogate.qoi_names]
     if missing:
-        raise ConfigError(f"observations reference QoIs missing from the surrogate: {missing}")
+        raise ConfigError(f"calibration.observations: {cfg.observations} references QoIs "
+                          f"missing from the surrogate {cfg.out_dir / SURROGATE_FILE}: {missing}")
 
     posterior = bayes.calibrate(surrogate, obs, cfg.space, cfg.n_starts,
                                 _stage_seed(cfg.seed, 1))

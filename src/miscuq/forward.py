@@ -5,8 +5,10 @@ binning plus one FFT convolution), and summarize them as modes with
 
 The summary walks the QoIs one column at a time: each column is copied
 out of the push once, and its quantiles, KDE and mode come from that copy.
-Beside the (S, J) push it holds one column's work arrays and the columns
-of the densities it keeps.
+The quantiles come from one sorted copy of the column, with the arithmetic
+of ``np.quantile``'s ``linear`` method but not its ``np.unique`` call, which
+loads ``numpy.ma``.  Beside the (S, J) push the summary holds one
+column's work arrays and the columns of the densities it keeps.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class PdfEstimate:
 def _silverman_bandwidth(samples: np.ndarray, iqr: float | None) -> float:
     sd = float(np.std(samples, ddof=1))
     if iqr is None:
-        q75, q25 = np.quantile(samples, [0.75, 0.25], method="linear")
+        q75, q25 = quantiles(samples, [0.75, 0.25])
         iqr = float(q75 - q25)
     scale = min(sd, iqr / 1.34)
     if scale <= 0.0:
@@ -150,15 +152,31 @@ def mode(pdf: PdfEstimate) -> float:
 
 def quantiles(samples, probs) -> np.ndarray:
     """Empirical quantiles along axis 0 with linear interpolation between
-    order statistics (position (S-1) p + 1 among the sorted values,
-    one-based); an (S, J) array gives one column of quantiles per QoI."""
+    order statistics (Hyndman and Fan's definition 7, numpy's ``linear``);
+    an (S, J) array gives one column of quantiles per QoI.
+
+    The samples are sorted once, and each quantile is read at the virtual
+    index (S-1) p with the two-sided interpolation of numpy's ``_lerp``, so
+    the result equals ``np.quantile(samples, probs, axis=0,
+    method="linear")`` bit for bit, except that where -0.0 ties with 0.0 a
+    zero quantile may carry the other sign (a sort and numpy's partition
+    may order the two zeros differently)."""
     samples = np.atleast_1d(np.asarray(samples, dtype=float))
-    if samples.shape[0] < 2:
-        raise ValueError(f"need at least 2 samples, got {samples.shape[0]}")
+    count = samples.shape[0]
+    if count < 2:
+        raise ValueError(f"need at least 2 samples, got {count}")
     probs = np.atleast_1d(np.asarray(probs, dtype=float))
     if np.any((probs <= 0.0) | (probs >= 1.0)):
         raise ValueError(f"probabilities must lie in (0, 1), got {probs}")
-    return np.quantile(samples, probs, axis=0, method="linear")
+    ordered = np.sort(samples, axis=0)
+    index = (count - 1) * probs
+    below = np.floor(index)
+    # (S-1) p can round up to S-1 for p next to 1: both neighbours are then the last
+    lo = np.minimum(below.astype(np.intp), count - 1)
+    a, b = ordered[lo], ordered[np.minimum(lo + 1, count - 1)]
+    gamma = (index - below).reshape(probs.shape + (1,) * (samples.ndim - 1))
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ class SymmetricLeja:
         # The midpoint form is the bitwise identity on [-1, 1], which keeps the
         # knots mirror symmetric; the clip keeps rounding inside [lo, hi].
         radius = 0.5 * (self.hi - self.lo)
-        return (self.center + radius * symmetric_reference().prefix(count)).clip(self.lo, self.hi)
+        return (self.center + radius * symmetric_reference(count)).clip(self.lo, self.hi)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -94,7 +94,7 @@ class WeightedGaussianLeja:
 
     def knots(self, count: int) -> np.ndarray:
         from .leja import gaussian_reference
-        return self.mean + self.std * gaussian_reference().prefix(count)
+        return self.mean + self.std * gaussian_reference(count)
 
     @property
     def domain(self) -> tuple[float, float]:

@@ -470,12 +470,17 @@ class TestCalibrateAndForward:
         mean, std, _, lo, hi = map(float, rows[0][2:])
         assert (mean, std, lo, hi) == (-2.5, 0.8, -2.5 - 3 * 0.8, -2.5 + 3 * 0.8)
 
-    def test_unknown_observation_qoi_fails(self, tmp_path):
-        cfg = load_config(write_config(tmp_path))
-        cmd_build(cfg)
-        cfg.observations.write_text("qoi,value\nnope,1.0\n")
-        with pytest.raises(ConfigError, match="nope"):
-            cmd_calibrate(cfg)
+    def test_unknown_observation_qoi_fails(self, tmp_path, caplog, clean_run):
+        # the one error line names the observations file and the surrogate
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        shutil.copytree(clean_run.out, cfg.out_dir)
+        (cfg.out_dir / "posterior.json").unlink()
+        cfg.observations.write_text("qoi,value\nu_2,0.1\nnope,1.0\n")
+        assert_config_exit(caplog, ["calibrate", "--config", str(path), "--quiet"],
+                           f"calibration.observations: {cfg.observations} ",
+                           f"surrogate {cfg.out_dir / 'surrogate.json'}: ['nope']")
+        assert not (cfg.out_dir / "posterior.json").exists()
 
     @pytest.mark.parametrize("row, match", [("u_1", "no value column"),
                                             ("u_1,nan", "non-finite"),
@@ -1017,6 +1022,7 @@ def test_bare_package_import_loads_no_numpy():
 
 def test_stage_processes_leave_scipy_unloaded(tmp_path):
     # no stage loads scipy; the test suite alone uses it, as a reference.
+    # No stage loads numpy.ma either (np.quantile would, through np.unique).
     # With the builtin oracle no stage loads the process modules, and
     # report, which only reads and writes files, loads no numerical module.
     path = write_config(tmp_path)
@@ -1027,6 +1033,7 @@ def test_stage_processes_leave_scipy_unloaded(tmp_path):
         loaded, proc = loaded_modules(code, stage, "--config", path, "--quiet")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "scipy" not in loaded, f"{stage} imported scipy"
+        assert "numpy.ma" not in loaded, f"{stage} imported numpy.ma"
         assert not loaded & PROCESS_MODULES, (stage, sorted(loaded & PROCESS_MODULES))
         if stage == "report":
             assert not loaded & NUMERICAL_MODULES, sorted(loaded & NUMERICAL_MODULES)

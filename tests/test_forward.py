@@ -233,6 +233,30 @@ class TestQuantiles:
         for j in range(3):
             assert q[:, j].tobytes() == quantiles(draws[:, j], [0.05, 0.25, 0.95]).tobytes()
 
+    @pytest.mark.parametrize("probs", [[0.05, 0.25, 0.75, 0.95], 0.5,
+                                       [5e-324, 1e-12, 1 - 1e-12, 1 - 2**-53]])
+    def test_equals_numpy_linear_bit_for_bit(self, probs):
+        # probs next to 0 and 1 put the virtual index at 0 and at S - 1
+        rng = np.random.default_rng(12)
+        push = rng.normal(size=(10_000, 6)) * [1e-6, 1.0, 1e3, 1.0, 1.0, 1.0]
+        push[:, 3] = np.round(push[:, 3])  # ties
+        push[:, 4] = np.exp(push[:, 4])  # skewed
+        expected = np.quantile(push, np.atleast_1d(probs), axis=0, method="linear")
+        assert quantiles(push, probs).tobytes() == expected.tobytes()
+
+    def test_signed_zero_is_the_only_difference(self):
+        # a sort and numpy's partition may order -0.0 and 0.0 differently, so
+        # a zero quantile may carry the other sign; every other bit agrees
+        rng = np.random.default_rng(0)
+        probs = [0.05, 0.25, 0.5, 0.75, 0.95]
+        for _ in range(500):
+            draws = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(int(rng.integers(2, 12)), 3))
+            q = quantiles(draws, probs)
+            expected = np.quantile(draws, probs, axis=0, method="linear")
+            assert np.array_equal(q, expected)
+            differs = np.signbit(q) != np.signbit(expected)
+            assert np.all(q[differs] == 0.0)
+
     @pytest.mark.parametrize("samples", [2.0, [2.0], [[2.0, 3.0]]])
     def test_needs_two_samples(self, samples):
         with pytest.raises(ValueError, match="at least 2 samples"):

@@ -1,4 +1,5 @@
-"""Knot families: nestedness, symmetry, greedy optimality, affine maps.
+"""Knot families: nestedness, symmetry, greedy optimality, affine maps, and
+the tabulated heads of the reference sequences.
 
 The greedy-optimality checks use an independent brute-force scan,
 re-implemented here from the documented construction: full distance
@@ -6,16 +7,25 @@ products per candidate (factors in knot-insertion order, weight factor
 last), same candidate grids, same tie rules.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from miscuq.leja import (
     GAUSSIAN_CANDIDATES,
     GAUSSIAN_CUTOFF,
+    GAUSSIAN_HEAD,
     SYMMETRIC_CANDIDATES,
+    SYMMETRIC_HEAD,
     SymmetricLeja,
     WeightedGaussianLeja,
+    _GreedySequence,
+    _symmetric_grid,
+    gaussian_reference,
     level_to_knots,
+    symmetric_reference,
 )
 
 
@@ -139,3 +149,55 @@ class TestAffineMaps:
         ref = SymmetricLeja(-1.0, 1.0).knots(9)
         mapped = SymmetricLeja(2.0, 10.0).knots(9)
         assert np.array_equal(np.argsort(mapped), np.argsort(ref))
+
+
+@pytest.fixture(scope="module")
+def greedy():
+    """The greedy sequences on the documented grids, built here, apart from
+    the module's own cached ones."""
+    gauss = _symmetric_grid(GAUSSIAN_CANDIDATES, GAUSSIAN_CUTOFF)
+    return {
+        "symmetric": (symmetric_reference, SYMMETRIC_HEAD, _GreedySequence(
+            _symmetric_grid(SYMMETRIC_CANDIDATES, 1.0), symmetrize=True)),
+        "gaussian": (gaussian_reference, GAUSSIAN_HEAD, _GreedySequence(
+            gauss, sqrt_weight=np.exp(-gauss**2 / 4.0))),
+    }
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("family", ["symmetric", "gaussian"])
+class TestTabulatedHeads:
+    def test_head_is_33_knots(self, greedy, family):
+        assert len(greedy[family][1]) == 33
+
+    def test_every_head_prefix_equals_greedy(self, greedy, family):
+        reference, _, seq = greedy[family]
+        for count in range(1, 34):
+            assert hexes(reference(count)) == hexes(seq.prefix(count)), count
+
+    @pytest.mark.parametrize("count", [34, 40])
+    def test_tail_past_head_equals_greedy(self, greedy, family, count):
+        reference, _, seq = greedy[family]
+        assert hexes(reference(count)) == hexes(seq.prefix(count))
+
+    def test_zero_count_rejected(self, greedy, family):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            greedy[family][0](0)
+
+
+def test_head_knots_build_no_candidate_grid():
+    # a greedy search holds its candidate grid and running products, megabytes
+    # in all; knots within the tabulated heads build no grid
+    code = ("import tracemalloc\n"
+            "import miscuq.leja\n"
+            "from miscuq.params import SymmetricLeja, WeightedGaussianLeja\n"
+            "tracemalloc.start()\n"
+            "SymmetricLeja(-1.0, 1.0).knots(17)\n"
+            "WeightedGaussianLeja(0.0, 1.0).knots(33)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100_000

@@ -23,6 +23,17 @@ the medians, the number of pairs the change won (ties count for neither
 side), every run's value, the failed-check counts, and per side the
 environment line that ``perfbench/run.py`` printed for its first run.
 
+Each (workload, end-to-end metric) entry also carries a ``verdict``, and the
+tool prints the table of verdicts to stderr:
+
+* ``gain``: the change won at least nine tenths of the pairs, and its median
+  is better than the parent's by more than the parent's interquartile range;
+* ``regression``: the change's median is worse than the parent's by more
+  than the metric's ``bound``, a fraction of the parent's median;
+* ``no change``: the two medians are equal;
+* ``unresolved``: anything else, a difference the runs cannot tell from
+  noise.
+
 Each side is identified by its ``HEAD`` commit (null outside git) and by
 the git tree ids of the directories a run reads (``src``, ``perfbench``,
 ``docs``), hashed from the files on disk, so a record made from an export
@@ -111,18 +122,46 @@ def compare(checkouts: dict, seed: int) -> dict:
         for m in BENCHMARK["end_to_end"]:
             sides = {side: summary([r["metrics"][m["name"]]["value"] for r in runs[side]])
                      for side in SIDES if all(m["name"] in r["metrics"] for r in runs[side])}
-            if len(sides) < 2:
-                continue
-            parent, change = sides["parent"]["median"], sides["change"]["median"]
-            sign = 1.0 if m["better"] == "higher" else -1.0
-            wins = sum(sign * (c - p) > 0 for p, c in
-                       zip(sides["parent"]["values"], sides["change"]["values"]))
-            entry["metrics"][m["name"]] = {
-                "unit": m["unit"], "better": m["better"], "bound": m["bound"], **sides,
-                "change_over_parent": change / parent if parent else None,
-                "pairs_won_by_change": wins}
+            if len(sides) == 2:
+                entry["metrics"][m["name"]] = metric_entry(m, sides)
         record["workloads"][workload] = entry
     return record
+
+
+def metric_entry(metric: dict, sides: dict) -> dict:
+    """The record of one end-to-end ``metric`` (an ``end_to_end`` item of
+    ``BENCHMARK.json``) from the ``summary`` of each side's runs."""
+    parent, change = sides["parent"], sides["change"]
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    wins = sum(sign * (after - before) > 0
+               for before, after in zip(parent["values"], change["values"]))
+    p, c = parent["median"], change["median"]
+    better_by = sign * (c - p)
+    if 10 * wins >= 9 * len(change["values"]) and better_by > parent["q3"] - parent["q1"]:
+        verdict = "gain"
+    elif -better_by > metric["bound"] * abs(p):
+        verdict = "regression"
+    else:
+        verdict = "no change" if better_by == 0 else "unresolved"
+    return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+            **sides, "change_over_parent": c / p if p else None,
+            "pairs_won_by_change": wins, "verdict": verdict}
+
+
+def verdict_table(record: dict) -> str:
+    """One line per (workload, end-to-end metric): the two medians, their
+    ratio, the pairs won and the verdict."""
+    lines = [f"{'workload':<10} {'metric':<15} {'parent':>12} {'change':>12} {'ratio':>7} "
+             f"{'won':>5}  verdict"]
+    for workload, entry in record["workloads"].items():
+        for name, m in entry["metrics"].items():
+            ratio = m["change_over_parent"]
+            lines.append(f"{workload:<10} {name:<15} {m['parent']['median']:>12.6g} "
+                         f"{m['change']['median']:>12.6g} "
+                         f"{'-' if ratio is None else format(ratio, '.3f'):>7} "
+                         f"{m['pairs_won_by_change']:>2}/{len(m['change']['values']):<2}  "
+                         f"{m['verdict']}")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -136,6 +175,7 @@ def main(argv=None) -> int:
     record = compare(checkouts, args.seed)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(verdict_table(record), file=sys.stderr)
     print(out)
     return 0
 
