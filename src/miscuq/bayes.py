@@ -324,7 +324,35 @@ def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int,
     point = np.asarray(records[best].point, dtype=float)
     log.info("MAP search: best objective %.6g after %d starts, %d surrogate evaluations",
              records[best].objective, n_starts, base.calls)
+    _warn_competing_minima(records, obs.K, lo, hi)
     return MapResult(point, tuple(records), base.calls)
+
+
+def _warn_competing_minima(records, K: int, lo: np.ndarray, hi: np.ndarray) -> None:
+    """One WARNING for each group of multistart end points other than the
+    best one's, since the Laplace posterior covers the best minimum alone.
+
+    Two ends are distinct when they differ by more than 1e-3 of the box
+    width in some coordinate; each group is named by its lowest-objective
+    end.  The warning gives its misfit ratio m / m_best and its relative
+    likelihood exp(-(m - m_best) K / (2 m_best)) under the noise estimate
+    sigma^2 = m_best / K."""
+    tol = 1e-3 * (hi - lo)
+    heads: list[MultistartRecord] = []
+    for rec in sorted(records, key=lambda r: r.objective):
+        if all(np.any(np.abs(np.subtract(rec.point, h.point)) > tol) for h in heads):
+            heads.append(rec)
+    m_best = heads[0].misfit
+    for rec in heads[1:]:
+        p = np.asarray(rec.point)
+        where = ("outside" if np.any((p < lo - tol) | (p > hi + tol)) else
+                 "on the boundary of" if np.any(np.minimum(abs(p - lo), abs(p - hi)) <= tol)
+                 else "inside")
+        ratio = rec.misfit / m_best if m_best > 0.0 else math.inf
+        likelihood = math.exp(-(ratio - 1.0) * K / 2.0)
+        log.warning("MAP search: a competing minimum at (%s), %s the prior box: misfit %.4f "
+                    "times the best, relative likelihood %.2f; the Laplace posterior ignores it",
+                    ", ".join(f"{x:.5g}" for x in p), where, ratio, likelihood)
 
 
 class SigmaEstimate(NamedTuple):

@@ -509,7 +509,9 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
 
     The posterior push uses a surrogate rebuilt on Gaussian knots centered
     at the posterior marginals (the posterior usually overflows the prior
-    box); the prior push uses knots on the original prior ranges.
+    box); the prior push uses knots on the original prior ranges.  A
+    surrogate of one grid point predicts a constant, whose zero-width bands
+    mean nothing: that is a NumericalError naming the analysis.
     """
     from . import forward, misc
     from .bayes import GaussianPosterior
@@ -521,6 +523,11 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     states, backend_points = _adaptive_surrogates(
         cfg, cfg.forward_qois, cfg.forward_work,
         tuple(p.distribution for p in cfg.space.params), _posterior_families(posterior))
+    for (tag, _, _), state in zip(analyses, states):
+        if len(state.surrogate.compiled.grid) == 1:
+            failed = f"; first failed candidate: {state.skipped[0][1]}" if state.skipped else ""
+            raise NumericalError(f"the {tag} surrogate is one grid point, a constant: "
+                                 f"adapt stopped on {state.stop_reason}{failed}")
     comment = f"config {cfg.config_hash}"
     bands = []
     for (tag, dist, stage), state in zip(analyses, states):

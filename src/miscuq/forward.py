@@ -3,12 +3,15 @@ surrogate, estimate per-QoI densities by Gaussian-kernel KDE (linear
 binning plus one FFT convolution), and summarize them as modes with
 5%-95% quantile bands.
 
-The summary walks the QoIs one column at a time: each column is copied
-out of the push once, and its quantiles, KDE and mode come from that copy.
-The quantiles come from one sorted copy of the column, with the arithmetic
-of ``np.quantile``'s ``linear`` method but not its ``np.unique`` call, which
-loads ``numpy.ma``.  Beside the (S, J) push the summary holds one
-column's work arrays and the columns of the densities it keeps.
+A push is kept factored: the draws' (S, G) basis rows over the
+surrogate's G grid points, and the surrogate's (G, J) value table.  The
+summary forms the (S, J) push ``COLUMNS`` QoIs at a time, as one product of
+the basis with those columns of the table, and takes each column's
+quantiles, KDE and mode from a copy of it.  The quantiles come from one
+sorted copy of the column, with the arithmetic of ``np.quantile``'s
+``linear`` method but not its ``np.unique`` call, which loads
+``numpy.ma``.  Beside the basis the summary holds one block of columns,
+one column's work arrays and the columns of the densities it keeps.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
+from .interp import blocks
 
 __all__ = [
     "PushResult",
@@ -37,35 +41,39 @@ __all__ = [
 ]
 
 GRID_SIZE = 512
+COLUMNS = 8  # QoI columns per block of a summarized push
 
 
 @dataclass(frozen=True)
 class PushResult:
-    """Surrogate outputs at parameter draws: one column per QoI."""
+    """Surrogate outputs at parameter draws, factored: the (S, J) push, one
+    column per QoI, is ``basis @ values``."""
 
     qoi_names: tuple[str, ...]
-    samples: np.ndarray  # (S, J)
+    basis: np.ndarray  # (S, G): each draw's basis row over the grid points
+    values: np.ndarray  # (G, J): the surrogate's value at each grid point
     extrapolated_fraction: float
 
     @property
     def count(self) -> int:
-        return self.samples.shape[0]
+        return self.basis.shape[0]
 
 
 def push_samples(surrogate, distribution, count: int, seed) -> PushResult:
     """Draw ``count`` points from ``distribution`` (anything with a
     ``sample(count, seed)`` method: a ParamSpace or a GaussianPosterior) and
-    evaluate the surrogate at each.
+    push them through the surrogate's compiled interpolant, kept as the
+    draws' basis rows and the interpolant's value table.
 
     The fraction of draws falling outside the surrogate's knot-family domain
-    (where the polynomial extrapolates) is reported alongside the samples.
+    (where the polynomial extrapolates) is reported alongside.
     """
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     draws = distribution.sample(count, seed)
-    values = surrogate.evaluate_many(draws)
+    compiled = surrogate.compiled
     frac = float(surrogate.extrapolation_mask(draws).mean())
-    return PushResult(tuple(surrogate.qoi_names), values, frac)
+    return PushResult(tuple(surrogate.qoi_names), compiled.basis(draws), compiled.values, frac)
 
 
 @dataclass(frozen=True)
@@ -198,19 +206,24 @@ class BandSummary:
 def summarize_bands(push: PushResult, densities: tuple[str, ...] = ()) -> BandSummary:
     """KDE mode and empirical 5%/95% quantiles for every QoI column.
 
-    Each column is copied out of the push into a contiguous array, and one
-    :func:`quantiles` call on it also gives its IQR for the Silverman
-    bandwidth.  The estimates of the QoIs named in ``densities`` are kept in
-    the summary; each owns its column, so none keeps the push alive."""
+    The columns are formed in the blocks of ``blocks(J, COLUMNS)``, each
+    ``push.basis @ push.values[:, block]``, whose columns equal those of the
+    whole (S, J) product (see ``interp.blocks``).  Each column is copied out
+    of its block into a contiguous array, and one :func:`quantiles` call on
+    it also gives its IQR for the Silverman bandwidth.  The estimates of the
+    QoIs named in ``densities`` are kept in the summary; each owns its
+    column, so none keeps a block alive."""
     modes, q05, q95 = (np.empty(len(push.qoi_names)) for _ in range(3))
     kept = {}
-    for j, name in enumerate(push.qoi_names):
-        column = push.samples[:, j].copy()
-        q05[j], q25, q75, q95[j] = quantiles(column, [0.05, 0.25, 0.75, 0.95])
-        pdf = kde(column, iqr=float(q75 - q25))
-        modes[j] = mode(pdf)
-        if name in densities:
-            kept[name] = pdf
+    for cols in blocks(len(push.qoi_names), COLUMNS):
+        block = push.basis @ push.values[:, cols]
+        for j, view in enumerate(block.T, cols.start):
+            column = view.copy()
+            q05[j], q25, q75, q95[j] = quantiles(column, [0.05, 0.25, 0.75, 0.95])
+            pdf = kde(column, iqr=float(q75 - q25))
+            modes[j] = mode(pdf)
+            if push.qoi_names[j] in densities:
+                kept[push.qoi_names[j]] = pdf
     frac = np.full(len(push.qoi_names), push.extrapolated_fraction)
     return BandSummary(push.qoi_names, modes, q05, q95, frac, kept)
 

@@ -4,9 +4,11 @@ Evaluation uses the second (true) barycentric form per dimension, which is
 stable for clustered nodes (Berrut & Trefethen, SIAM Review 2004).  The
 per-dimension basis rows of each query point are multiplied out into one
 row over the whole grid (their Kronecker product, in the grid's row-major
-order), and all rows are contracted with the values in one matrix product.
-A query coordinate that coincides with a knot (to 1e-14 relative) gets that
-knot's unit basis row, avoiding the 0/0 in the barycentric kernel.
+order), and the rows are contracted with the values by matrix products: one
+product for up to ``ROWS`` points, one per block of ``ROWS`` rows beyond
+that, so no more than a block's basis rows are held at once.  A query
+coordinate that coincides with a knot (to 1e-14 relative) gets that knot's
+unit basis row, avoiding the 0/0 in the barycentric kernel.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import numpy as np
 
 from .leja import level_to_knots
 
-__all__ = ["TensorGrid", "TensorInterpolant", "build_grid"]
+__all__ = ["ROWS", "TensorGrid", "TensorInterpolant", "blocks", "build_grid"]
 
 _COINCIDENT_RTOL = 1e-14
+ROWS = 1024  # points per basis block of a multi-point evaluation
 
 
 @dataclass(frozen=True)
@@ -117,22 +120,55 @@ class TensorInterpolant:
             raise ValueError(
                 f"values must have one row per grid point ({len(grid)}), got shape {values.shape}")
         self.grid = grid
-        self._values = np.ascontiguousarray(values)
+        self.values = np.ascontiguousarray(values)
         self._bases = tuple(_axis_basis(k) for k in grid.per_dim_knots)
 
-    def evaluate_many(self, points) -> np.ndarray:
-        """Evaluate at an (S, dim) array of points; returns (S, n_outputs)."""
+    def basis(self, points) -> np.ndarray:
+        """Cardinal-basis rows of an (S, dim) array of points over the whole
+        grid, (S, grid points): the row-wise Kronecker product of the
+        per-dimension basis matrices.  The interpolant at the points is
+        ``basis(points) @ values``."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.grid.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, grid has {self.grid.dim}")
-        # row-wise Kronecker product of the basis matrices: (S, grid points)
         basis = _basis_matrix(*self._bases[0], points[:, 0])
         for n in range(1, self.grid.dim):
             lam = _basis_matrix(*self._bases[n], points[:, n])
             basis = (basis[:, :, None] * lam[:, None, :]).reshape(len(points),
                                                                    basis.shape[1] * lam.shape[1])
-        return basis @ self._values
+        return basis
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """Evaluate at an (S, dim) array of points; returns (S, n_outputs).
+
+        Up to ``ROWS`` points take one product of their basis with the
+        values.  More are evaluated in the row blocks of ``blocks``, each
+        product written into its rows of the result, which equals the one
+        product (see ``blocks``) while holding one block's basis."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if len(points) <= ROWS:
+            return self.basis(points) @ self.values
+        out = np.empty((len(points), self.values.shape[1]))
+        for rows in blocks(len(points), ROWS):
+            np.matmul(self.basis(points[rows]), self.values, out=out[rows])
+        return out
 
     def evaluate(self, v) -> np.ndarray:
         """Evaluate at a single point; returns (n_outputs,)."""
         return self.evaluate_many(np.asarray(v, dtype=float)[None, :])[0]
+
+
+def blocks(count: int, size: int) -> list[slice]:
+    """Consecutive slices of ``size`` items covering ``range(count)``; a
+    1-item tail joins the slice before it, since a 1-row or 1-column product
+    goes through gemv, which rounds differently from gemm.  Each slice
+    starts at a multiple of ``size`` and the tail ends both the last slice
+    and the range, so every item keeps its place in the BLAS kernel's
+    tiling: products over the slices equal one product over all items bit
+    for bit.  The tests check that for the kernel in use; OpenBLAS's Haswell
+    kernel, splitting one product over threads, rounds a thread's tail rows
+    otherwise."""
+    starts = list(range(0, count, size))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]

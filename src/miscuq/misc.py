@@ -176,6 +176,7 @@ class AdaptState:
     probe_values: dict = field(default_factory=dict)  # entry -> its interpolant at the probes
     entry_values: dict = field(default_factory=dict)  # charged entry -> its oracle samples
     profits: dict[ExtIndex, float] = field(default_factory=dict)  # scored candidates
+    stop_reason: str = ""  # why the last ``adapt`` call stopped
 
     def committed_points(self, alpha: int) -> set:
         """Union of grid point keys over entries of the set at one fidelity."""
@@ -284,18 +285,19 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
     sum over the probe values.  If anything was committed, the loop's end forms
     one new ``state.surrogate`` from the kept samples, with no oracle or cache call.
     Candidates whose evaluations fail are skipped and tried again next time.
+    The criterion that fired is kept in ``state.stop_reason``.
     """
     coeffs = combination_coefficients(state.index_set)
     while True:
         if stop.max_work is not None and state.work_spent >= stop.max_work:
-            log.info("adapt stop: work %.3g >= budget %.3g", state.work_spent, stop.max_work)
+            state.stop_reason = f"work {state.work_spent:.3g} >= budget {stop.max_work:.3g}"
             break
         if stop.max_candidates is not None and len(state.committed) >= stop.max_candidates:
-            log.info("adapt stop: %d candidates committed", len(state.committed))
+            state.stop_reason = f"{len(state.committed)} candidates committed"
             break
         margin = [c for c in reduced_margin(state.index_set) if c.alpha <= len(oracle.fidelities)]
         if not margin:
-            log.info("adapt stop: empty reduced margin")
+            state.stop_reason = "empty reduced margin"
             break
         state.skipped = []
         for cand in margin:
@@ -312,7 +314,7 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
                                    / (oracle.cost_weight(cand.alpha) * _new_points(cand.beta)))
         scored = [cand for cand in margin if cand in state.profits]
         if not scored:
-            log.info("adapt stop: no candidate available")
+            state.stop_reason = "no candidate available"
             break
         best = min(scored, key=lambda cand: (-state.profits[cand], cand))
         profit = state.profits[best]
@@ -320,13 +322,14 @@ def adapt(state: AdaptState, oracle, stop: AdaptStop) -> AdaptState:
         span = float((base_values.max(axis=0) - base_values.min(axis=0)).sum())
         floor = stop.profit_floor * span
         if profit < floor or profit == 0.0:
-            log.info("adapt stop: best profit %.3g below floor %.3g", profit, floor)
+            state.stop_reason = f"best profit {profit:.3g} below floor {floor:.3g}"
             break
         state.index_set = state.index_set.with_entry(best)
         for e, sign in weight_changes(best):
             coeffs[e] = coeffs.get(e, 0) + sign
         state.committed.append((best, profit))
         log.info("adapt: committed %s profit %.3g work %.3g", best, profit, state.work_spent)
+    log.info("adapt stop: %s", state.stop_reason)
     old = state.surrogate
     if state.index_set != old.index_set:  # something was committed
         state.surrogate = MiscSurrogate(state.index_set,

@@ -289,6 +289,18 @@ class TestFindMap:
         with pytest.raises(CalibrationError):
             find_map(s, obs, box_space([(-1, 1), (-1, 1)]), n_starts=3, seed=4)
 
+    def test_demo_warns_of_its_competing_minimum(self, demo_calibration, caplog):
+        # 8 of the demo's 20 starts end on the prior's upper temperature bound
+        # with 1.1642 times the best misfit: relative likelihood exp(-0.1642 K / 2)
+        surrogate, obs, space = demo_calibration
+        cfg = cli.load_config(DOCS / "demo_config.yaml")
+        find_map(surrogate, obs, space, cfg.n_starts, cli._stage_seed(cfg.seed, 1))
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1, warnings
+        assert "competing minimum at (1450, -0.95976), on the boundary of the prior box" \
+            in warnings[0]
+        assert "misfit 1.1642 times the best, relative likelihood 0.66" in warnings[0]
+
     def test_starts_match_single_start_runs(self):
         # the stub evaluates row by row, so running the starts together must
         # give each start exactly its own Nelder-Mead run: own simplex, own
@@ -376,7 +388,7 @@ class TestLaplaceCovariance:
 
 class TestFullPipelineLinearGaussian:
     @pytest.mark.parametrize("K", [3, 5, 20])
-    def test_matches_closed_form(self, K):
+    def test_matches_closed_form(self, K, caplog):
         rng = np.random.default_rng(40 + K)
         A = rng.uniform(-1.5, 1.5, size=(K, 2))
         b = rng.uniform(-0.5, 0.5, size=K)
@@ -390,6 +402,8 @@ class TestFullPipelineLinearGaussian:
         assert np.abs(posterior.mean - v_hat).max() <= 1e-6 * max(1.0, np.abs(v_hat).max())
         assert abs(posterior.sigma_meas - sigma) <= 1e-6 * sigma
         assert np.abs(posterior.covariance - cov).max() <= 1e-6 * np.abs(cov).max()
+        # every start ends at the one minimum
+        assert "competing minimum" not in caplog.text
 
 
 class TestSelfConsistency:

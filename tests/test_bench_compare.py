@@ -60,18 +60,38 @@ def test_entry_keeps_its_fields():
     assert e["parent"]["values"] == PARENT
 
 
+def checks(failed, attempted):
+    """The ``failed`` and ``attempted`` fields of a workload's record."""
+    return {"failed": failed, "attempted": attempted}
+
+
 def test_verdict_table_has_one_row_per_entry():
+    clean = checks({"parent": [0] * 10, "change": [0] * 10},
+                   {"parent": [54] * 10, "change": [54] * 10})
     record = {"workloads": {
-        "demo": {"metrics": {"pipeline_s": entry(LOWER, PARENT, [1.3 * p for p in PARENT])}},
-        "converge": {"metrics": {
+        "demo": {**clean,
+                 "metrics": {"pipeline_s": entry(LOWER, PARENT, [1.3 * p for p in PARENT])}},
+        "converge": {**clean, "metrics": {
             "pipeline_s": entry(LOWER, PARENT, PARENT),
             "band_coverage": entry(HIGHER, [0.9] * 10, [1.0] * 10)}},
     }}
     header, *rows = bench_compare.verdict_table(record).splitlines()
     assert header.split()[-1] == "verdict"
-    assert [r.split()[:2] + [r.split(maxsplit=6)[-1]] for r in rows] == [
+    metric_rows = [r for r in rows if r.split()[1] != "failed/checks"]
+    assert [r.split()[:2] + [r.split(maxsplit=6)[-1]] for r in metric_rows] == [
         ["demo", "pipeline_s", "regression"],
         ["converge", "pipeline_s", "no change"],
         ["converge", "band_coverage", "gain"],
     ]
-    assert "1.300" in rows[0] and "0/10" in rows[0]
+    assert "1.300" in metric_rows[0] and "0/10" in metric_rows[0]
+
+
+def test_verdict_table_counts_checks_per_side():
+    # failed over attempted checks, summed over each side's runs
+    record = {"workloads": {"demo": {
+        **checks({"parent": [0] * 10, "change": [0] * 9 + [2]},
+                 {"parent": [54, 45] * 5, "change": [54] * 10}),
+        "metrics": {"pipeline_s": entry(LOWER, PARENT, PARENT)}}}}
+    rows = bench_compare.verdict_table(record).splitlines()[1:]
+    assert [r.split() for r in rows if r.split()[1] == "failed/checks"] == [
+        ["demo", "failed/checks", "0/495", "2/540"]]

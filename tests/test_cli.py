@@ -9,6 +9,7 @@ import math
 import shutil
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,7 +52,7 @@ BASE_CONFIG = {
     "forward": {
         "qois": {"prefix": "e_", "start": 1, "count": 8},
         "samples": 400,
-        "budget": {"max_work": 10.0},
+        "budget": {"max_work": 45.0},
         "densities": ["e_1"],
     },
 }
@@ -543,6 +544,21 @@ class TestCalibrateAndForward:
         cmd_forward(cfg)
         assert len(pushes) == 2
 
+    def test_warm_demo_forward_memory_peak(self, tmp_path):
+        # each of the demo's pushes is (10 000, 120), 9.6 MB; forward holds
+        # one draws' basis over 15 or 9 grid points and a block of 8 columns
+        cfg = load_config(DEMO_CONFIG, out=tmp_path / "out")
+        cmd_build(cfg)
+        cmd_calibrate(cfg)
+        cmd_forward(cfg)
+        tracemalloc.start()
+        try:
+            cmd_forward(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, peak
+
     def test_band_rows_cover_all_prediction_qois(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         run_pipeline(cfg)
@@ -698,14 +714,28 @@ class TestMainExitCodes:
                     "oracle evaluation(s) failed")
 
     def test_numerical_error_on_degenerate_prior_bands(self, tmp_path):
-        # zero forward budget -> constant prediction surrogate -> zero-width
-        # prior bands -> the reduction metric cannot be formed
+        # zero forward budget -> prediction surrogates of one grid point,
+        # constants whose zero-width bands give no reduction metric
         path = write_config(tmp_path, {"forward.budget": {"max_work": 0.0}})
         cfg = load_config(path)
         cmd_build(cfg)
         make_observations(cfg)
         cmd_calibrate(cfg)
         assert main(["forward", "--config", str(path), "--quiet"]) == EXIT_NUMERICAL
+
+    def test_constant_posterior_surrogate_exits_with_numerical_code(self, tmp_path, caplog):
+        # every knot of so wide a posterior but its center leaves the oracle's
+        # domain, so the posterior surrogate is one grid point: a constant
+        # whose zero-width bands would read as a 100% reduction
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "posterior.json").write_text(json.dumps(
+            {"mean": [1290.0, -2.5], "covariance": [1e6, 0.0, 0.0, 100.0], "sigma_meas": 1.0}))
+        assert_exit(caplog, ["forward", "--config", str(path), "--quiet"], EXIT_NUMERICAL,
+                    "posterior surrogate is one grid point", "adapt stopped on",
+                    "outside the oracle domain")
+        assert not (out / "reduction.json").exists()
 
     def test_displacement_only_calibration_exits_with_numerical_code(self, tmp_path, caplog):
         # the builtin displacements are mutually proportional, so alone they
@@ -1297,7 +1327,7 @@ def test_stage_table_reads_what_earlier_stages_provide(clean_run):
         provided |= set(provides)
 
 
-CRASH_WRITES = 28  # artifact writes and cache appends in a clean run of the four stages
+CRASH_WRITES = 30  # artifact writes and cache appends in a clean run of the four stages
 
 
 @pytest.mark.parametrize("k", range(1, CRASH_WRITES + 1))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from miscuq import forward
+from miscuq.interp import TensorInterpolant, build_grid
 from miscuq.bayes import GaussianPosterior
 from miscuq.forward import (
     BandSummary,
@@ -19,19 +20,23 @@ from miscuq.forward import (
     uncertainty_reduction,
     write_bands_csv,
 )
-from miscuq.params import Gaussian, ParamSpace, ParamSpec
+from miscuq.params import Gaussian, ParamSpace, ParamSpec, Uniform
 
 
 class FakeSurrogate:
-    """Minimal surrogate surface: linear map of the parameters."""
+    """Minimal surrogate surface: a linear map of the parameters, compiled
+    as its own interpolant whose basis row at a point is the point and
+    whose value table is the transposed weights."""
 
     def __init__(self, weights, names=None, domain=((-np.inf, np.inf),)):
-        self.weights = np.atleast_2d(np.asarray(weights, dtype=float))
-        self.qoi_names = tuple(names or (f"q_{j}" for j in range(self.weights.shape[0])))
+        weights = np.atleast_2d(np.asarray(weights, dtype=float))
+        self.values = np.ascontiguousarray(weights.T)
+        self.qoi_names = tuple(names or (f"q_{j}" for j in range(weights.shape[0])))
         self._domain = domain
+        self.compiled = self
 
-    def evaluate_many(self, pts):
-        return np.atleast_2d(pts) @ self.weights.T
+    def basis(self, pts):
+        return np.atleast_2d(np.asarray(pts, dtype=float))
 
     def extrapolation_mask(self, pts):
         pts = np.atleast_2d(pts)
@@ -43,6 +48,17 @@ class FakeSurrogate:
 
 def normal_space(mean=0.0, std=1.0):
     return ParamSpace([ParamSpec("x", Gaussian(mean, std))])
+
+
+def samples(push):
+    """The (S, J) push as one product."""
+    return push.basis @ push.values
+
+
+def columns_push(cols):
+    """A push whose QoI columns are exactly ``cols``: an identity value table."""
+    return PushResult(tuple(f"q_{j}" for j in range(cols.shape[1])), cols,
+                      np.eye(cols.shape[1]), 0.0)
 
 
 def brute_force_density(samples, bandwidth, grid):
@@ -67,15 +83,15 @@ def bimodal_draws(n=10_000, seed=21):
 class TestPushSamples:
     def test_constant_surrogate_gives_equal_samples(self):
         class Const(FakeSurrogate):
-            def evaluate_many(self, pts):
-                return np.full((np.atleast_2d(pts).shape[0], 1), 4.25)
+            def basis(self, pts):
+                return np.ones((np.atleast_2d(pts).shape[0], 1))
 
-        push = push_samples(Const([[1.0]]), normal_space(), count=50, seed=1)
-        assert np.all(push.samples == 4.25)
+        push = push_samples(Const([[4.25]]), normal_space(), count=50, seed=1)
+        assert np.all(samples(push) == 4.25)
 
     def test_identity_push_preserves_std(self):
         push = push_samples(FakeSurrogate([[1.0]]), normal_space(), count=100_000, seed=2)
-        assert abs(push.samples.std(ddof=1) - 1.0) < 0.02
+        assert abs(samples(push).std(ddof=1) - 1.0) < 0.02
 
     def test_extrapolated_fraction_counted(self):
         surrogate = FakeSurrogate([[1.0]], domain=((-1.0, 1.0),))
@@ -86,12 +102,23 @@ class TestPushSamples:
     def test_posterior_distribution_accepted(self):
         post = GaussianPosterior(np.array([2.0]), np.array([[0.25]]), 0.1)
         push = push_samples(FakeSurrogate([[1.0]]), post, count=50_000, seed=5)
-        assert abs(push.samples.mean() - 2.0) < 0.01
+        assert abs(samples(push).mean() - 2.0) < 0.01
 
     def test_reproducible(self):
         a = push_samples(FakeSurrogate([[1.0]]), normal_space(), count=100, seed=9)
         b = push_samples(FakeSurrogate([[1.0]]), normal_space(), count=100, seed=9)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(samples(a), samples(b))
+
+    def test_keeps_the_interpolant_basis_and_values(self):
+        grid = build_grid((3, 2), (Uniform(0.0, 1.0), Uniform(-1.0, 1.0)))
+        compiled = TensorInterpolant(grid, np.random.default_rng(6).normal(size=(len(grid), 4)))
+        surrogate = FakeSurrogate(np.zeros((4, 2)), domain=((0.0, 1.0), (-1.0, 1.0)))
+        surrogate.compiled = compiled
+        space = ParamSpace([ParamSpec("a", Uniform(0.0, 1.0)), ParamSpec("b", Uniform(-1.0, 1.0))])
+        push = push_samples(surrogate, space, count=300, seed=7)
+        draws = space.sample(300, 7)
+        assert push.values is compiled.values and push.count == 300
+        assert samples(push).tobytes() == compiled.evaluate_many(draws).tobytes()
 
 
 class TestKde:
@@ -293,8 +320,7 @@ class TestBands:
     def test_band_quantiles_equal_per_column_quantiles(self):
         push = self.make_push()
         bands = summarize_bands(push)
-        per_column = np.array([quantiles(push.samples[:, j], [0.05, 0.95])
-                               for j in range(push.samples.shape[1])])
+        per_column = np.array([quantiles(column, [0.05, 0.95]) for column in samples(push).T])
         assert np.array_equal(bands.q05, per_column[:, 0])
         assert np.array_equal(bands.q95, per_column[:, 1])
 
@@ -306,23 +332,43 @@ class TestBands:
                             lambda *a: calls.append(a) or original(*a))
         push = self.make_push()
         summarize_bands(push)
-        assert len(calls) == push.samples.shape[1]
+        assert len(calls) == len(push.qoi_names)
         for samples, _ in calls:
             assert samples.ndim == 1 and samples.flags.c_contiguous
 
     def test_kept_density_owns_its_column(self):
+        # a view into its block of columns would keep the whole block alive
         push = self.make_push()
         bands = summarize_bands(push, densities=("q_1",))
-        kept = bands.densities["q_1"].samples
-        assert not np.shares_memory(kept, push.samples)
-        assert np.array_equal(kept, push.samples[:, 1])
+        kept = owner = bands.densities["q_1"].samples
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == kept.nbytes
+        assert np.array_equal(kept, samples(push)[:, 1])
+
+    @pytest.mark.parametrize("qois", [1, 2, 9, 120, 125])
+    @pytest.mark.parametrize("points", [9, 15, 35, 165])
+    def test_column_blocks_equal_the_whole_push(self, monkeypatch, qois, points):
+        # each column summarized is that column of the one (S, J) product, bit for bit
+        rng = np.random.default_rng(qois * points)
+        basis = rng.dirichlet(np.ones(points), size=10_000)
+        push = PushResult(tuple(f"q_{j}" for j in range(qois)), basis,
+                          rng.normal(size=(points, qois)), 0.0)
+        seen = []
+        monkeypatch.setattr(forward, "kde", lambda column, iqr: seen.append(column) or kde(
+            column[:2], bandwidth=1.0))
+        summarize_bands(push)
+        whole = basis @ push.values
+        assert len(seen) == qois
+        assert all(c.tobytes() == whole[:, j].tobytes() for j, c in enumerate(seen))
 
     def test_memory_peak_is_a_few_columns(self):
-        # a (10 000, 120) push is 9.6 MB; one column and its KDE work arrays
-        # are well under 4 MB, a copy of the whole push is not
+        # a (10 000, 120) push is 9.6 MB; the basis of 15 grid points is 1.2
+        # MB, and a block of 8 columns, one column's KDE work arrays and the
+        # kept columns are well under 4 MB
         rng = np.random.default_rng(5)
         push = PushResult(tuple(f"q_{j}" for j in range(120)),
-                          rng.normal(size=(10_000, 120)), 0.0)
+                          rng.dirichlet(np.ones(15), size=10_000), rng.normal(size=(15, 120)), 0.0)
         tracemalloc.start()
         try:
             summarize_bands(push, densities=("q_0", "q_119"))
@@ -334,18 +380,16 @@ class TestBands:
     def test_band_modes_equal_standalone_kde(self):
         # the IQR from the band quantiles must give the bandwidth kde computes alone;
         # the skewed column makes IQR/1.34 the smaller scale, the zero one is degenerate
-        push = self.make_push()
-        cols = np.column_stack([push.samples, np.exp(push.samples[:, 0]),
-                                np.zeros(push.count)])
-        skewed = PushResult(push.qoi_names + ("q_3", "q_4"), cols, 0.0)
-        bands = summarize_bands(skewed)
+        push = samples(self.make_push())
+        cols = np.column_stack([push, np.exp(push[:, 0]), np.zeros(len(push))])
+        bands = summarize_bands(columns_push(cols))
         alone = np.array([mode(kde(cols[:, j])) for j in range(cols.shape[1])])
         assert np.array_equal(bands.modes, alone)
 
     def test_kept_densities_equal_standalone_kde(self):
-        push = self.make_push()
-        cols = np.column_stack([push.samples, np.exp(push.samples[:, 0])])
-        skewed = PushResult(push.qoi_names + ("q_3",), cols, 0.0)
+        push = samples(self.make_push())
+        cols = np.column_stack([push, np.exp(push[:, 0])])
+        skewed = columns_push(cols)
         bands = summarize_bands(skewed, densities=("q_1", "q_3"))
         assert sorted(bands.densities) == ["q_1", "q_3"]
         for name, j in (("q_1", 1), ("q_3", 3)):

@@ -1,6 +1,8 @@
 """Tensor interpolants: grid enumeration, interpolation property,
 polynomial exactness, linearity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,7 +151,7 @@ def einsum_reference(itp, points):
     lams = [interp._basis_matrix(*basis, points[:, n]) for n, basis in enumerate(itp._bases)]
     letters = "abcdefghijklmnop"[: itp.grid.dim]
     subs = ",".join(f"s{c}" for c in letters) + "," + "".join(letters) + "q->sq"
-    values = itp._values.reshape(itp.grid.shape + (-1,))
+    values = itp.values.reshape(itp.grid.shape + (-1,))
     return np.einsum(subs, *lams, values, optimize=True)
 
 
@@ -196,3 +198,45 @@ class TestFixedContraction:
         grid = build_grid((3, 2), unit_families(2))
         itp = TensorInterpolant(grid, np.ones((len(grid), 4)))
         assert itp.evaluate_many(np.zeros((0, 2))).shape == (0, 4)
+
+
+class TestRowBlocks:
+    """``evaluate_many`` past ``ROWS`` points multiplies row blocks; its bits
+    must be those of the one product of the whole basis with the values."""
+
+    @pytest.fixture(scope="class")
+    def itp(self):
+        # 15 x 11 knots: the 165-point box grid of the converge workload's surrogate
+        grid = build_grid((8, 6), unit_families(2))
+        return TensorInterpolant(grid, np.random.default_rng(8).uniform(-5, 5, (len(grid), 120)))
+
+    @pytest.mark.parametrize("count", [1, 2, interp.ROWS, interp.ROWS + 1, interp.ROWS + 2,
+                                       2 * interp.ROWS + 1, 10_000])
+    def test_equals_the_unblocked_product(self, itp, count):
+        points = np.random.default_rng(count).uniform(-1.2, 1.2, (count, 2))
+        points[::7, 0] = itp.grid.per_dim_knots[0][3]  # some coordinates on a knot
+        got = itp.evaluate_many(points)
+        assert got.tobytes() == (itp.basis(points) @ itp.values).tobytes()
+
+    @pytest.mark.parametrize("count, size, lengths", [
+        (0, 8, []), (1, 8, [1]), (8, 8, [8]), (9, 8, [9]), (10, 8, [8, 2]), (17, 8, [8, 9]),
+        (120, 8, [8] * 15), (121, 8, [8] * 14 + [9]), (125, 8, [8] * 15 + [5]),
+        (2049, 1024, [1024, 1025]),
+        (10_000, 1024, [1024] * 9 + [784])])
+    def test_blocks_cover_with_no_one_item_tail(self, count, size, lengths):
+        slices = interp.blocks(count, size)
+        assert [s.stop - s.start for s in slices] == lengths
+        assert [s.start for s in slices] == [sum(lengths[:i]) for i in range(len(lengths))]
+
+    def test_memory_is_one_block(self):
+        # the whole (10 000, 165) basis is 13 MB; one block of ROWS rows is 1.4 MB
+        grid = build_grid((8, 6), unit_families(2))
+        itp = TensorInterpolant(grid, np.ones((len(grid), 2)))
+        points = np.random.default_rng(9).uniform(-1, 1, (10_000, 2))
+        tracemalloc.start()
+        try:
+            itp.evaluate_many(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak

@@ -150,10 +150,14 @@ def metric_entry(metric: dict, sides: dict) -> dict:
 
 def verdict_table(record: dict) -> str:
     """One line per (workload, end-to-end metric): the two medians, their
-    ratio, the pairs won and the verdict."""
+    ratio, the pairs won and the verdict; and per workload a line with each
+    side's failed and attempted correctness checks, summed over its runs."""
     lines = [f"{'workload':<10} {'metric':<15} {'parent':>12} {'change':>12} {'ratio':>7} "
              f"{'won':>5}  verdict"]
     for workload, entry in record["workloads"].items():
+        checks = [f"{sum(entry['failed'][side])}/{sum(entry['attempted'][side])}"
+                  for side in SIDES]
+        lines.append(f"{workload:<10} {'failed/checks':<15} {checks[0]:>12} {checks[1]:>12}")
         for name, m in entry["metrics"].items():
             ratio = m["change_over_parent"]
             lines.append(f"{workload:<10} {name:<15} {m['parent']['median']:>12.6g} "
