@@ -334,24 +334,30 @@ def _warn_competing_minima(records, K: int, lo: np.ndarray, hi: np.ndarray) -> N
 
     Two ends are distinct when they differ by more than 1e-3 of the box
     width in some coordinate; each group is named by its lowest-objective
-    end.  The warning gives its misfit ratio m / m_best and its relative
-    likelihood exp(-(m - m_best) K / (2 m_best)) under the noise estimate
-    sigma^2 = m_best / K."""
+    end.  Ends are ranked and compared by the penalized misfit f that the
+    search minimizes: the warning gives f / f_best, at least 1, and the
+    relative likelihood exp(-(f - f_best) K / (2 f_best)), at most 1.  With
+    the best end in the box f_best is its misfit m_best, and that is the
+    likelihood under the noise estimate sigma^2 = m_best / K, the box
+    penalty acting as a log-prior outside the box.  An exact best fit (f_best = 0) makes any
+    other minimum infinitely less likely."""
     tol = 1e-3 * (hi - lo)
     heads: list[MultistartRecord] = []
     for rec in sorted(records, key=lambda r: r.objective):
         if all(np.any(np.abs(np.subtract(rec.point, h.point)) > tol) for h in heads):
             heads.append(rec)
-    m_best = heads[0].misfit
+    f_best = heads[0].objective
     for rec in heads[1:]:
         p = np.asarray(rec.point)
         where = ("outside" if np.any((p < lo - tol) | (p > hi + tol)) else
                  "on the boundary of" if np.any(np.minimum(abs(p - lo), abs(p - hi)) <= tol)
                  else "inside")
-        ratio = rec.misfit / m_best if m_best > 0.0 else math.inf
+        ratio = (rec.objective / f_best if f_best > 0.0 else
+                 math.inf if rec.objective > 0.0 else 1.0)
         likelihood = math.exp(-(ratio - 1.0) * K / 2.0)
-        log.warning("MAP search: a competing minimum at (%s), %s the prior box: misfit %.4f "
-                    "times the best, relative likelihood %.2f; the Laplace posterior ignores it",
+        log.warning("MAP search: a competing minimum at (%s), %s the prior box: penalized "
+                    "misfit %.4f times the best, relative likelihood %.2f; the Laplace "
+                    "posterior ignores it",
                     ", ".join(f"{x:.5g}" for x in p), where, ratio, likelihood)
 
 

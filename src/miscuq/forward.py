@@ -63,7 +63,10 @@ def push_samples(surrogate, distribution, count: int, seed) -> PushResult:
     """Draw ``count`` points from ``distribution`` (anything with a
     ``sample(count, seed)`` method: a ParamSpace or a GaussianPosterior) and
     push them through the surrogate's compiled interpolant, kept as the
-    draws' basis rows and the interpolant's value table.
+    draws' basis rows and the interpolant's value table.  The surrogate
+    needs ``qoi_names``, ``extrapolation_mask(points)`` and a ``compiled``
+    interpolant with ``basis(points)`` and ``values``, as a MiscSurrogate
+    has; ``evaluate_many`` alone, which suffices for ``bayes``, does not.
 
     The fraction of draws falling outside the surrogate's knot-family domain
     (where the polynomial extrapolates) is reported alongside.

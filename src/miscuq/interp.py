@@ -142,9 +142,11 @@ class TensorInterpolant:
         """Evaluate at an (S, dim) array of points; returns (S, n_outputs).
 
         Up to ``ROWS`` points take one product of their basis with the
-        values.  More are evaluated in the row blocks of ``blocks``, each
-        product written into its rows of the result, which equals the one
-        product (see ``blocks``) while holding one block's basis."""
+        values, without the block loop's result array and slicing, which
+        would add about a tenth to a single-point call.  More are evaluated
+        in the row blocks of ``blocks``, each product written into its rows
+        of the result, which equals the one product (see ``blocks``) while
+        holding one block's basis."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if len(points) <= ROWS:
             return self.basis(points) @ self.values
@@ -165,9 +167,12 @@ def blocks(count: int, size: int) -> list[slice]:
     starts at a multiple of ``size`` and the tail ends both the last slice
     and the range, so every item keeps its place in the BLAS kernel's
     tiling: products over the slices equal one product over all items bit
-    for bit.  The tests check that for the kernel in use; OpenBLAS's Haswell
-    kernel, splitting one product over threads, rounds a thread's tail rows
-    otherwise."""
+    for bit when the kernel runs on one thread, or splits a product's rows
+    between threads at its tiling, as OpenBLAS's SkylakeX kernel does.  Its
+    Haswell kernel on two threads splits a product of, say, 1025 rows
+    elsewhere and rounds a thread's tail rows with another kernel, so both
+    the one product and a tail slice's product move with the thread
+    count."""
     starts = list(range(0, count, size))
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()

@@ -18,7 +18,9 @@ from miscuq import cli, misc
 from miscuq.bayes import (
     CalibrationError,
     GaussianPosterior,
+    MultistartRecord,
     ObservationSet,
+    _warn_competing_minima,
     _simplex_search,
     calibrate,
     estimate_sigma,
@@ -300,6 +302,32 @@ class TestFindMap:
         assert "competing minimum at (1450, -0.95976), on the boundary of the prior box" \
             in warnings[0]
         assert "misfit 1.1642 times the best, relative likelihood 0.66" in warnings[0]
+
+    def test_competing_minimum_is_compared_by_penalized_misfit(self, caplog):
+        # an end outside the box with a lower raw misfit than the best end,
+        # but a higher penalized one: ratio 3 / 2, likelihood exp(-0.5 K / 2)
+        lo, hi = np.zeros(2), np.ones(2)
+        records = [MultistartRecord((0.5, 0.5), (0.5, 0.5), 2.0, 2.0, 10),
+                   MultistartRecord((0.9, 0.5), (1.5, 0.5), 1.0, 3.0, 10),
+                   MultistartRecord((0.4, 0.5), (0.5002, 0.5), 2.0, 2.0, 10)]
+        _warn_competing_minima(records, 4, lo, hi)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1, warnings
+        assert "competing minimum at (1.5, 0.5), outside the prior box: penalized misfit " \
+               "1.5000 times the best, relative likelihood 0.37" in warnings[0]
+
+    def test_competing_minimum_of_an_exact_fit(self, caplog):
+        lo, hi = np.zeros(2), np.ones(2)
+        records = [MultistartRecord((0.5, 0.5), (0.5, 0.5), 0.0, 0.0, 10),
+                   MultistartRecord((0.2, 0.5), (0.25, 0.5), 0.0, 0.0, 10),
+                   MultistartRecord((0.9, 0.5), (1.0, 0.5), 1.0, 1.0, 10)]
+        _warn_competing_minima(records, 4, lo, hi)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 2, warnings
+        assert "(0.25, 0.5), inside the prior box: penalized misfit 1.0000 times the best, " \
+               "relative likelihood 1.00" in warnings[0]
+        assert "(1, 0.5), on the boundary of the prior box: penalized misfit inf times the " \
+               "best, relative likelihood 0.00" in warnings[1]
 
     def test_starts_match_single_start_runs(self):
         # the stub evaluates row by row, so running the starts together must

@@ -1,6 +1,10 @@
 """Tensor interpolants: grid enumeration, interpolation property,
 polynomial exactness, linearity."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -200,23 +204,47 @@ class TestFixedContraction:
         assert itp.evaluate_many(np.zeros((0, 2))).shape == (0, 4)
 
 
+ROW_COUNTS = [1, 2, interp.ROWS, interp.ROWS + 1, interp.ROWS + 2, 2 * interp.ROWS + 1, 10_000]
+
+# Compares, for each count on the command line, ``evaluate_many`` with the one
+# product of the whole basis with the values; prints {count: bytes equal}.
+ONE_PRODUCT_CHECK = """
+import json, sys
+import numpy as np
+from miscuq.interp import TensorInterpolant, build_grid
+from miscuq.leja import SymmetricLeja
+# 15 x 11 knots: the 165-point box grid of the converge workload's surrogate
+grid = build_grid((8, 6), (SymmetricLeja(-1.0, 1.0),) * 2)
+itp = TensorInterpolant(grid, np.random.default_rng(8).uniform(-5, 5, (len(grid), 120)))
+same = {}
+for count in map(int, sys.argv[1:]):
+    points = np.random.default_rng(count).uniform(-1.2, 1.2, (count, 2))
+    points[::7, 0] = grid.per_dim_knots[0][3]  # some coordinates on a knot
+    same[count] = itp.evaluate_many(points).tobytes() == (itp.basis(points) @ itp.values).tobytes()
+print(json.dumps(same))
+"""
+
+
 class TestRowBlocks:
     """``evaluate_many`` past ``ROWS`` points multiplies row blocks; its bits
     must be those of the one product of the whole basis with the values."""
 
     @pytest.fixture(scope="class")
-    def itp(self):
-        # 15 x 11 knots: the 165-point box grid of the converge workload's surrogate
-        grid = build_grid((8, 6), unit_families(2))
-        return TensorInterpolant(grid, np.random.default_rng(8).uniform(-5, 5, (len(grid), 120)))
+    def one_thread(self):
+        # On one BLAS thread: a multi-threaded kernel may split the rows of a
+        # product between its threads off its tiling (OpenBLAS's Haswell
+        # kernel does), and then the one product and a block's product both
+        # move with the thread count; see ``interp.blocks``.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", ONE_PRODUCT_CHECK, *map(str, ROW_COUNTS)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return {int(k): v for k, v in json.loads(proc.stdout).items()}
 
-    @pytest.mark.parametrize("count", [1, 2, interp.ROWS, interp.ROWS + 1, interp.ROWS + 2,
-                                       2 * interp.ROWS + 1, 10_000])
-    def test_equals_the_unblocked_product(self, itp, count):
-        points = np.random.default_rng(count).uniform(-1.2, 1.2, (count, 2))
-        points[::7, 0] = itp.grid.per_dim_knots[0][3]  # some coordinates on a knot
-        got = itp.evaluate_many(points)
-        assert got.tobytes() == (itp.basis(points) @ itp.values).tobytes()
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    def test_equals_the_unblocked_product(self, one_thread, count):
+        assert one_thread[count]
 
     @pytest.mark.parametrize("count, size, lengths", [
         (0, 8, []), (1, 8, [1]), (8, 8, [8]), (9, 8, [9]), (10, 8, [8, 2]), (17, 8, [8, 9]),
