@@ -306,7 +306,7 @@ def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int,
     starts = space.sample(n_starts, seed)
     f0 = objective(starts)
     ok = np.isfinite(f0)
-    failures = [(tuple(x0), f"objective is not finite at the start point ({f})")
+    failures = [(tuple(x0.tolist()), f"objective is not finite at the start point ({f})")
                 for x0, f in zip(starts[~ok], f0[~ok])]
     for x0, reason in failures:
         log.warning("MAP start %s failed: %s", np.round(x0, 6), reason)

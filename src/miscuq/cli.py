@@ -352,41 +352,19 @@ def _adaptive_surrogates(cfg, qois, max_work, *family_sets):
         oracle.close()
 
 
-def _finite(value) -> bool:
-    """Whether a JSON value is a finite number; a boolean is not one."""
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-# the test a value of each kind passes, by the kind's name
-_KINDS = {
-    "a finite number": _finite,
-    "a positive finite number": lambda v: _finite(v) and v > 0,
-    "an integer": lambda v: type(v) is int,
-    "a list of finite numbers": lambda v: isinstance(v, list) and all(map(_finite, v)),
-    "a list of names": lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
-    "a mapping of integers": lambda v: (isinstance(v, dict)
-                                        and all(type(n) is int for n in v.values())),
-}
-_POSTERIOR_KINDS = {"mean": "a list of finite numbers", "covariance": "a list of finite numbers",
-                    "sigma_meas": "a positive finite number"}
+_POSTERIOR_FIELDS = {"mean": "a list of finite numbers", "covariance": "a list of finite numbers",
+                     "sigma_meas": "a positive finite number"}
+_REDUCTION_FIELDS = dict.fromkeys(("reduction_percent", "prior_extrapolated_fraction",
+                                   "posterior_extrapolated_fraction"), "a finite number")
 
 
 def _read_artifact(path: Path, kinds: dict, parse=None):
-    """The JSON mapping an earlier stage wrote to ``path``, passed through
-    ``parse`` if given.  ``kinds`` maps each key the stage requires to the
-    name of its kind in ``_KINDS``.  A file that cannot be read, is not a
-    mapping, lacks one of those keys, holds a value of another kind there or
-    fails ``parse`` is a ConfigError naming it."""
+    """The values under ``kinds``' keys of the JSON mapping an earlier stage
+    wrote to ``path`` (see ``artifacts.check``), passed through ``parse`` if
+    given.  A file that cannot be read or fails the check or ``parse`` is a
+    ConfigError naming it."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError(f"expected a JSON mapping, got {type(doc).__name__}")
-        missing = [k for k in kinds if k not in doc]
-        if missing:
-            raise ValueError(f"missing keys {missing}")
-        for key, kind in kinds.items():
-            if not _KINDS[kind](doc[key]):
-                raise ValueError(f"{key}: expected {kind}, got {doc[key]!r}")
+        doc = artifacts.check(json.loads(path.read_text(encoding="utf-8")), kinds)
         return doc if parse is None else parse(doc)
     except (OSError, *artifacts.MALFORMED) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
@@ -457,7 +435,7 @@ def _posterior_to_json(posterior, cfg) -> dict:
 
 def _posterior_from_json(doc: dict, dim: int) -> tuple[list, list]:
     """The mean and the covariance rows of a mapping whose keys hold
-    ``_POSTERIOR_KINDS``, over ``dim`` parameters; the covariance passes
+    ``_POSTERIOR_FIELDS``, over ``dim`` parameters; the covariance passes
     ``check_covariance``.  Plain lists, so ``report`` loads no numpy."""
     mean, flat = doc["mean"], doc["covariance"]
     if len(mean) != dim:
@@ -515,7 +493,7 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     """
     from . import forward, misc
     from .bayes import GaussianPosterior
-    posterior = _read_artifact(cfg.out_dir / POSTERIOR_FILE, _POSTERIOR_KINDS, lambda doc: (
+    posterior = _read_artifact(cfg.out_dir / POSTERIOR_FILE, _POSTERIOR_FIELDS, lambda doc: (
         GaussianPosterior(*_posterior_from_json(doc, cfg.space.dim), float(doc["sigma_meas"]))))
 
     # (tag, input distribution, seed stage) of each analysis
@@ -578,15 +556,13 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         "work_spent": "a finite number", "evaluations_total": "an integer",
         "surrogate_points_by_fidelity": "a mapping of integers"})
     names, sigma_meas, (mean, cov) = _read_artifact(
-        out / POSTERIOR_FILE, {"parameters": "a list of names", **_POSTERIOR_KINDS},
+        out / POSTERIOR_FILE, {"parameters": "a list of names", **_POSTERIOR_FIELDS},
         lambda doc: (doc["parameters"], float(doc["sigma_meas"]),
                      _posterior_from_json(doc, cfg.space.dim)))
     if len(names) != len(mean):
         raise ConfigError(f"cannot read {out / POSTERIOR_FILE}: parameters: expected one name "
                           f"per mean entry, got {names!r}")
-    reduction_doc = _read_artifact(out / REDUCTION_FILE, dict.fromkeys(
-        ("reduction_percent", "prior_extrapolated_fraction", "posterior_extrapolated_fraction"),
-        "a finite number"))
+    reduction = _read_artifact(out / REDUCTION_FILE, _REDUCTION_FIELDS)
 
     rows = [("config_hash", cfg.config_hash),
             ("work_spent", build_report["work_spent"]),
@@ -597,11 +573,7 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         rows.append((f"posterior_mean_{name}", float(m)))
     for i, name in enumerate(names):
         rows.append((f"posterior_std_{name}", math.sqrt(max(cov[i][i], 0.0))))
-    rows.append(("sigma_meas", sigma_meas))
-    rows.append(("reduction_percent", reduction_doc["reduction_percent"]))
-    rows.append(("prior_extrapolated_fraction", reduction_doc["prior_extrapolated_fraction"]))
-    rows.append(("posterior_extrapolated_fraction",
-                 reduction_doc["posterior_extrapolated_fraction"]))
+    rows += [("sigma_meas", sigma_meas), *reduction.items()]
 
     lines = [f"# pipeline summary (config {cfg.config_hash})"]
     lines += [f"{k}: {v}" for k, v in rows]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,8 @@ class BuildError(OracleError):
 
     def __init__(self, failures):
         self.failures = tuple(failures)
-        lines = "; ".join(f"alpha={a} v={tuple(p)}: {err}" for a, p, err in self.failures[:5])
+        lines = "; ".join(f"alpha={a} v={tuple(map(float, p))}: {err}"
+                          for a, p, err in self.failures[:5])
         more = "" if len(self.failures) <= 5 else f" (+{len(self.failures) - 5} more)"
         super().__init__(f"{len(self.failures)} oracle evaluation(s) failed: {lines}{more}")
 
@@ -342,24 +343,25 @@ _FORMAT = "misc-surrogate"
 _VERSION = 1
 
 
+# each knot family class by its kind in the container; its fields are hex floats
+_FAMILIES = {"symmetric-leja": SymmetricLeja, "gaussian-leja": WeightedGaussianLeja}
+
+
 def _family_to_json(f) -> dict:
-    if isinstance(f, SymmetricLeja):
-        return {"kind": "symmetric-leja", "lo": float(f.lo).hex(), "hi": float(f.hi).hex()}
-    if isinstance(f, WeightedGaussianLeja):
-        return {"kind": "gaussian-leja", "mean": float(f.mean).hex(), "std": float(f.std).hex()}
+    for kind, cls in _FAMILIES.items():
+        if type(f) is cls:
+            return {"kind": kind, **{n.name: float(getattr(f, n.name)).hex() for n in fields(f)}}
     raise SurrogateFormatError(f"cannot serialize knot family {f!r}")
 
 
 def _family_from_json(d):
     try:
-        kind = d["kind"]
-        if kind == "symmetric-leja":
-            return SymmetricLeja(float.fromhex(d["lo"]), float.fromhex(d["hi"]))
-        if kind == "gaussian-leja":
-            return WeightedGaussianLeja(float.fromhex(d["mean"]), float.fromhex(d["std"]))
+        cls = _FAMILIES.get(artifacts.check(d, {"kind": "a name"})["kind"])
+        if cls is None:
+            raise ValueError(f"unknown kind {d['kind']!r}")
+        return cls(**artifacts.check(d, {n.name: "a hex float" for n in fields(cls)}))
     except artifacts.MALFORMED as exc:
         raise SurrogateFormatError(f"bad knot family record {d!r}: {exc}") from exc
-    raise SurrogateFormatError(f"unknown knot family kind {kind!r}")
 
 
 def serialize(surrogate: MiscSurrogate, path: str | Path, config_hash: str | None = None) -> None:
@@ -388,11 +390,12 @@ def serialize(surrogate: MiscSurrogate, path: str | Path, config_hash: str | Non
     artifacts.write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _json_int(value) -> int:
-    """``value`` if it is a JSON integer; a boolean, a float or text is a TypeError."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+# the kinds (``artifacts.KINDS``) of the container's and of an entry's keys
+_TOP = {"format": "a name", "version": "an integer", "dim": "an integer >= 1",
+        "qois": "a list of names", "families": "a list of mappings",
+        "entries": "a list of mappings"}
+_ENTRY = {"alpha": "an integer", "beta": "a list of integers", "coeff": "an integer"}
+_GRID_ENTRY = {**_ENTRY, "values": "a list of hex floats"}  # with its grid values
 
 
 def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogate:
@@ -400,15 +403,13 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
     read or holds anything else is a SurrogateFormatError naming it."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+        top = artifacts.check(doc, _TOP)
+        if top["format"] != _FORMAT:
             raise ValueError("not a surrogate container")
-        if type(doc.get("version")) is not int or doc["version"] != _VERSION:
-            raise ValueError(f"unsupported version {doc.get('version')!r} (expected {_VERSION})")
-        dim = _json_int(doc["dim"])
-        qois = tuple(doc["qois"])
-        if not (isinstance(doc["qois"], list) and all(isinstance(q, str) for q in qois)):
-            raise TypeError(f"qois: expected a list of names, got {doc['qois']!r}")
-        families = tuple(_family_from_json(d) for d in doc["families"])
+        if top["version"] != _VERSION:
+            raise ValueError(f"unsupported version {top['version']!r} (expected {_VERSION})")
+        dim, qois = top["dim"], tuple(top["qois"])
+        families = tuple(map(_family_from_json, top["families"]))
         if len(families) != dim:
             raise ValueError(f"{len(families)} families for dim {dim}")
         if expect_dim is not None and dim != expect_dim:
@@ -416,23 +417,20 @@ def deserialize(path: str | Path, expect_dim: int | None = None) -> MiscSurrogat
         entries = []
         coeffs: dict[ExtIndex, int] = {}
         values: dict[ExtIndex, np.ndarray] = {}
-        for rec in doc["entries"]:
-            entry = ExtIndex(_json_int(rec["alpha"]), tuple(map(_json_int, rec["beta"])))
+        for i, rec in enumerate(top["entries"]):
+            e = artifacts.check(rec, _GRID_ENTRY if "values" in rec else _ENTRY, f"entries[{i}].")
+            entry = ExtIndex(e["alpha"], tuple(e["beta"]))
             entries.append(entry)
-            c = _json_int(rec["coeff"])
-            if c != 0:
-                coeffs[entry] = c
-                if "values" not in rec:
+            if e["coeff"] != 0:
+                coeffs[entry] = e["coeff"]
+                if "values" not in e:
                     raise ValueError(f"missing grid values for {entry}")
-            if "values" in rec:
+            if "values" in e:
                 size = math.prod(level_to_knots(b) for b in entry.beta)
-                if not isinstance(rec["values"], list):  # text iterates too
-                    raise TypeError(f"values of {entry}: expected a list")
-                flat = np.array([float.fromhex(h) for h in rec["values"]])
-                if flat.size != size * len(qois):
-                    raise ValueError(f"entry {entry} has {flat.size} values, "
+                if len(e["values"]) != size * len(qois):
+                    raise ValueError(f"entry {entry} has {len(e['values'])} values, "
                                      f"expected {size} points x {len(qois)} QoIs")
-                values[entry] = flat.reshape(size, len(qois))
+                values[entry] = np.array(e["values"]).reshape(size, len(qois))
         index_set = MultiIndexSet(entries, dim=dim)
         if not entries:
             raise ValueError("the index set is empty")

@@ -20,7 +20,8 @@ The cache file is an append-only JSON-lines log with one record per answered
 request, ``{"alpha": <int>, "point": [<hex>...], "values": {<qoi>: <hex>}}``;
 a later record for the same point adds its QoIs.  Point coordinates and
 values are hex-encoded binary doubles so a cache hit is bit-identical to the
-original evaluation.  Only finite values are cached: a non-finite value
+original evaluation; text in another form, decimal text included, makes
+the record corrupt.  Only finite values are cached: a non-finite value
 fails its point.  A last line without its newline (an append cut short by a
 crash) is dropped on load; any other unreadable record, a record of another
 layout included, is an error.
@@ -116,6 +117,11 @@ def point_key(v) -> tuple[str, ...]:
     return tuple(float(x).hex() for x in v)
 
 
+# the kinds (``artifacts.KINDS``) of a cache record's keys
+_RECORD = {"alpha": "an integer >= 1", "point": "a list of hex floats as float.hex writes them",
+           "values": "a mapping of hex floats"}
+
+
 class EvalCache:
     """Map (fidelity, point) -> {qoi: value}, persisted as an append-only log."""
 
@@ -143,17 +149,9 @@ class EvalCache:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                values = {q: float.fromhex(v) for q, v in rec["values"].items()}
-                if not all(map(math.isfinite, values.values())):
-                    raise ValueError("non-finite value")
-                alpha, point = rec["alpha"], rec["point"]
-                if type(alpha) is not int or alpha < 1:  # a boolean is an int subclass
-                    raise ValueError(f"fidelity {alpha!r} is not an integer >= 1")
-                if not (isinstance(point, list) and all(
-                        isinstance(x, str) and float.fromhex(x).hex() == x for x in point)):
-                    raise ValueError(f"point {point!r} is not a list of hex floats")
-                self._store.setdefault((alpha, tuple(point)), {}).update(values)
+                rec = artifacts.check(json.loads(line), _RECORD)
+                key = (rec["alpha"], tuple(rec["point"]))
+                self._store.setdefault(key, {}).update(rec["values"])
             except artifacts.MALFORMED as exc:
                 raise OracleError(f"corrupt cache record at {self.path}:{lineno} (expected "
                                   f'{{"alpha", "point", "values": {{qoi: hex}}}}): {exc}') from exc
@@ -498,7 +496,7 @@ class CachedOracle:
         errors: dict[int, str] = {}
         for i, (p, key) in enumerate(zip(points, keys)):
             if not self._in_domain(p):
-                errors[i] = f"point {tuple(p)} outside the oracle domain"
+                errors[i] = f"point {tuple(p.tolist())} outside the oracle domain"
                 continue
             cached = self.cache.get(alpha, key)
             if any(q not in cached for q in qois):

@@ -291,6 +291,20 @@ class TestFindMap:
         with pytest.raises(CalibrationError):
             find_map(s, obs, box_space([(-1, 1), (-1, 1)]), n_starts=3, seed=4)
 
+    def test_all_starts_failing_prints_plain_floats(self):
+        class Broken(LinearSurrogate):
+            def evaluate(self, v):
+                return np.full(len(self.b), np.nan)
+
+        s = Broken(np.eye(2), np.zeros(2))
+        obs = ObservationSet.from_pairs([("y_0", 0.5), ("y_1", 0.25)])
+        with pytest.raises(CalibrationError) as err:
+            find_map(s, obs, box_space([(-1, 1), (-1, 1)]), n_starts=3, seed=4)
+        message = str(err.value)
+        assert "np.float64" not in message
+        start = re.search(r"first failure: \(\(([^,]+), ([^)]+)\), 'objective", message)
+        assert start and all(-1.0 <= float(x) <= 1.0 for x in start.groups()), message
+
     def test_demo_warns_of_its_competing_minimum(self, demo_calibration, caplog):
         # 8 of the demo's 20 starts end on the prior's upper temperature bound
         # with 1.1642 times the best misfit: relative likelihood exp(-0.1642 K / 2)

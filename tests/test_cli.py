@@ -1001,6 +1001,43 @@ class TestMainExitCodes:
         assert len(errors) == 1 and "surrogate.json" in errors[0], errors
         assert all(r.exc_info is None for r in caplog.records)
 
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda doc: [rec.update(values=[repr(float.fromhex(h)) for h in rec["values"]])
+                      for rec in doc["entries"] if "values" in rec],
+         "entries[0].values: expected a hex float at [0]"),
+        (lambda doc: doc["families"][0].update(hi="1450.0"),
+         "hi: expected a hex float, got '1450.0'"),
+    ], ids=["values_decimal_text", "family_hi_decimal_text"])
+    def test_decimal_text_surrogate_exits_with_numerical_code(self, tmp_path, caplog, edit,
+                                                             needle):
+        # float.fromhex reads "1450.0" as 0x1450, that is 5200
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        cmd_build(cfg)
+        make_observations(cfg)
+        surrogate_path = cfg.out_dir / "surrogate.json"
+        doc = json.loads(surrogate_path.read_text())
+        edit(doc)
+        surrogate_path.write_text(json.dumps(doc))
+        assert_exit(caplog, ["calibrate", "--config", str(path), "--quiet"], EXIT_NUMERICAL,
+                    str(surrogate_path), needle)
+        assert not (cfg.out_dir / "posterior.json").exists()
+
+    def test_decimal_text_cache_value_exits_with_oracle_code(self, tmp_path, caplog):
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        cmd_build(cfg)
+        cache_path = cfg.out_dir / "cache.jsonl"
+        first, *rest = cache_path.read_text().splitlines(keepends=True)
+        rec = json.loads(first)
+        qoi, value = next(iter(rec["values"].items()))
+        rec["values"][qoi] = repr(float.fromhex(value))
+        cache_path.write_text("".join([json.dumps(rec) + "\n", *rest]))
+        surrogate = (cfg.out_dir / "surrogate.json").read_bytes()
+        assert_exit(caplog, ["build", "--config", str(path), "--quiet"], EXIT_ORACLE,
+                    f"{cache_path}:1", f"values: expected a hex float at [{qoi!r}]")
+        assert (cfg.out_dir / "surrogate.json").read_bytes() == surrogate
+
     def test_module_entry_point(self, tmp_path):
         import subprocess
         path = write_config(tmp_path)

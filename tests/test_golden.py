@@ -3,12 +3,19 @@ benchmark's three workloads (``perfbench/run.py``) stays as pinned in
 ``tests/golden/<workload>.json``.  Each workload runs build, a warm rebuild,
 calibrate, forward and report through ``cli.main`` in process.  A change
 that alters output bytes on purpose rewrites the pins with
-``tools/golden.py``."""
+``tools/golden.py``.
+
+The pins also record the OpenBLAS kernel and numpy's SIMD targets they were
+made with.  Those decide how BLAS and ufunc loops round, so a failure names
+them when this host's differ; the test itself compares the digests alone."""
 
 import hashlib
 import json
+import os
 import platform
+import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,6 +36,31 @@ HASH_TOKEN = b"<config-hash>"
 
 def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def kernels() -> dict:
+    """The OpenBLAS core that numpy picks on this host, from the ``Core:``
+    line a child's ``import numpy`` prints under ``OPENBLAS_VERBOSE=2``
+    (None without OpenBLAS), and numpy's SIMD targets that this CPU enables."""
+    child = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                           text=True, check=True, env={**os.environ, "OPENBLAS_VERBOSE": "2"})
+    core = re.search(r"^Core: (\S+)", child.stderr + child.stdout, re.MULTILINE)
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    return {"openblas_core": core and core.group(1),
+            "simd": [f for f in (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
+                     if umath.__cpu_features__.get(f)]}
+
+
+def kernel_note(pins: dict) -> str:
+    """What differs between the kernels in ``pins`` and this host's, or ''."""
+    here = kernels()
+    notes = [f"{what} pinned on {pins.get(key)}, this host runs {here[key]}"
+             for key, what in (("openblas_core", "OpenBLAS core"), ("simd", "numpy SIMD"))
+             if pins.get(key) != here[key]]
+    return "".join(f"; {n}" for n in notes)
 
 
 def workload_digests(run, name: str) -> dict[str, str]:
@@ -78,9 +110,22 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     digests = workload_digests(run, name)
     changed = moved(pins["files"], digests)
-    assert not changed, f"{name}: output bytes differ from the pins: {changed}"
+    assert not changed, f"{name}: output bytes differ from the pins: {changed}{kernel_note(pins)}"
 
 
 def test_moved_names_each_kind_of_change():
     assert moved({"a": "1", "b": "2", "c": "3"}, {"a": "1", "b": "9", "d": "4"}) == [
         "changed b", "removed c", "added d"]
+
+
+def test_kernel_note_names_a_changed_core():
+    here = kernels()
+    assert kernel_note(here) == ""
+    assert kernel_note({**here, "openblas_core": "NoSuchCore"}) == \
+        f"; OpenBLAS core pinned on NoSuchCore, this host runs {here['openblas_core']}"
+
+
+def test_pins_record_the_kernels():
+    for name in WORKLOADS:
+        pins = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        assert {"openblas_core", "simd"} <= pins.keys(), name

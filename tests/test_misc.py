@@ -188,6 +188,11 @@ class TestBuild:
             build(MultiIndexSet([E(1, 1), E(1, 2)]), oracle, unit_families(1), ["q"])
         assert err.value.failures  # endpoints lie outside the declared domain
 
+    def test_failure_message_prints_plain_floats(self):
+        message = str(BuildError([(2, np.array([1290.0, -25.0]), "boom")]))
+        assert "alpha=2 v=(1290.0, -25.0): boom" in message
+        assert "np.float64" not in message
+
 
 class TestEvaluate:
     def test_reproduces_oracle_values_at_knots(self):
@@ -714,12 +719,19 @@ class TestSerialization:
         (lambda d: next(r for r in d["entries"] if "values" in r)["values"].__setitem__(
             0, "0x1p+2000"), "corrupt surrogate payload"),
         (lambda d: d["families"][0].update(lo="0x1p+2000"), "bad knot family record"),
+        (lambda d: next(r for r in d["entries"] if "values" in r)["values"].__setitem__(
+            0, "0.09604988664165479"), r"entries\[0\]\.values: expected a hex float at \[0\]"),
+        (lambda d: next(r for r in d["entries"] if "values" in r)["values"].__setitem__(
+            0, "nan"), "non-finite"),
+        (lambda d: d["families"][0].update(hi="1450.0"),
+         "bad knot family record .*hi: expected a hex float, got '1450.0'"),
     ], ids=["extra_qoi", "missing_qoi", "missing_values", "not_downward_closed",
             "wrong_level_count", "no_entries", "dim_infinite", "version_bool",
             "alpha_infinite", "alpha_bool", "alpha_float", "alpha_text", "coeff_infinite",
             "beta_infinite", "beta_bool", "beta_float", "beta_text", "symmetric_lo_infinite",
             "symmetric_hi_infinite", "gaussian_mean_infinite", "gaussian_mean_nan",
-            "value_out_of_range", "symmetric_lo_out_of_range"])
+            "value_out_of_range", "symmetric_lo_out_of_range", "value_decimal_text",
+            "value_nan_text", "symmetric_hi_decimal_text"])
     def test_inconsistent_payload_rejected(self, tmp_path, edit, match):
         path = tmp_path / "s.json"
         serialize(self.build_sample(), path)

@@ -218,9 +218,12 @@ class TestEvalCache:
           for point in ("x", {}, [1.0, 2.0], ["zz", "zz"])],
         {"alpha": 1, "point": ["0x0.0p+0"], "values": {"u_1": "0x1p+2000"}},
         {"alpha": 1, "point": ["0x1p+2000"], "values": {"u_1": "0x1.0p+0"}},
+        {"alpha": 1, "point": ["0x0.0p+0"], "values": {"u_1": "0.09604988664165479"}},
+        {"alpha": 1, "point": ["0x0.0p+0"], "values": {"u_1": "1"}},
     ], ids=["per_qoi_layout", "values_not_a_mapping", "alpha_float", "alpha_bool",
             "alpha_text", "alpha_negative", "point_text", "point_mapping", "point_numbers",
-            "point_not_hex", "value_out_of_range", "point_out_of_range"])
+            "point_not_hex", "value_out_of_range", "point_out_of_range", "value_decimal_text",
+            "value_digit_text"])
     def test_record_of_another_layout_rejected(self, tmp_path, rec):
         path = tmp_path / "cache.jsonl"
         EvalCache(path).put_many([(1, point_key((1.0,)), {"u_1": 1.0})])
@@ -323,6 +326,10 @@ class TestCachedOracle:
         results = oracle.eval_batch(1, [(1290.0, -2.5), (1290.0, 99.0)], ["u_1"])
         assert results[0].ok and not results[1].ok
         assert "domain" in results[1].error
+
+    def test_out_of_domain_error_prints_plain_floats(self):
+        [result] = CachedOracle(BeamAnalogModel()).eval_batch(1, [(1290.0, -25.0)], ["u_1"])
+        assert result.error == "point (1290.0, -25.0) outside the oracle domain"
 
     def test_unregistered_fidelity_rejected(self):
         oracle = CachedOracle(BeamAnalogModel())

@@ -6,7 +6,8 @@ Usage (from the repository root):
 
 Runs each workload (default: all three) in a temporary directory the way
 the test does and writes ``tests/golden/<workload>.json``: the sha256 of
-every output file and the Python and numpy versions they were made with.
+every output file, the Python and numpy versions they were made with, and
+the OpenBLAS core and numpy SIMD targets of this host.
 Before it rewrites a pin it prints each file whose digest moved (added,
 removed or changed), or ``unchanged``.  Run it only on a checkout whose
 output bytes are known good, and list in the change's notes every file it
@@ -40,7 +41,7 @@ def main(argv=None) -> int:
                 files = test_golden.workload_digests(run, name)
             finally:
                 os.chdir(home)
-        doc = {**test_golden.versions(), "files": files}
+        doc = {**test_golden.versions(), **test_golden.kernels(), "files": files}
         path = test_golden.GOLDEN / f"{name}.json"
         pinned = json.loads(path.read_text(encoding="utf-8"))["files"] if path.exists() else {}
         for line in test_golden.moved(pinned, files) or ["unchanged"]:
