@@ -2,8 +2,10 @@
 value a stage reads back.
 
 Every output file is written to a temporary file next to it and then moved
-over it with ``os.replace``, so a reader, or a rerun after a crash, finds
-either the previous artifact or the complete new one, never a torn file.
+over it with ``os.replace``, so a reader, or a rerun after a crash, never
+finds a torn file.  A failed write leaves the previous artifact, if any,
+unless the CLI removed it before the stage ran: it does so with each output
+that a later stage reads, so that a failed stage leaves none of them.
 
 ``MALFORMED`` lists what decoding a malformed input raises.  Every parser
 of a stage input (the config, the observations, the JSON artifacts, the

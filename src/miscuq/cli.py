@@ -7,8 +7,10 @@ configuration; anything time-dependent goes to the log on stderr only, so
 reruns with identical config and seeds are byte-identical.
 
 ``_STAGES`` lists the stages in order, with the artifacts each reads and
-those of its outputs that a later stage reads; ``main`` refuses a stage
-whose inputs are missing and names the stage to run first.
+those of its outputs that a later stage reads.  ``main`` removes those
+outputs before it runs a stage, so a stage that fails leaves none of them
+for a later stage to read, and it refuses a stage whose inputs are missing
+and names the stage to run first.
 
 Each stage process loads only what it runs: this module and ``load_config``
 need the standard library, yaml and the numpy-free ``artifacts``, ``params``
@@ -36,8 +38,8 @@ from .oracle import (BeamAnalogModel, CachedOracle, EvalCache, ExternalProcessMo
                      OracleError, builtin_model)
 from .params import Gaussian, ParamSpace, ParamSpec, Uniform, check_covariance
 
-__all__ = ["main", "load_config", "cmd_build", "cmd_calibrate", "cmd_forward", "cmd_report",
-           "ConfigError", "NumericalError", "PipelineConfig"]
+__all__ = ["main", "entry", "load_config", "cmd_build", "cmd_calibrate", "cmd_forward",
+           "cmd_report", "ConfigError", "NumericalError", "PipelineConfig"]
 
 log = logging.getLogger(__name__)
 
@@ -611,7 +613,13 @@ def main(argv=None) -> int:
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     try:
         cfg = load_config(args.config, out=args.out)
-        run, reads, _ = _STAGES[args.command]
+        run, reads, outputs = _STAGES[args.command]
+        for path in (cfg.out_dir / name for name in outputs):
+            if path.is_file():
+                try:
+                    path.unlink()
+                except OSError as exc:
+                    raise ConfigError(f"cannot remove {path}: {exc.strerror or exc}") from exc
         missing = [f for f in reads if not (cfg.out_dir / f).exists()]
         if missing:
             first = next(n for n, (*_, provides) in _STAGES.items() if set(provides) & set(missing))
@@ -635,5 +643,27 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def entry() -> None:
+    """The process entry of ``python -m miscuq`` and the ``miscuq`` script:
+    ``main``, then, once the log and the standard streams are flushed, an
+    exit that skips interpreter finalization (``os._exit``).  An exception
+    that escapes ``main``, argparse's ``SystemExit`` included, takes the
+    normal exit.  Skipping finalization loses nothing, because
+
+    - every artifact write is closed, through ``artifacts.write_text`` or a
+      ``with`` block;
+    - every oracle lane is closed, in the ``finally`` of
+      ``_adaptive_surrogates`` and in ``ExternalProcessModel.dispatch``'s
+      error path;
+    - the package registers no ``atexit`` hook or finalizer.
+    """
+    code = main()
+    logging.shutdown()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started with the descriptor closed
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

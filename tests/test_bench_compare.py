@@ -78,12 +78,16 @@ def test_verdict_table_has_one_row_per_entry():
     header, *rows = bench_compare.verdict_table(record).splitlines()
     assert header.split()[-1] == "verdict"
     metric_rows = [r for r in rows if r.split()[1] != "failed/checks"]
-    assert [r.split()[:2] + [r.split(maxsplit=6)[-1]] for r in metric_rows] == [
+    assert [r.split()[:2] + [r.split(maxsplit=7)[-1]] for r in metric_rows] == [
         ["demo", "pipeline_s", "regression"],
         ["converge", "pipeline_s", "no change"],
         ["converge", "band_coverage", "gain"],
     ]
     assert "1.300" in metric_rows[0] and "0/10" in metric_rows[0]
+    # the parent's interquartile range, the margin a gain must clear
+    parent = bench_compare.summary(PARENT)
+    assert [r.split()[4] for r in metric_rows] == [
+        format(parent["q3"] - parent["q1"], ".6g")] * 2 + ["0"]
 
 
 def test_verdict_table_counts_checks_per_side():

@@ -740,18 +740,42 @@ class TestMainExitCodes:
     def test_displacement_only_calibration_exits_with_numerical_code(self, tmp_path, caplog):
         # the builtin displacements are mutually proportional, so alone they
         # leave one parameter direction unconstrained
-        doc = yaml.safe_load(DEMO_CONFIG.read_text())
-        doc["calibration"]["qois"] = ["u_1", "u_2", "u_3"]
-        (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(doc))
-        lines = (DEMO_CONFIG.parent / doc["calibration"]["observations"]).read_text().splitlines()
-        (tmp_path / doc["calibration"]["observations"]).write_text(
-            "".join(f"{line}\n" for line in lines if not line.startswith("e_")))
-        argv = ["--config", str(tmp_path / "cfg.yaml"), "--out", str(tmp_path / "out"), "--quiet"]
+        argv = ["--config", str(displacement_only_config(tmp_path)),
+                "--out", str(tmp_path / "out"), "--quiet"]
         assert main(["build", *argv]) == EXIT_OK
         assert_exit(caplog, ["calibrate", *argv], EXIT_NUMERICAL,
                     "the observations leave parameter direction(s) [0.999961, -0.00888] "
                     "unconstrained")
         assert not (tmp_path / "out" / "posterior.json").exists()
+
+    def test_refused_calibration_leaves_no_posterior_behind(self, tmp_path, caplog):
+        # after a full demo pipeline, a refused calibrate takes the earlier
+        # posterior with it, so forward and report ask for calibrate again
+        out = ["--out", str(tmp_path / "out"), "--quiet"]
+        demo = ["--config", str(DEMO_CONFIG), *out]
+        assert [main([stage, *demo]) for stage in STAGES] == [EXIT_OK] * 4
+        assert main(["calibrate", "--config", str(displacement_only_config(tmp_path)),
+                     *out]) == EXIT_NUMERICAL
+        assert not (tmp_path / "out" / "posterior.json").exists()
+        for stage in ("forward", "report"):
+            assert_config_exit(caplog, [stage, *demo], f"{stage}: missing artifacts",
+                               "'posterior.json'", "run 'calibrate' first")
+
+    @pytest.mark.parametrize("stage, after", [("build", "calibrate"), ("calibrate", "forward"),
+                                              ("forward", "report")])
+    def test_failed_stage_leaves_no_input_of_a_later_stage(self, tmp_path, caplog, clean_run,
+                                                           stage, after):
+        # after a full run, the stage's first write fails: none of its outputs
+        # that a later stage reads is left, and the next stage names it
+        out = tmp_path / "out"
+        shutil.copytree(clean_run.out, out)
+        argv = ["--config", str(clean_run.config), "--out", str(out), "--quiet"]
+        with pytest.MonkeyPatch.context() as mp:
+            counting_writes(mp, fail_at=1)
+            assert main([stage, *argv]) == EXIT_CONFIG
+        assert not [name for name in _STAGES[stage][2] if (out / name).exists()]
+        assert_config_exit(caplog, [after, *argv], f"{after}: missing artifacts",
+                           f"run '{stage}' first")
 
     def test_zero_variance_posterior_fails_before_any_simulator_call(self, tmp_path, caplog):
         path = write_config(tmp_path)
@@ -1033,18 +1057,108 @@ class TestMainExitCodes:
         qoi, value = next(iter(rec["values"].items()))
         rec["values"][qoi] = repr(float.fromhex(value))
         cache_path.write_text("".join([json.dumps(rec) + "\n", *rest]))
-        surrogate = (cfg.out_dir / "surrogate.json").read_bytes()
         assert_exit(caplog, ["build", "--config", str(path), "--quiet"], EXIT_ORACLE,
                     f"{cache_path}:1", f"values: expected a hex float at [{qoi!r}]")
-        assert (cfg.out_dir / "surrogate.json").read_bytes() == surrogate
+        assert not (cfg.out_dir / "surrogate.json").exists()
 
-    def test_module_entry_point(self, tmp_path):
+    @pytest.mark.parametrize("stage, overrides, posterior, code, line", [
+        ("build", {}, None, EXIT_OK, None),
+        ("build", {"seed": -1}, None, EXIT_CONFIG, "config error: seed must be >= 0"),
+        ("build", {"oracle": {"command": f"{sys.executable} -c 'import sys; sys.exit(9)'",
+                              "fidelities": [{"alpha": 1, "cost_weight": 1.0}]}},
+         None, EXIT_ORACLE, "oracle error: oracle process exited (code 9)"),
+        ("forward", {}, [1.0, 0.0, 0.0, 0.0], EXIT_NUMERICAL,
+         "numerical failure: posterior has a zero-variance direction"),
+    ], ids=["ok", "config", "oracle", "numerical"])
+    def test_module_entry_point(self, tmp_path, stage, overrides, posterior, code, line):
+        # the process exits with main's code, and its one error line, logged
+        # before the exit that skips finalization, reaches the captured stderr
         import subprocess
-        path = write_config(tmp_path)
-        proc = subprocess.run([sys.executable, "-m", "miscuq", "build",
+        path = write_config(tmp_path, overrides)
+        if posterior is not None:
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "posterior.json").write_text(json.dumps(
+                {"mean": [1290.0, -2.5], "covariance": posterior, "sigma_meas": 1.0}))
+        proc = subprocess.run([sys.executable, "-m", "miscuq", stage,
                                "--config", str(path), "--quiet"],
                               capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        errors = [t for t in proc.stderr.splitlines() if " ERROR " in t]
+        assert len(errors) == (line is not None) and all(line in e for e in errors), proc.stderr
+        assert proc.stdout == ""
+
+    def test_module_entry_point_with_stdout_closed(self, tmp_path):
+        # a process started with descriptor 1 closed has no sys.stdout
+        import shlex
+        import subprocess
+        argv = [sys.executable, "-m", "miscuq", "build", "--config", str(write_config(tmp_path))]
+        proc = subprocess.run(f"{shlex.join(argv)} >&-", shell=True, capture_output=True,
+                              text=True)
         assert proc.returncode == EXIT_OK, proc.stderr
+        assert "build:" in proc.stderr
+
+    def test_module_entry_point_usage_error_exits_normally(self):
+        # argparse's SystemExit escapes main and takes the normal exit
+        import subprocess
+        proc = subprocess.run([sys.executable, "-m", "miscuq", "build"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "the following arguments are required: --config" in proc.stderr
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states")
+    def test_module_entry_point_leaves_no_lane_running(self, tmp_path):
+        # each lane records its pid and, at the end of its input, lingers a
+        # moment: the stage closes its lanes, so none outlives the process
+        import subprocess
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        script = tmp_path / "pid_oracle.py"
+        script.write_text(textwrap.dedent(f"""\
+            import json, os, sys, time
+            open(os.path.join({str(pids)!r}, str(os.getpid())), "w").close()
+            for line in sys.stdin:
+                req = json.loads(line)
+                x = req["params"][0] + 0.1 * req["params"][1] * req["fidelity"]
+                print(json.dumps({{"id": req["id"],
+                                  "values": [x * (i + 1) for i in range(len(req["qois"]))]}}),
+                      flush=True)
+            time.sleep(0.3)
+        """))
+        path = write_config(tmp_path, {
+            "oracle": {"command": f"{sys.executable} {script}", "lanes": 2,
+                       "fidelities": [{"alpha": 1, "cost_weight": 1.0},
+                                      {"alpha": 2, "cost_weight": 4.0}]},
+            "calibration.qois": ["q_a", "q_b"]})
+        # the lanes inherit stderr: into a file, not a pipe that run would
+        # read until the last lane closes it
+        with open(tmp_path / "stderr.txt", "w") as err:
+            proc = subprocess.run([sys.executable, "-m", "miscuq", "build",
+                                   "--config", str(path), "--quiet"], stderr=err)
+        assert proc.returncode == EXIT_OK, (tmp_path / "stderr.txt").read_text()
+        lanes = [int(p.name) for p in pids.iterdir()]
+        assert len(lanes) == 2
+        assert [pid for pid in lanes if process_running(pid)] == []
+
+
+def process_running(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def displacement_only_config(tmp_path):
+    """The demo config calibrated on u_1, u_2 and u_3 alone, with its
+    observations cut to the displacements, under ``tmp_path``."""
+    doc = yaml.safe_load(DEMO_CONFIG.read_text())
+    doc["calibration"]["qois"] = ["u_1", "u_2", "u_3"]
+    (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(doc))
+    lines = (DEMO_CONFIG.parent / doc["calibration"]["observations"]).read_text().splitlines()
+    (tmp_path / doc["calibration"]["observations"]).write_text(
+        "".join(f"{line}\n" for line in lines if not line.startswith("e_")))
+    return tmp_path / "cfg.yaml"
 
 
 # the modules that only a stage which computes loads: each pulls in numpy
@@ -1281,17 +1395,19 @@ def artifact_cases(out):
 
 def test_malformed_artifact_sweep(tmp_path, caplog):
     # every malformed stage input exits with its code, one ERROR record and
-    # no traceback
+    # no traceback; each case starts from the full run's files, since a
+    # stage removes its outputs that a later stage reads
     path = write_config(tmp_path)
     run_pipeline(load_config(path))
     out = tmp_path / "out"
+    good = snapshot(out)
     wrong = []
     for case, stage, name, text, expected in artifact_cases(out):
-        good = (out / name).read_bytes()
         (out / name).write_text(text)
         caplog.clear()
         code = main([stage, "--config", str(path), "--quiet"])
-        (out / name).write_bytes(good)
+        for rel, data in good.items():
+            (out / rel).write_bytes(data)
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         if not (code == expected and len(errors) == (expected != EXIT_OK)
                 and all(r.exc_info is None for r in caplog.records)):

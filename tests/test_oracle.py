@@ -173,8 +173,66 @@ class TestBeamAnalogModel:
         assert b1 / b2 == pytest.approx(36.0, rel=1e-9)
 
     def test_unknown_qoi_rejected(self):
-        with pytest.raises(OracleError):
-            BeamAnalogModel().exact((1290.0, -2.5), ["u_9"])
+        for qois, unknown in ((["u_9"], "u_9"), (["u_1", "e_121"], "e_121"), (["e_0"], "e_0"),
+                              (["x_1"], "x_1")):
+            with pytest.raises(OracleError, match=f"^unknown QoI '{unknown}'$"):
+                BeamAnalogModel().exact((1290.0, -2.5), qois)
+
+    def test_array_closed_forms_match_scalar_ones_bit_for_bit(self):
+        # at the domain's and the nominal box's corners and at random points,
+        # every declared QoI at both fidelities
+        model = BeamAnalogModel()
+        (t_lo, t_hi), (l_lo, l_hi) = model.domain
+        rng = np.random.default_rng(11)
+        points = [(t, h) for t in (t_lo, 1130.0, 1290.0, 1450.0, t_hi)
+                  for h in (l_lo, -5.0, -2.5, 0.0, l_hi)]
+        points += list(zip(rng.uniform(t_lo, t_hi, 200).tolist(),
+                           rng.uniform(l_lo, l_hi, 200).tolist()))
+        for v in points:
+            assert hexes(model.exact(v, model.qoi_names)) == hexes(
+                scalar_exact(v, model.qoi_names)), v
+            for alpha in (1, 2):
+                got = model.evaluate(alpha, v, model.qoi_names)
+                assert all(type(x) is float for x in got)
+                assert hexes(got) == hexes(scalar_evaluate(alpha, v, model.qoi_names)), (alpha, v)
+
+    def test_any_qoi_subset_in_any_order(self):
+        model = BeamAnalogModel()
+        rng = np.random.default_rng(12)
+        for n in (1, 5, 17, 125):
+            qois = [str(q) for q in rng.choice(model.qoi_names, n, replace=False)]
+            qois.append(qois[0])  # a name asked for twice is answered twice
+            v = (rng.uniform(1130, 1450), rng.uniform(-5, 0))
+            assert hexes(model.exact(v, qois)) == hexes(scalar_exact(v, qois))
+            assert hexes(model.evaluate(1, v, qois)) == hexes(scalar_evaluate(1, v, qois))
+        assert model.exact((1290.0, -2.5), []).shape == (0,)
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+def scalar_exact(v, qois):
+    """The closed forms of ``BeamAnalogModel`` one QoI at a time in scalars,
+    the reference for its array evaluation."""
+    t, logh = float(v[0]), float(v[1])
+    s = math.tanh((t - 1290.0) / 160.0)
+    out = []
+    for q in qois:
+        kind, _, num = q.partition("_")
+        k = int(num)
+        if kind == "u":
+            out.append(0.1 * k * (1.0 + 0.3 * s) * (1.0 + 0.15 * (logh + 2.5) / 2.5))
+        else:
+            out.append((1.5 - 0.01 * k) * 1e-3 *
+                       (1.0 + 0.2 * s + 0.1 * math.sin(math.pi * (logh + 2.5) / 5.0)))
+    return out
+
+
+def scalar_evaluate(alpha, v, qois):
+    t, logh = float(v[0]), float(v[1])
+    bias = 1.0 + BeamAnalogModel.BIAS[alpha] * math.cos(t / 200.0) * math.cos(logh)
+    return [x * bias for x in scalar_exact(v, qois)]
 
 
 class TestEvalCache:

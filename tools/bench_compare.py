@@ -149,11 +149,12 @@ def metric_entry(metric: dict, sides: dict) -> dict:
 
 
 def verdict_table(record: dict) -> str:
-    """One line per (workload, end-to-end metric): the two medians, their
-    ratio, the pairs won and the verdict; and per workload a line with each
-    side's failed and attempted correctness checks, summed over its runs."""
-    lines = [f"{'workload':<10} {'metric':<15} {'parent':>12} {'change':>12} {'ratio':>7} "
-             f"{'won':>5}  verdict"]
+    """One line per (workload, end-to-end metric): the two medians, the
+    parent's interquartile range (the margin a gain must clear), the ratio of
+    the medians, the pairs won and the verdict; and per workload a line with
+    each side's failed and attempted correctness checks, summed over its runs."""
+    lines = [f"{'workload':<10} {'metric':<15} {'parent':>12} {'change':>12} {'parent IQR':>12} "
+             f"{'ratio':>7} {'won':>5}  verdict"]
     for workload, entry in record["workloads"].items():
         checks = [f"{sum(entry['failed'][side])}/{sum(entry['attempted'][side])}"
                   for side in SIDES]
@@ -162,6 +163,7 @@ def verdict_table(record: dict) -> str:
             ratio = m["change_over_parent"]
             lines.append(f"{workload:<10} {name:<15} {m['parent']['median']:>12.6g} "
                          f"{m['change']['median']:>12.6g} "
+                         f"{m['parent']['q3'] - m['parent']['q1']:>12.6g} "
                          f"{'-' if ratio is None else format(ratio, '.3f'):>7} "
                          f"{m['pairs_won_by_change']:>2}/{len(m['change']['values']):<2}  "
                          f"{m['verdict']}")
