@@ -463,6 +463,9 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
     if missing:
         raise ConfigError(f"calibration.observations: {cfg.observations} references QoIs "
                           f"missing from the surrogate {cfg.out_dir / SURROGATE_FILE}: {missing}")
+    if len(surrogate.compiled.grid) == 1:
+        raise NumericalError(f"the surrogate {cfg.out_dir / SURROGATE_FILE} is one grid point, "
+                             "a constant: rebuild it with a larger calibration.budget.max_work")
 
     posterior = bayes.calibrate(surrogate, obs, cfg.space, cfg.n_starts,
                                 _stage_seed(cfg.seed, 1))

@@ -4,11 +4,11 @@ Evaluation uses the second (true) barycentric form per dimension, which is
 stable for clustered nodes (Berrut & Trefethen, SIAM Review 2004).  The
 per-dimension basis rows of each query point are multiplied out into one
 row over the whole grid (their Kronecker product, in the grid's row-major
-order), and the rows are contracted with the values by matrix products: one
-product for up to ``ROWS`` points, one per block of ``ROWS`` rows beyond
-that, so no more than a block's basis rows are held at once.  A query
-coordinate that coincides with a knot (to 1e-14 relative) gets that knot's
-unit basis row, avoiding the 0/0 in the barycentric kernel.
+order), and the rows are contracted with the values by matrix products in
+row blocks of ``ROWS``, so no more than a block's basis rows are held at
+once.  A query coordinate that coincides with a knot (to 1e-14 relative)
+gets that knot's unit basis row, avoiding the 0/0 in the barycentric
+kernel.
 """
 
 from __future__ import annotations
@@ -141,15 +141,11 @@ class TensorInterpolant:
     def evaluate_many(self, points) -> np.ndarray:
         """Evaluate at an (S, dim) array of points; returns (S, n_outputs).
 
-        Up to ``ROWS`` points take one product of their basis with the
-        values, without the block loop's result array and slicing, which
-        would add about a tenth to a single-point call.  More are evaluated
-        in the row blocks of ``blocks``, each product written into its rows
-        of the result, which equals the one product (see ``blocks``) while
-        holding one block's basis."""
+        The points are evaluated in the row blocks of ``blocks``, each
+        product written into its rows of the result, which equals one
+        product over all points (see ``blocks``) while holding one block's
+        basis."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if len(points) <= ROWS:
-            return self.basis(points) @ self.values
         out = np.empty((len(points), self.values.shape[1]))
         for rows in blocks(len(points), ROWS):
             np.matmul(self.basis(points[rows]), self.values, out=out[rows])

@@ -737,6 +737,19 @@ class TestMainExitCodes:
                     "outside the oracle domain")
         assert not (out / "reduction.json").exists()
 
+    def test_constant_calibration_surrogate_exits_with_numerical_code(self, tmp_path, caplog):
+        # a zero build budget leaves a surrogate of one grid point: a constant
+        # that no observation constrains, refused before the MAP search
+        path = write_config(tmp_path, {"calibration.budget": {"max_work": 0.0}})
+        cfg = load_config(path)
+        cmd_build(cfg)
+        make_observations(cfg)
+        assert_exit(caplog, ["calibrate", "--config", str(path), "--quiet"], EXIT_NUMERICAL,
+                    f"the surrogate {cfg.out_dir / 'surrogate.json'} is one grid point",
+                    "rebuild it with a larger calibration.budget.max_work")
+        assert not any("competing minimum" in r.getMessage() for r in caplog.records)
+        assert not (cfg.out_dir / "posterior.json").exists()
+
     def test_displacement_only_calibration_exits_with_numerical_code(self, tmp_path, caplog):
         # the builtin displacements are mutually proportional, so alone they
         # leave one parameter direction unconstrained
