@@ -25,7 +25,7 @@ import os
 from itertools import repeat
 from pathlib import Path
 
-__all__ = ["ArtifactError", "MALFORMED", "KINDS", "check", "write_text", "write_csv"]
+__all__ = ["ArtifactError", "NumericalError", "MALFORMED", "KINDS", "check", "write_text", "write_csv"]
 
 # a missing key, a wrong type or value (JSONDecodeError and UnicodeDecodeError
 # are ValueErrors), an attribute a non-mapping lacks, a number beyond the
@@ -123,6 +123,11 @@ def check(doc, kinds: dict, where: str = "") -> dict:
 
 class ArtifactError(OSError):
     """An artifact could not be written; the message names its path."""
+
+
+class NumericalError(ValueError):
+    """An unusable numerical result (CLI exit 4).  A ValueError, so one of
+    ``MALFORMED``: no parser catching those may wrap a call that raises it."""
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import MALFORMED
+from .artifacts import MALFORMED, NumericalError
 from .params import ParamSpace, check_covariance
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(NumericalError):
     """The inverse step could not produce a usable result."""
 
 log = logging.getLogger(__name__)
@@ -392,8 +392,8 @@ def laplace_covariance(surrogate, obs: ObservationSet, v_map, sigma: float,
 
     J is the Jacobian of the surrogate predictions, by central differences
     with per-dimension step 1e-4 times the box width.  A CalibrationError
-    names each direction whose singular value of J^T J is <= 1e-12 s_max.
-    """
+    refuses a non-finite J^T J (J's squares are on its diagonal), or names
+    each direction whose singular value of J^T J is <= 1e-12 s_max."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     base = _Misfit(surrogate, obs)
@@ -403,9 +403,12 @@ def laplace_covariance(surrogate, obs: ObservationSet, v_map, sigma: float,
     h = FD_STEP_REL * widths
     p = base.predictions(np.vstack([v_map + np.diag(h), v_map - np.diag(h)]))
     J = ((p[:n] - p[n:]) / (2.0 * h)[:, None]).T
-    M = J.T @ J
+    with np.errstate(over="ignore"):  # refused below
+        M = J.T @ J
+    if not np.isfinite(M).all():
+        raise CalibrationError("J^T J is not finite: the surrogate's slopes overflow or are NaN")
     u, s, vt = np.linalg.svd(M)
-    rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
+    rank = int(np.sum(s > s[0] * 1e-12))
     if rank < n:
         raise CalibrationError("the observations leave parameter direction(s) " + ", ".join(
             str(np.round(v, 6).tolist()) for v in vt[rank:]) + " unconstrained")

@@ -34,12 +34,13 @@ from pathlib import Path
 import yaml
 
 from . import artifacts
+from .artifacts import NumericalError
 from .oracle import (BeamAnalogModel, CachedOracle, EvalCache, ExternalProcessModel, FidelitySpec,
                      OracleError, builtin_model)
 from .params import Gaussian, ParamSpace, ParamSpec, Uniform, check_covariance
 
 __all__ = ["main", "entry", "load_config", "cmd_build", "cmd_calibrate", "cmd_forward",
-           "cmd_report", "ConfigError", "NumericalError", "PipelineConfig"]
+           "cmd_report", "ConfigError", "PipelineConfig"]
 
 log = logging.getLogger(__name__)
 
@@ -61,10 +62,6 @@ DEFAULT_SAMPLES = 10_000  # forward.samples when the config sets none
 
 class ConfigError(Exception):
     """The configuration file is missing, malformed, or inconsistent."""
-
-
-class NumericalError(Exception):
-    """A numerical step produced an unusable result."""
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -125,9 +122,11 @@ def _mapping(value, where: str, keys) -> dict:
 
 def _text(value, where: str) -> str:
     """``str(value)`` of a string or a number; null, a boolean (YAML 1.1 reads
-    unquoted yes/no/on/off as one), a list or a mapping is a ConfigError."""
+    unquoted yes/no/on/off as one), a list, a mapping or a NUL is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ConfigError(f"{where}: expected text, got {value!r}")
+    if "\0" in str(value):
+        raise ConfigError(f"{where}: contains a NUL character")
     return str(value)
 
 
@@ -328,8 +327,7 @@ def _posterior_families(posterior):
     if (stds <= 0.0).any():
         raise NumericalError("posterior has a zero-variance direction; "
                              "cannot place Gaussian knots")
-    return tuple(Gaussian(float(m), float(s))
-                 for m, s in zip(posterior.mean, stds))
+    return tuple(Gaussian(float(m), float(s)) for m, s in zip(posterior.mean, stds))
 
 
 def _stage_seed(base: int, stage: int):
@@ -524,10 +522,7 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
         forward.write_bands_csv(bands[-1], cfg.out_dir / f"bands_{tag}.csv", comment)
     extrapolated = [float(b.extrapolated_fraction[0]) for b in bands]
 
-    try:
-        reduction = forward.uncertainty_reduction(*bands)
-    except ValueError as exc:
-        raise NumericalError(str(exc)) from exc
+    reduction = forward.uncertainty_reduction(*bands)
     _write_json(cfg.out_dir / REDUCTION_FILE, {
         "config_hash": cfg.config_hash,
         "reduction_percent": reduction,
@@ -630,15 +625,10 @@ def main(argv=None) -> int:
                               f"run '{first}' first")
         run(cfg)
     except Exception as exc:
-        # a class whose module was never loaded cannot have raised, so the
-        # numerical classes are looked up only among the loaded modules
-        numerical = (NumericalError, *(getattr(sys.modules[module], name) for module, name in (
-            ("numpy.linalg", "LinAlgError"), (f"{__package__}.misc", "SurrogateFormatError"),
-            (f"{__package__}.bayes", "CalibrationError")) if module in sys.modules))
         for code, what, kinds in (
                 (EXIT_CONFIG, "config error", (ConfigError, artifacts.ArtifactError)),
                 (EXIT_ORACLE, "oracle error", OracleError),
-                (EXIT_NUMERICAL, "numerical failure", numerical)):
+                (EXIT_NUMERICAL, "numerical failure", NumericalError)):
             if isinstance(exc, kinds):
                 log.error("%s: %s", what, exc)
                 return code

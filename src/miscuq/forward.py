@@ -234,11 +234,11 @@ def summarize_bands(push: PushResult, densities: tuple[str, ...] = ()) -> BandSu
 def uncertainty_reduction(prior_bands: BandSummary, post_bands: BandSummary) -> float:
     """Mean relative shrinkage of the quantile band widths, in percent."""
     if prior_bands.qoi_names != post_bands.qoi_names:
-        raise ValueError("band summaries cover different QoI lists")
+        raise artifacts.NumericalError("band summaries cover different QoI lists")
     w_prior = prior_bands.widths()
     if np.any(w_prior <= 0.0):
         bad = [n for n, w in zip(prior_bands.qoi_names, w_prior) if w <= 0.0]
-        raise ValueError(f"prior band width must be positive, offending QoIs: {bad}")
+        raise artifacts.NumericalError(f"prior band width must be positive, offending QoIs: {bad}")
     w_post = post_bands.widths()
     return float(100.0 * np.mean((w_prior - w_post) / w_prior))
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import NumericalError
 from .leja import level_to_knots
 
 __all__ = ["ROWS", "TensorGrid", "TensorInterpolant", "blocks", "build_grid"]
@@ -73,7 +74,7 @@ def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     diff = x[:, None] - x[None, :]
     off = ~np.eye(m, dtype=bool)
     if np.any(np.abs(diff[off]) <= tol):
-        raise np.linalg.LinAlgError("coincident knots within 1e-14 relative tolerance")
+        raise NumericalError("coincident knots within 1e-14 relative tolerance")
     # Scale by the capacity estimate span/4 to keep products of differences
     # away from overflow/underflow for long sequences.
     scale = span / 4.0

@@ -58,7 +58,7 @@ class BuildError(OracleError):
         super().__init__(f"{len(self.failures)} oracle evaluation(s) failed: {lines}{more}")
 
 
-class SurrogateFormatError(ValueError):
+class SurrogateFormatError(artifacts.NumericalError):
     """Surrogate file is missing, corrupt, or has an incompatible layout."""
 
 
@@ -361,7 +361,7 @@ def _family_from_json(d):
             raise ValueError(f"unknown kind {d['kind']!r}")
         return cls(**artifacts.check(d, {n.name: "a hex float" for n in fields(cls)}))
     except artifacts.MALFORMED as exc:
-        raise SurrogateFormatError(f"bad knot family record {d!r}: {exc}") from exc
+        raise ValueError(f"bad knot family record {d!r}: {exc}") from exc
 
 
 def serialize(surrogate: MiscSurrogate, path: str | Path, config_hash: str | None = None) -> None:

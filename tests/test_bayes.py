@@ -417,6 +417,16 @@ class TestLaplaceCovariance:
         with pytest.raises(CalibrationError, match=r"direction\(s\) \[0\.0, 1\.0\] unconstrained"):
             laplace_covariance(s, obs, [1.0, 0.0], 0.1, box_space([(-2, 2), (-2, 2)]))
 
+    @pytest.mark.parametrize("slope, offset", [(1e200, 0.0), (1.0, math.nan)],
+                             ids=["overflow", "nan"])
+    def test_non_finite_normal_matrix_refused(self, slope, offset):
+        # J^T J overflows at slope 1e200, and a NaN prediction makes it NaN:
+        # neither says that the observations leave a direction unconstrained
+        s = LinearSurrogate(np.full((2, 2), slope), np.full(2, offset))
+        obs = obs_for(s, [1.0, 2.0])
+        with pytest.raises(CalibrationError, match=r"J\^T J is not finite"):
+            laplace_covariance(s, obs, [0.0, 0.0], 0.1, box_space([(-2, 2), (-2, 2)]))
+
     def test_symmetric_psd(self):
         rng = np.random.default_rng(8)
         A = rng.normal(size=(5, 3))

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import tracemalloc
 import weakref
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 import yaml
 
-from miscuq import artifacts, forward, misc, oracle
+from miscuq import artifacts, bayes, forward, interp, misc, oracle
 from miscuq.cli import (
     _STAGES,
     EXIT_CONFIG,
@@ -118,6 +119,18 @@ def assert_exit(caplog, argv, code, *needles):
 
 def assert_config_exit(caplog, argv, *needles):
     assert_exit(caplog, argv, EXIT_CONFIG, *needles)
+
+
+def throw(exc):
+    raise exc
+
+
+def failing_stage(fail):
+    """A ``_STAGES`` function that calls ``fail``, which raises."""
+    def stage(cfg):
+        """Fail on purpose."""
+        fail()
+    return stage
 
 
 STAGES = ("build", "calibrate", "forward", "report")
@@ -637,6 +650,50 @@ class TestMainExitCodes:
         path = tmp_path / "cfg.yaml"
         path.write_bytes(data)
         assert_config_exit(caplog, ["build", "--config", str(path), "--quiet"], "cannot parse")
+
+    @pytest.mark.parametrize("fail, code, needle", [
+        (partial(throw, ConfigError("bad setting")), EXIT_CONFIG, "bad setting"),
+        (partial(throw, artifacts.ArtifactError("cannot write x")), EXIT_CONFIG, "cannot write x"),
+        (partial(throw, oracle.OracleError("lane died")), EXIT_ORACLE, "lane died"),
+        (partial(throw, misc.BuildError([(1, (0.5,), "boom")])), EXIT_ORACLE, "v=(0.5,): boom"),
+        (partial(throw, artifacts.NumericalError("no result")), EXIT_NUMERICAL, "no result"),
+        (partial(throw, misc.SurrogateFormatError("corrupt")), EXIT_NUMERICAL, "corrupt"),
+        (partial(throw, bayes.CalibrationError("unconstrained")), EXIT_NUMERICAL,
+         "unconstrained"),
+        (partial(interp._barycentric_weights, np.array([0.0, 1.0, 1.0])), EXIT_NUMERICAL,
+         "coincident knots"),
+        (partial(forward.uncertainty_reduction, *[SimpleNamespace(
+            qoi_names=("e_1",), widths=lambda: np.zeros(1))] * 2), EXIT_NUMERICAL,
+         "prior band width must be positive"),
+    ], ids=["config", "artifact", "oracle", "build", "numerical", "surrogate_format",
+            "calibration", "coincident_knots", "zero_width_band"])
+    def test_exit_code_of_each_error_class(self, tmp_path, caplog, monkeypatch, fail, code,
+                                           needle):
+        # the stage raises it: main exits with its code and one error line
+        monkeypatch.setitem(_STAGES, "build", (failing_stage(fail), (), ()))
+        assert_exit(caplog, ["build", "--config", str(write_config(tmp_path)), "--quiet"], code,
+                    needle)
+
+    def test_plain_value_error_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
+        # NumericalError is a ValueError, but a plain one is a bug: it propagates
+        monkeypatch.setitem(_STAGES, "build",
+                            (failing_stage(partial(throw, ValueError("a bug"))), (), ()))
+        with pytest.raises(ValueError, match="a bug"):
+            main(["build", "--config", str(write_config(tmp_path)), "--quiet"])
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("output_dir", "o\0ut", "output_dir"),
+        ("calibration.observations", "obs\0.csv", "calibration.observations"),
+        ("oracle", {"command": "python3 sim.py", "workdir": "si\0m",
+                    "fidelities": [{"alpha": 1, "cost_weight": 1.0}]}, "oracle.workdir"),
+        ("oracle", {"command": "python3 si\0m.py",
+                    "fidelities": [{"alpha": 1, "cost_weight": 1.0}]}, "oracle.command"),
+    ], ids=["output_dir", "observations", "workdir", "command"])
+    def test_nul_in_config_text_exits_with_config_code(self, tmp_path, caplog, key, value, where):
+        # the OS refuses a path or command with a NUL with a ValueError
+        path = write_config(tmp_path, {key: value})
+        assert_config_exit(caplog, ["build", "--config", str(path), "--quiet"],
+                           f"{where}: contains a NUL character")
 
     @pytest.mark.parametrize("mode", ["a", "r+b"], ids=["append", "drop_torn_record"])
     def test_unwritable_cache_is_oracle_error(self, tmp_path, caplog, monkeypatch, mode):
