@@ -40,7 +40,6 @@ __all__ = [
     "estimate_sigma",
     "SigmaEstimate",
     "laplace_covariance",
-    "LaplaceResult",
     "calibrate",
 ]
 
@@ -381,13 +380,8 @@ def estimate_sigma(surrogate, obs: ObservationSet, v_map) -> SigmaEstimate:
     return SigmaEstimate(sigma, False)
 
 
-class LaplaceResult(NamedTuple):
-    covariance: np.ndarray
-    jacobian: np.ndarray
-
-
 def laplace_covariance(surrogate, obs: ObservationSet, v_map, sigma: float,
-                       space: ParamSpace) -> LaplaceResult:
+                       space: ParamSpace) -> np.ndarray:
     """Gaussian posterior covariance sigma^2 (J^T J)^{-1} at the minimizer.
 
     J is the Jacobian of the surrogate predictions, by central differences
@@ -413,8 +407,7 @@ def laplace_covariance(surrogate, obs: ObservationSet, v_map, sigma: float,
         raise CalibrationError("the observations leave parameter direction(s) " + ", ".join(
             str(np.round(v, 6).tolist()) for v in vt[rank:]) + " unconstrained")
     cov = sigma**2 * (vt.T @ np.diag(1.0 / s) @ u.T)
-    cov = 0.5 * (cov + cov.T)
-    return LaplaceResult(cov, J)
+    return 0.5 * (cov + cov.T)
 
 
 @dataclass(frozen=True)
@@ -453,6 +446,5 @@ def calibrate(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int,
     """Full inverse step: MAP search, noise estimate, Laplace covariance."""
     map_result = find_map(surrogate, obs, space, n_starts, seed)
     sig = estimate_sigma(surrogate, obs, map_result.point)
-    lap = laplace_covariance(surrogate, obs, map_result.point, sig.sigma, space)
-    return GaussianPosterior(map_result.point, lap.covariance, sig.sigma,
-                             map_result.report, sig.floored)
+    cov = laplace_covariance(surrogate, obs, map_result.point, sig.sigma, space)
+    return GaussianPosterior(map_result.point, cov, sig.sigma, map_result.report, sig.floored)

@@ -27,6 +27,7 @@ import logging
 import math
 import os
 import sys
+from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +59,10 @@ REPORT_FILE = "report.txt"
 REPORT_SUMMARY_FILE = "report_summary.csv"
 CACHE_FILE = "cache.jsonl"
 DEFAULT_SAMPLES = 10_000  # forward.samples when the config sets none
+MAX_STARTS = 10_000       # calibration.n_starts: the MAP search moves a simplex per start
+MAX_SAMPLES = 1_000_000   # forward.samples: a push holds samples x (grid points + 8) doubles
+MAX_QOIS = 100_000        # a QoI pattern's count: each name is built when the config loads
+MAX_LANES = 64            # oracle.lanes: each lane is a simulator process
 
 
 class ConfigError(Exception):
@@ -85,10 +90,10 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
 def _config_hash(doc: dict, observations: Path | None) -> str:
     """The provenance hash: the config document without the settings that
-    change no number (``output_dir``, ``oracle.lanes``), plus the sha256 of
-    the observations file's bytes (null when no file is there)."""
+    change no number (``output_dir``, ``oracle.lanes``, ``oracle.timeout``),
+    plus the sha256 of the observations file's bytes (null when no file is there)."""
     kept = {k: v for k, v in doc.items() if k != "output_dir"}
-    kept["oracle"] = {k: v for k, v in doc["oracle"].items() if k != "lanes"}
+    kept["oracle"] = {k: v for k, v in doc["oracle"].items() if k not in ("lanes", "timeout")}
     kept["observations_sha256"] = None
     if observations is not None:
         try:
@@ -130,7 +135,7 @@ def _text(value, where: str) -> str:
     return str(value)
 
 
-def _number(cast, value, where: str, minimum=None):
+def _number(cast, value, where: str, minimum=None, maximum=None):
     """``cast(value)`` if it is finite, with parse and range failures as ConfigError."""
     if isinstance(value, bool):  # int(True) is 1
         raise ConfigError(f"{where}: expected a number, got {value!r}")
@@ -140,10 +145,12 @@ def _number(cast, value, where: str, minimum=None):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
     if cast is int and isinstance(value, float) and x != value:  # int(1.5) is 1
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if not math.isfinite(x):
+    if cast is float and not math.isfinite(x):  # an int of any size is finite
         raise ConfigError(f"{where} must be finite, got {x}")
     if minimum is not None and not x >= minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {x}")
+    if maximum is not None and not x <= maximum:
+        raise ConfigError(f"{where} must be <= {maximum}, got {value}")
     return x
 
 
@@ -155,7 +162,7 @@ def _expand_qois(spec, where: str) -> tuple[str, ...]:
         _mapping(spec, where, ("prefix", "start", "count"))
         prefix = _text(spec["prefix"], f"{where}.prefix")
         start = _number(int, spec.get("start", 1), f"{where}.start")
-        count = _number(int, spec["count"], f"{where}.count", minimum=1)
+        count = _number(int, spec["count"], f"{where}.count", minimum=1, maximum=MAX_QOIS)
         return tuple(f"{prefix}{i}" for i in range(start, start + count))
     raise ConfigError(f"{where}: expected a non-empty QoI list or a prefix/count pattern, "
                       f"got {spec!r}")
@@ -178,6 +185,8 @@ def _parse_space(docs) -> ParamSpace:
         where = f"parameters[{i}]"
         _typed(doc, dict, where)
         name = _text(_require(doc, "name", where), f"{where}.name")
+        if not name:  # each name keys the posterior rows of the report
+            raise ConfigError(f"{where}.name: expected a non-empty name")
         kind = _text(_require(doc, "distribution", where), f"{where}.distribution").lower()
         bounds = {"uniform": ("lo", "hi"), "gaussian": ("mean", "std")}.get(kind)
         if bounds is None:
@@ -216,7 +225,7 @@ def _parse_backend(doc: dict, dim: int, base: Path):
         raise ConfigError("oracle: need exactly one of 'builtin: <name>' and 'command: <line>'")
     _mapping(doc, "oracle", ("builtin", "lanes") if "builtin" in doc else
              ("command", "fidelities", "workdir", "domain", "timeout", "lanes"))
-    lanes = _number(int, doc.get("lanes", 1), "oracle.lanes", minimum=1)
+    lanes = _number(int, doc.get("lanes", 1), "oracle.lanes", minimum=1, maximum=MAX_LANES)
     try:
         if "builtin" in doc:
             backend = builtin_model(_text(doc["builtin"], "oracle.builtin"))
@@ -289,11 +298,12 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
         calibration_qois=_expand_qois(_require(calib, "qois", "calibration"), "calibration.qois"),
         observations=(base / _text(calib["observations"], "calibration.observations")
                       if "observations" in calib else None),
-        n_starts=_number(int, calib.get("n_starts", 20), "calibration.n_starts", minimum=1),
+        n_starts=_number(int, calib.get("n_starts", 20), "calibration.n_starts", minimum=1,
+                         maximum=MAX_STARTS),
         build_work=_max_work(calib, "calibration.budget"),
         forward_qois=_expand_qois(_require(fwd, "qois", "forward"), "forward.qois"),
         forward_samples=_number(int, fwd.get("samples", DEFAULT_SAMPLES), "forward.samples",
-                                minimum=2),
+                                minimum=2, maximum=MAX_SAMPLES),
         forward_work=_max_work(fwd, "forward.budget"),
         density_qois=tuple(_text(q, f"forward.densities[{i}]") for i, q in
                            enumerate(_typed(fwd.get("densities", []), list, "forward.densities"))),
@@ -302,7 +312,7 @@ def load_config(path: str | Path, *, out=None) -> PipelineConfig:
     for where, qois in (("calibration.qois", cfg.calibration_qois),
                         ("forward.qois", cfg.forward_qois),
                         ("forward.densities", cfg.density_qois)):
-        repeated = sorted({q for q in qois if qois.count(q) > 1})
+        repeated = sorted(q for q, n in Counter(qois).items() if n > 1)
         if repeated:
             raise ConfigError(f"{where} repeats QoI names {repeated}")
     declared = getattr(cfg.backend, "qoi_names", None)  # an external backend declares none
@@ -370,6 +380,13 @@ def _read_artifact(path: Path, kinds: dict, parse=None):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
+def _remove(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError as exc:
+        raise ConfigError(f"cannot remove {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: Path, doc: dict) -> None:
     artifacts.write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
@@ -390,13 +407,8 @@ def cmd_build(cfg: PipelineConfig) -> dict:
         points_sets.setdefault(entry.alpha, set()).update(
             map(tuple, build_grid(entry.beta, state.surrogate.families).points.tolist()))
     points_by_alpha = {a: len(keys) for a, keys in sorted(points_sets.items())}
-    # evaluation counts derive from the adaptive trajectory (the kept,
-    # charged entries' new points x QoIs), not from the shared cache, so
-    # reruns against a warm cache report identical numbers
-    evals_by_alpha: dict[int, int] = {}
-    for e in sorted(state.entry_values):
-        n = misc._new_points(e.beta) * len(cfg.calibration_qois)
-        evals_by_alpha[e.alpha] = evals_by_alpha.get(e.alpha, 0) + n
+    evals_by_alpha = {a: n * len(cfg.calibration_qois)
+                      for a, n in sorted(state.points_by_alpha.items())}
     report = {
         "config_hash": cfg.config_hash,
         "qois": list(cfg.calibration_qois),
@@ -408,7 +420,7 @@ def cmd_build(cfg: PipelineConfig) -> dict:
         "surrogate_points_by_fidelity": points_by_alpha,
         "work_spent": state.work_spent,
         "work_by_fidelity": {str(a): w for a, w in sorted(state.work_by_alpha.items())},
-        "evaluations_by_fidelity": {str(a): n for a, n in sorted(evals_by_alpha.items())},
+        "evaluations_by_fidelity": {str(a): n for a, n in evals_by_alpha.items()},
         "evaluations_total": sum(evals_by_alpha.values()),
     }
     _write_json(cfg.out_dir / BUILD_REPORT_FILE, report)
@@ -531,8 +543,12 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
         "samples": cfg.forward_samples,
     })
 
+    ddir = cfg.out_dir / "densities"
+    for tag, _, _ in analyses:  # the files of a name no longer listed carry an older hash
+        for path in ddir.glob(f"*_{tag}.csv"):
+            if path.name.removesuffix(f"_{tag}.csv") not in cfg.density_qois:
+                _remove(path)
     if cfg.density_qois:
-        ddir = cfg.out_dir / "densities"
         try:
             ddir.mkdir(exist_ok=True)
         except OSError as exc:
@@ -614,10 +630,7 @@ def main(argv=None) -> int:
         run, reads, outputs = _STAGES[args.command]
         for path in (cfg.out_dir / name for name in outputs):
             if path.is_file():
-                try:
-                    path.unlink()
-                except OSError as exc:
-                    raise ConfigError(f"cannot remove {path}: {exc.strerror or exc}") from exc
+                _remove(path)
         missing = [f for f in reads if not (cfg.out_dir / f).exists()]
         if missing:
             first = next(n for n, (*_, provides) in _STAGES.items() if set(provides) & set(missing))

@@ -172,6 +172,7 @@ class AdaptState:
     probe_points: np.ndarray
     work_spent: float = 0.0
     work_by_alpha: dict = field(default_factory=dict)
+    points_by_alpha: dict = field(default_factory=dict)  # new points charged at each fidelity
     committed: list = field(default_factory=list)  # (entry, profit) history
     skipped: list = field(default_factory=list)    # (entry, error) from the last pass
     probe_values: dict = field(default_factory=dict)  # entry -> its interpolant at the probes
@@ -230,17 +231,19 @@ def _new_points(beta) -> int:
 
 
 def _charge(state: AdaptState, oracle, entry: ExtIndex) -> None:
-    """Add an entry's new points to the work ledger; each entry is charged
-    once, the root by ``init_adapt`` and a candidate when it is scored.
+    """Add an entry's new points, and their work, to the ledger; each entry
+    is charged once, the root by ``init_adapt`` and a candidate when it is scored.
 
     The charged entries (the keys of ``state.entry_values``) stay downward
     closed, so their new points are the distinct (fidelity, point) pairs
     evaluated.  The ledger is a function of the adaptive trajectory alone: a
     replay against a warm cache spends the same work and stops at the same place.
     """
-    work = oracle.cost_weight(entry.alpha) * _new_points(entry.beta)
+    points = _new_points(entry.beta)
+    work = oracle.cost_weight(entry.alpha) * points
     state.work_spent += work
     state.work_by_alpha[entry.alpha] = state.work_by_alpha.get(entry.alpha, 0.0) + work
+    state.points_by_alpha[entry.alpha] = state.points_by_alpha.get(entry.alpha, 0) + points
 
 
 def init_adapt(oracle, families, qois) -> AdaptState:

@@ -6,6 +6,7 @@ import fnmatch
 import gc
 import json
 import math
+import re
 import shutil
 import sys
 import textwrap
@@ -241,6 +242,52 @@ class TestConfigLoading:
     def test_oracle_must_be_builtin_or_command(self, tmp_path):
         with pytest.raises(ConfigError, match="builtin"):
             load_config(write_config(tmp_path, {"oracle": {"lanes": 2}}))
+
+    @pytest.mark.parametrize("key, bound", [
+        ("calibration.n_starts", 10_000), ("forward.samples", 1_000_000),
+        ("forward.qois.count", 100_000), ("oracle.lanes", 64)])
+    def test_count_bound(self, tmp_path, key, bound):
+        # an external oracle declares no QoI names, so a pattern of any count
+        # loads; loading starts no lane
+        def config(value, name):
+            oracle = {"command": f"{sys.executable} -c pass",
+                      "fidelities": [{"alpha": 1, "cost_weight": 1.0}]}
+            return write_config(tmp_path, {"oracle": oracle, "forward.qois": {
+                "prefix": "e_", "count": 8}, key: value}, name=name)
+
+        cfg = load_config(config(bound, "at.yaml"))
+        assert {"calibration.n_starts": cfg.n_starts, "forward.samples": cfg.forward_samples,
+                "forward.qois.count": len(cfg.forward_qois),
+                "oracle.lanes": cfg.backend.n_lanes}[key] == bound
+        assert cfg.backend._lanes == []
+        with pytest.raises(ConfigError, match=rf"^{key} must be <= {bound}, got {bound + 1}$"):
+            load_config(config(bound + 1, "over.yaml"))
+
+    @pytest.mark.parametrize("key", ["calibration.n_starts", "forward.samples"])
+    @pytest.mark.parametrize("value", [2**70, 1.0e308, 10**400], ids=["2**70", "1e308", "10**400"])
+    def test_huge_count_is_config_error(self, tmp_path, key, value):
+        # numpy refuses an array that long; an integer beyond the float range
+        # is refused by its bound too, not by an OverflowError
+        got = re.escape(str(value))
+        with pytest.raises(ConfigError, match=rf"^{key} must be <= \d+, got {got}$"):
+            load_config(write_config(tmp_path, {key: value}))
+
+    def test_empty_parameter_name_is_config_error(self, tmp_path):
+        # each name keys a posterior row of the report: '' would write posterior_mean_
+        path = write_config(tmp_path, {"parameters.1.name": ""})
+        with pytest.raises(ConfigError, match=r"^parameters\[1\]\.name: expected a non-empty"):
+            load_config(path)
+
+    def test_hash_leaves_out_oracle_timeout(self, tmp_path):
+        # a timeout decides no number, like the lane count
+        def config_hash(**setting):
+            oracle = {"command": f"{sys.executable} -c pass",
+                      "fidelities": [{"alpha": 1, "cost_weight": 1.0}], **setting}
+            return load_config(write_config(tmp_path, {"oracle": oracle})).config_hash
+
+        assert len({config_hash(), config_hash(timeout=30), config_hash(timeout=90),
+                    config_hash(lanes=2, timeout=30.0), config_hash(lanes=4)}) == 1
+        assert config_hash() != config_hash(command=f"{sys.executable} -c 'pass'")
 
     @pytest.mark.parametrize("key, value", [
         ("seed", "abc"),
@@ -571,6 +618,18 @@ class TestCalibrateAndForward:
         finally:
             tracemalloc.stop()
         assert peak < 6e6, peak
+
+    def test_forward_removes_density_files_of_unlisted_names(self, tmp_path):
+        # a file of a name no longer listed would carry the older config hash
+        run_pipeline(load_config(write_config(tmp_path)))
+        ddir = tmp_path / "out" / "densities"
+        assert sorted(p.name for p in ddir.iterdir()) == ["e_1_posterior.csv", "e_1_prior.csv"]
+        for listed in (["e_2"], []):
+            cfg = load_config(write_config(tmp_path, {"forward.densities": listed}))
+            cmd_forward(cfg)
+            assert sorted(p.name for p in ddir.iterdir()) == sorted(
+                f"{q}_{tag}.csv" for q in listed for tag in ("prior", "posterior"))
+            assert all(f"config {cfg.config_hash}" in p.read_text() for p in ddir.iterdir())
 
     def test_band_rows_cover_all_prediction_qois(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

@@ -450,6 +450,18 @@ class TestAdapt:
         reference = sum(oracle.cost_weight(a) for a, _ in charged_points(state))
         assert state.work_spent == pytest.approx(reference, rel=1e-12, abs=0)
 
+    def test_points_ledger_counts_charged_points(self):
+        # the evaluation counts of the build report: each charged entry's new
+        # points, kept per fidelity beside the work they cost
+        def f(v, q):
+            return np.exp(0.7 * v[0] - 0.4 * v[1]) * (1.0 + 0.05 * (q == "r"))
+
+        oracle = CachedOracle(AnalyticModel({1: f, 2: f}, 2, ["q", "r"], costs=(0.1, 3.7)))
+        state = init_adapt(oracle, unit_families(2), ["q", "r"])
+        adapt(state, oracle, AdaptStop(max_work=25.0))
+        assert state.points_by_alpha == dict(Counter(a for a, _ in charged_points(state)))
+        assert set(state.points_by_alpha) == {1, 2}
+
     def test_failed_candidates_skipped(self, monkeypatch):
         def f(v, q):
             return v[0] ** 2 + v[1]
