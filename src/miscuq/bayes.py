@@ -98,7 +98,7 @@ class ObservationSet:
     def from_csv(cls, path: str | Path) -> "ObservationSet":
         """Read a two-column CSV with header ``qoi,value``; errors name ``path`` and the line."""
         pairs, seen = [], set()
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a spreadsheet's BOM
             reader = csv.reader(fh)
             try:
                 rows = (r for r in reader if r and not r[0].startswith("#"))

@@ -26,10 +26,11 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from collections import Counter
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
@@ -88,6 +89,16 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
+# YAML 1.1 reads a plain number with an exponent but no dot, or with an
+# unsigned exponent (1e4, 1.0e3, 1E-3), as text, where JSON and YAML 1.2 read
+# a number.  Added after PyYAML's own resolvers, which keep integers and
+# dotted floats.
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def _config_hash(doc: dict, observations: Path | None) -> str:
     """The provenance hash: the config document without the settings that
     change no number (``output_dir``, ``oracle.lanes``, ``oracle.timeout``),
@@ -136,8 +147,9 @@ def _text(value, where: str) -> str:
 
 
 def _number(cast, value, where: str, minimum=None, maximum=None):
-    """``cast(value)`` if it is finite, with parse and range failures as ConfigError."""
-    if isinstance(value, bool):  # int(True) is 1
+    """``cast(value)`` of a number if it is finite, with type and range failures
+    as ConfigError; the loader reads every plain number, so text was quoted."""
+    if isinstance(value, (bool, str)):  # int(True) is 1
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         x = cast(value)
@@ -437,11 +449,7 @@ def _posterior_to_json(posterior, cfg) -> dict:
         "covariance": [float(x) for x in posterior.covariance.reshape(-1)],
         "sigma_meas": float(posterior.sigma_meas),
         "sigma_floored": posterior.sigma_floored,
-        "multistart": [
-            {"start": list(r.start), "point": list(r.point), "misfit": r.misfit,
-             "objective": r.objective, "iterations": r.iterations}
-            for r in posterior.multistart
-        ],
+        "multistart": [asdict(r) for r in posterior.multistart],
     }
 
 

@@ -54,10 +54,6 @@ class PushResult:
     values: np.ndarray  # (G, J): the surrogate's value at each grid point
     extrapolated_fraction: float
 
-    @property
-    def count(self) -> int:
-        return self.basis.shape[0]
-
 
 def push_samples(surrogate, distribution, count: int, seed) -> PushResult:
     """Draw ``count`` points from ``distribution`` (anything with a
@@ -88,11 +84,6 @@ class PdfEstimate:
     grid: np.ndarray
     density: np.ndarray
     degenerate: bool = False
-
-    @property
-    def resolution(self) -> float:
-        """Grid spacing; the mode is only located to this resolution."""
-        return float(self.grid[-1] - self.grid[0]) / (self.grid.size - 1)
 
 
 def _silverman_bandwidth(samples: np.ndarray, iqr: float | None) -> float:
@@ -156,8 +147,6 @@ def kde(samples, bandwidth: float | None = None, *, iqr: float | None = None) ->
 
 def mode(pdf: PdfEstimate) -> float:
     """Grid abscissa of the highest density; ties go to the smallest."""
-    if pdf.degenerate:
-        return float(pdf.grid[0])
     return float(pdf.grid[int(np.argmax(pdf.density))])
 
 

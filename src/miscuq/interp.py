@@ -34,13 +34,12 @@ class TensorGrid:
     indices (last dimension fastest).
     """
 
-    beta: tuple[int, ...]
     per_dim_knots: tuple[np.ndarray, ...]
     points: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.beta)
+        return len(self.per_dim_knots)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,7 +61,7 @@ def build_grid(beta, families) -> TensorGrid:
                     for f, b in zip(families, beta))
     mesh = np.meshgrid(*per_dim, indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    return TensorGrid(beta, per_dim, points)
+    return TensorGrid(per_dim, points)
 
 
 def _barycentric_weights(x: np.ndarray) -> np.ndarray:
@@ -151,10 +150,6 @@ class TensorInterpolant:
         for rows in blocks(len(points), ROWS):
             np.matmul(self.basis(points[rows]), self.values, out=out[rows])
         return out
-
-    def evaluate(self, v) -> np.ndarray:
-        """Evaluate at a single point; returns (n_outputs,)."""
-        return self.evaluate_many(np.asarray(v, dtype=float)[None, :])[0]
 
 
 def blocks(count: int, size: int) -> list[slice]:

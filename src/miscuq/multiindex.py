@@ -83,9 +83,6 @@ class MultiIndexSet:
     def with_entry(self, e: ExtIndex) -> "MultiIndexSet":
         return MultiIndexSet(self.entries + (e,), dim=self.dim)
 
-    def __contains__(self, e) -> bool:
-        return e in self.entries
-
     def __iter__(self):
         return iter(self.entries)
 

@@ -164,10 +164,6 @@ class ParamSpace:
         lo, hi = self.bounds()
         return hi - lo
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{p.name}={p.distribution!r}" for p in self.params)
-        return f"ParamSpace({inner})"
-
 
 def check_covariance(rows) -> None:
     """Raise ValueError unless the square matrix ``rows`` (a sequence of

@@ -542,6 +542,13 @@ class TestObservationCsv:
         with pytest.raises(ValueError, match=f"{re.escape(f'{path}, line 3: ')}.*{match}"):
             ObservationSet.from_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a spreadsheet's CSV export starts with one; it would hide the first line's '#'
+        text = (DOCS / "demo_observations.csv").read_bytes()
+        path = tmp_path / "obs.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        assert ObservationSet.from_csv(path) == ObservationSet.from_csv(DOCS / "demo_observations.csv")
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("name,val\nu_1,0.25\n")

@@ -28,6 +28,7 @@ from miscuq.cli import (
     EXIT_OK,
     EXIT_ORACLE,
     ConfigError,
+    _UniqueKeyLoader,
     cmd_build,
     cmd_calibrate,
     cmd_forward,
@@ -60,6 +61,10 @@ BASE_CONFIG = {
 }
 
 
+# libyaml's emitter where present, which is faster; it quotes each string
+# the config loader would read as another type, such as 1e3
+DUMPER = type("Dumper", (getattr(yaml, "CSafeDumper", yaml.SafeDumper),),
+              {"yaml_implicit_resolvers": _UniqueKeyLoader.yaml_implicit_resolvers})
 NULL = object()  # an override value written as a YAML null; None removes the key
 DEEP = "[" * 100_000 + "]" * 100_000  # nested beyond the recursion limit, in JSON and YAML
 
@@ -87,7 +92,7 @@ def write_config(tmp_path, overrides=None, name="cfg.yaml"):
         else:
             node[last] = None if value is NULL else value
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(doc))
+    path.write_text(yaml.dump(doc, Dumper=DUMPER))
     return path
 
 
@@ -271,6 +276,31 @@ class TestConfigLoading:
         got = re.escape(str(value))
         with pytest.raises(ConfigError, match=rf"^{key} must be <= \d+, got {got}$"):
             load_config(write_config(tmp_path, {key: value}))
+
+    @pytest.mark.parametrize("line, number, read, value", [
+        ("samples: 400", "1e4", lambda cfg: cfg.forward_samples, 10_000),
+        ("max_work: 60.0", "4.5e1", lambda cfg: cfg.build_work, 45.0),
+        ("lo: 1130.0", "1.13E3", lambda cfg: cfg.space.params[0].distribution.lo, 1130.0),
+        ("hi: 1450.0", ".145e+4", lambda cfg: cfg.space.params[0].distribution.hi, 1450.0),
+    ], ids=["forward.samples", "calibration.budget.max_work", "parameters.0.lo",
+            "parameters.0.hi"])
+    def test_number_in_exponent_form_loads(self, tmp_path, line, number, read, value):
+        # YAML 1.1 alone reads these plain scalars as text
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(line, f"{line.split(':')[0]}: {number}", 1))
+        got = read(load_config(path))
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("parameters.0.lo", "1130.0", "parameters[0].lo"),
+        ("forward.samples", " 1_000 ", "forward.samples"),
+        ("calibration.n_starts", "1e3", "calibration.n_starts")])
+    def test_quoted_number_is_config_error(self, tmp_path, caplog, key, value, where):
+        # a number is written plain; quoted, it is text
+        path = write_config(tmp_path, {key: value})
+        assert f"'{value}'" in path.read_text()
+        assert_config_exit(caplog, ["report", "--config", str(path), "--quiet"],
+                           f"{where}: expected a number, got {value!r}")
 
     def test_empty_parameter_name_is_config_error(self, tmp_path):
         # each name keys a posterior row of the report: '' would write posterior_mean_
@@ -1366,7 +1396,6 @@ EXTERNAL_ORACLE = {
     "domain": [{"lo": 810.0, "hi": 1770.0}, {"lo": -10.0, "hi": 5.0}],
 }
 DROP = object()  # a mutation that removes the key or list item
-DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # libyaml's, where present, is faster
 
 
 def nodes(node, path=()):
@@ -1381,10 +1410,13 @@ def mutations(value):
     """(name, replacement) of each malformation that fits ``value``."""
     yield "drop", DROP
     yield "null", None
+    yield from [("pair", [1, 2]), ("one_key", {"a": 1})]
     if isinstance(value, (int, float)):
         yield from [("text", "abc"), ("bool", True), ("list", [value]), ("nan", math.nan),
                     ("inf", math.inf), ("-inf", -math.inf), ("negative", -abs(value) - 1),
-                    ("non_integral", value + 0.5)]
+                    ("non_integral", value + 0.5), ("zero", 0), ("half", 0.5), ("two", 2),
+                    ("minus_one", -1), ("1e308", 1e308), ("-1e308", -1e308), ("2**70", 2**70),
+                    ("quoted_1e3", "1e3")]
     elif isinstance(value, str):
         yield from [("bool", False), ("list", [value]), ("mapping", {value: 1})]
     elif isinstance(value, list):
@@ -1430,31 +1462,106 @@ SWEEP_LOADS = [
     "external:oracle.fidelities.*.cost_weight-non_integral",
     "external:oracle.domain.*.*-non_integral", "external:oracle.domain.*.lo-negative",
     "external:oracle.domain.1.hi-negative",
+    # and each odd number that stays in its key's range, however large
+    *(f"{key}-{name}" for key, names in {
+        "seed": "zero two 1e308 2**70", "*oracle.lanes": "two", "calibration.n_starts": "two",
+        "forward.samples": "two", "*.budget.max_work": "zero half two 1e308 2**70",
+        "parameters.0.lo": "zero half two minus_one -1e308", "parameters.1.lo": "minus_one -1e308",
+        "parameters.1.hi": "zero half two minus_one", "parameters.*.hi": "1e308 2**70",
+        "external:oracle.timeout": "half two 1e308 2**70",
+        "external:oracle.fidelities.0.cost_weight": "half two",
+        "external:oracle.fidelities.1.alpha": "two",
+        "external:oracle.fidelities.1.cost_weight": "two 1e308 2**70",
+        "external:oracle.domain.*.lo": "zero half two minus_one -1e308",
+        "external:oracle.domain.1.hi": "zero half two minus_one",
+        "external:oracle.domain.*.hi": "1e308 2**70",
+    }.items() for name in names.split()),
 ]
+# the stage that first reads each demo key: a demo case that loads runs it
+SWEEP_STAGES = [("seed-*", "calibrate"), ("calibration.observations-*", "calibrate"),
+                ("calibration.n_starts-*", "calibrate"), ("forward.*", "forward"), ("*", "build")]
+# the child that runs them: under an address-space cap, so a count that
+# escapes its bound fails fast, it builds and calibrates the demo, then runs
+# each case it reads from stdin on a copy of those artifacts and prints each
+# case's exit code (or the exception that escaped ``main``) and ERROR lines
+SWEEP_CHILD = """
+import json, logging, resource, shutil, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from miscuq.cli import load_config, main
+
+class Records(logging.Handler):
+    def emit(self, record):
+        records.append(record)
+
+records = []
+logging.getLogger().addHandler(Records())  # so main adds no stderr handler
+base = sys.argv[1]
+assert all(main([stage, "--config", base, "--quiet"]) == 0 for stage in ("build", "calibrate"))
+base_out, results = load_config(base).out_dir, {}
+for line in sys.stdin:
+    case, stage, config = line.rstrip("\\n").split("\\t")
+    shutil.copytree(base_out, load_config(config).out_dir)
+    records.clear()
+    try:
+        code = main([stage, "--config", config, "--quiet"])
+    except Exception as exc:
+        code = repr(exc)
+    results[case] = (code, [r.getMessage() for r in records if r.levelno >= logging.ERROR],
+                     any(r.exc_info for r in records))
+print(json.dumps(results))
+"""
 
 
 def test_malformed_config_sweep(tmp_path, caplog):
     # each mutation runs `report` on artifacts it can read, so a config that
     # loads exits 0; every other one must exit 2 with one message naming its
-    # section and no traceback
+    # section and no traceback.  A demo case that loads also runs, in a child
+    # process, the stage that reads its key: exit 0, 2, 3 or 4, with at most
+    # one ERROR line and no traceback.  External cases only load, so no lane
+    # starts.
+    import subprocess
     for name, doc in REPORT_INPUTS.items():
         (tmp_path / name).write_text(json.dumps(doc))
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    shutil.copy(DEMO_CONFIG.parent / "demo_observations.csv", runs)
+    demo = yaml.safe_load(DEMO_CONFIG.read_text(encoding="utf-8"))
+    (runs / "base.yaml").write_text(yaml.dump({**demo, "output_dir": str(runs / "base")},
+                                              Dumper=DUMPER))
     path = tmp_path / "cfg.yaml"
-    wrong = []
-    for case, section, doc in sweep_cases():
-        if doc.get("output_dir") == "demo_out":
-            doc["output_dir"] = str(tmp_path)
-        path.write_text(yaml.dump(doc, Dumper=DUMPER))
-        caplog.clear()
-        code = main(["report", "--config", str(path), "--quiet"])
-        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        if any(fnmatch.fnmatchcase(case, pattern) for pattern in SWEEP_LOADS):
-            fine = code == EXIT_OK
-        else:
-            fine = (code == EXIT_CONFIG and len(errors) == 1 and section in errors[0]
-                    and all(r.exc_info is None for r in caplog.records))
-        if not fine:
-            wrong.append((case, code, errors))
+    wrong, staged = [], []
+    with subprocess.Popen([sys.executable, "-c", SWEEP_CHILD, str(runs / "base.yaml")],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as child:
+        for case, section, doc in sweep_cases():
+            if doc.get("output_dir") == "demo_out":
+                doc["output_dir"] = str(tmp_path)
+            path.write_text(yaml.dump(doc, Dumper=DUMPER))
+            caplog.clear()
+            code = main(["report", "--config", str(path), "--quiet"])
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            if any(fnmatch.fnmatchcase(case, pattern) for pattern in SWEEP_LOADS):
+                fine = code == EXIT_OK
+            else:
+                fine = (code == EXIT_CONFIG and len(errors) == 1 and section in errors[0]
+                        and all(r.exc_info is None for r in caplog.records))
+            if not fine:
+                wrong.append((case, code, errors))
+            if code == EXIT_OK and not case.startswith("external:"):
+                config = runs / f"{len(staged)}.yaml"
+                config.write_text(yaml.dump({**doc, "output_dir": str(runs / str(len(staged)))},
+                                            Dumper=DUMPER))
+                stage = next(s for p, s in SWEEP_STAGES if fnmatch.fnmatchcase(case, p))
+                child.stdin.write(f"{case}\t{stage}\t{config}\n")
+                child.stdin.flush()
+                staged.append(case)
+        out, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    results = json.loads(out)
+    assert sorted(results) == sorted(staged)
+    wrong += [(case, code, errors) for case, (code, errors, traced) in results.items()
+              if code not in (EXIT_OK, EXIT_CONFIG, EXIT_ORACLE, EXIT_NUMERICAL)
+              or len(errors) > 1 or traced]
     assert not wrong, wrong
 
 

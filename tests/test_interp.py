@@ -67,19 +67,19 @@ class TestInterpolate:
         grid = build_grid((2, 2), unit_families(2))
         itp = TensorInterpolant(grid, np.full(len(grid), 3.25))
         for v in [(0.1, -0.9), (0.0, 0.0), (0.77, 0.13)]:
-            assert itp.evaluate(v)[0] == pytest.approx(3.25, abs=1e-13)
+            assert itp.evaluate_many([v])[0][0] == pytest.approx(3.25, abs=1e-13)
 
     def test_univariate_square(self):
         grid = build_grid((2,), unit_families(1))
         assert grid.per_dim_knots[0].tolist() == [0.0, 1.0, -1.0]
         itp = TensorInterpolant(grid, np.array([0.0, 1.0, 1.0]))
-        assert itp.evaluate([0.5])[0] == pytest.approx(0.25, abs=1e-14)
+        assert itp.evaluate_many([[0.5]])[0][0] == pytest.approx(0.25, abs=1e-14)
 
     def test_bilinear_closed_form(self):
         f = lambda x, y: 3 * x + 2 * y - x * y
         grid = build_grid((2, 2), unit_families(2))
         itp = TensorInterpolant(grid, [f(x, y) for x, y in grid.points])
-        assert itp.evaluate([0.3, -0.7])[0] == pytest.approx(-0.29, abs=1e-13)
+        assert itp.evaluate_many([[0.3, -0.7]])[0][0] == pytest.approx(-0.29, abs=1e-13)
 
     def test_values_reproduced_at_grid_points(self):
         rng = np.random.default_rng(5)
@@ -87,7 +87,7 @@ class TestInterpolate:
         values = rng.uniform(-4, 4, len(grid))
         itp = TensorInterpolant(grid, values)
         for p, val in zip(grid.points, values):
-            assert abs(itp.evaluate(p)[0] - val) <= 1e-12 * (1 + abs(val))
+            assert abs(itp.evaluate_many([p])[0][0] - val) <= 1e-12 * (1 + abs(val))
 
     @pytest.mark.parametrize("beta", [(2,), (4,), (2, 3), (3, 2), (2, 2, 2), (4, 2, 3)])
     def test_polynomial_exactness(self, beta):
@@ -119,7 +119,7 @@ class TestInterpolate:
         vals = np.column_stack([[x + y for x, y in grid.points],
                                 [x * y for x, y in grid.points]])
         itp = TensorInterpolant(grid, vals)
-        out = itp.evaluate([0.25, -0.5])
+        out = itp.evaluate_many([[0.25, -0.5]])[0]
         assert out[0] == pytest.approx(-0.25, abs=1e-13)
         assert out[1] == pytest.approx(-0.125, abs=1e-13)
 
@@ -128,11 +128,11 @@ class TestInterpolate:
         vals = np.arange(len(grid), dtype=float)
         itp = TensorInterpolant(grid, vals)
         for j, knot in enumerate(grid.per_dim_knots[0]):
-            assert itp.evaluate([knot])[0] == vals[j]
+            assert itp.evaluate_many([[knot]])[0][0] == vals[j]
 
     def test_duplicate_knots_rejected(self):
         grid = build_grid((2,), unit_families(1))
-        dup = grid.__class__((2,), (np.array([0.0, 1.0, 1.0 + 1e-16]),), grid.points)
+        dup = grid.__class__((np.array([0.0, 1.0, 1.0 + 1e-16]),), grid.points)
         with pytest.raises(ValueError):
             TensorInterpolant(dup, np.zeros(3))
 
@@ -145,7 +145,7 @@ class TestInterpolate:
         grid = build_grid((2, 2), unit_families(2))
         itp = TensorInterpolant(grid, np.zeros(9))
         with pytest.raises(ValueError):
-            itp.evaluate([0.0, 0.0, 0.0])
+            itp.evaluate_many([[0.0, 0.0, 0.0]])[0]
 
 
 def einsum_reference(itp, points):
@@ -196,7 +196,7 @@ class TestFixedContraction:
         monkeypatch.setattr(np, "einsum", forbidden)
         monkeypatch.setattr(np, "einsum_path", forbidden)
         itp.evaluate_many(np.random.default_rng(3).uniform(-1, 1, (50, 3)))
-        itp.evaluate([0.1, 1.0, -0.3])
+        itp.evaluate_many([[0.1, 1.0, -0.3]])[0]
 
     def test_empty_point_set(self):
         grid = build_grid((3, 2), unit_families(2))
