@@ -136,11 +136,17 @@ def _mapping(value, where: str, keys) -> dict:
     return value
 
 
-def _text(value, where: str) -> str:
-    """``str(value)`` of a string or a number; null, a boolean (YAML 1.1 reads
-    unquoted yes/no/on/off as one), a list, a mapping or a NUL is a ConfigError."""
+def _text(value, where: str, *, number: bool = False) -> str:
+    """``value`` of a string, or ``str(value)`` of a number where ``number``
+    allows one (free text that no stage reads).  A number where a name is due
+    is a ConfigError, since YAML reads a plain 010 as 8 and 1e3 as 1000.0; so
+    are null, a boolean (YAML 1.1 reads unquoted yes/no/on/off as one), a
+    list, a mapping and a NUL."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ConfigError(f"{where}: expected text, got {value!r}")
+    if not (number or isinstance(value, str)):
+        raise ConfigError(f"{where}: expected text, got the number {value!r}; "
+                          f"quote a name that looks like a number")
     if "\0" in str(value):
         raise ConfigError(f"{where}: contains a NUL character")
     return str(value)
@@ -205,7 +211,7 @@ def _parse_space(docs) -> ParamSpace:
             raise ConfigError(f"{where}: unknown distribution {kind!r}")
         _mapping(doc, where, ("name", "distribution", "transform") + bounds)
         if "transform" in doc:  # free text that no stage reads
-            _text(doc["transform"], f"{where}.transform")
+            _text(doc["transform"], f"{where}.transform", number=True)
         args = [_number(float, _require(doc, k, where), f"{where}.{k}") for k in bounds]
         try:
             dist = Uniform(*args) if kind == "uniform" else Gaussian(*args)

@@ -5,7 +5,7 @@ binning plus one FFT convolution), and summarize them as modes with
 
 A push is kept factored: the draws' (S, G) basis rows over the
 surrogate's G grid points, and the surrogate's (G, J) value table.  The
-summary forms the (S, J) push ``COLUMNS`` QoIs at a time, as one product of
+summary forms the (S, J) push ``COLUMNS`` QoIs at a time, as one einsum of
 the basis with those columns of the table, and takes each column's
 quantiles, KDE and mode from a copy of it.  The quantiles come from one
 sorted copy of the column, with the arithmetic of ``np.quantile``'s
@@ -198,17 +198,17 @@ class BandSummary:
 def summarize_bands(push: PushResult, densities: tuple[str, ...] = ()) -> BandSummary:
     """KDE mode and empirical 5%/95% quantiles for every QoI column.
 
-    The columns are formed in the blocks of ``blocks(J, COLUMNS)``, each
-    ``push.basis @ push.values[:, block]``, whose columns equal those of the
-    whole (S, J) product (see ``interp.blocks``).  Each column is copied out
-    of its block into a contiguous array, and one :func:`quantiles` call on
-    it also gives its IQR for the Silverman bandwidth.  The estimates of the
-    QoIs named in ``densities`` are kept in the summary; each owns its
-    column, so none keeps a block alive."""
+    The columns are formed in the blocks of ``blocks(J, COLUMNS)``, each the
+    einsum of ``push.basis`` with ``push.values[:, block]``, whose columns
+    equal those of the whole (S, J) contraction (see ``interp``).  Each
+    column is copied out of its block into a contiguous array, and one
+    :func:`quantiles` call on it also gives its IQR for the Silverman
+    bandwidth.  The estimates of the QoIs named in ``densities`` are kept
+    in the summary; each owns its column, so none keeps a block alive."""
     modes, q05, q95 = (np.empty(len(push.qoi_names)) for _ in range(3))
     kept = {}
     for cols in blocks(len(push.qoi_names), COLUMNS):
-        block = push.basis @ push.values[:, cols]
+        block = np.einsum("sg,gj->sj", push.basis, push.values[:, cols])
         for j, view in enumerate(block.T, cols.start):
             column = view.copy()
             q05[j], q25, q75, q95[j] = quantiles(column, [0.05, 0.25, 0.75, 0.95])

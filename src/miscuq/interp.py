@@ -4,11 +4,15 @@ Evaluation uses the second (true) barycentric form per dimension, which is
 stable for clustered nodes (Berrut & Trefethen, SIAM Review 2004).  The
 per-dimension basis rows of each query point are multiplied out into one
 row over the whole grid (their Kronecker product, in the grid's row-major
-order), and the rows are contracted with the values by matrix products in
+order), and the rows are contracted with the values by ``np.einsum`` in
 row blocks of ``ROWS``, so no more than a block's basis rows are held at
-once.  A query coordinate that coincides with a knot (to 1e-14 relative)
-gets that knot's unit basis row, avoiding the 0/0 in the barycentric
-kernel.
+once.  Without ``optimize`` einsum is numpy's own loop, which sums each
+output element over the grid points in the same order however many rows a
+block has, where BLAS picks a kernel and a thread split from the operands'
+shapes: a point's value depends neither on the batch it is evaluated in
+nor on the BLAS kernel or thread count.  A query coordinate that coincides
+with a knot (to 1e-14 relative) gets that knot's unit basis row, avoiding
+the 0/0 in the barycentric kernel.
 """
 
 from __future__ import annotations
@@ -142,30 +146,15 @@ class TensorInterpolant:
         """Evaluate at an (S, dim) array of points; returns (S, n_outputs).
 
         The points are evaluated in the row blocks of ``blocks``, each
-        product written into its rows of the result, which equals one
-        product over all points (see ``blocks``) while holding one block's
-        basis."""
+        contraction written into its rows of the result, which equals one
+        contraction over all points while holding one block's basis."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((len(points), self.values.shape[1]))
         for rows in blocks(len(points), ROWS):
-            np.matmul(self.basis(points[rows]), self.values, out=out[rows])
+            np.einsum("sg,gj->sj", self.basis(points[rows]), self.values, out=out[rows])
         return out
 
 
 def blocks(count: int, size: int) -> list[slice]:
-    """Consecutive slices of ``size`` items covering ``range(count)``; a
-    1-item tail joins the slice before it, since a 1-row or 1-column product
-    goes through gemv, which rounds differently from gemm.  Each slice
-    starts at a multiple of ``size`` and the tail ends both the last slice
-    and the range, so every item keeps its place in the BLAS kernel's
-    tiling: products over the slices equal one product over all items bit
-    for bit when the kernel runs on one thread, or splits a product's rows
-    between threads at its tiling, as OpenBLAS's SkylakeX kernel does.  Its
-    Haswell kernel on two threads splits a product of, say, 1025 rows
-    elsewhere and rounds a thread's tail rows with another kernel, so both
-    the one product and a tail slice's product move with the thread
-    count."""
-    starts = list(range(0, count, size))
-    if len(starts) > 1 and count - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+    """Consecutive slices of ``size`` items covering ``range(count)``."""
+    return [slice(a, min(a + size, count)) for a in range(0, count, size)]

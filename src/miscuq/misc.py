@@ -88,7 +88,7 @@ class MiscSurrogate:
                 n_e = level_to_knots(b_e)
                 block = block.reshape(done, n_e, -1)
                 if n_e < n_b:
-                    block = _prolongation(family, n_e, n_b) @ block
+                    block = np.einsum("be,der->dbr", _prolongation(family, n_e, n_b), block)
                 done *= n_b
             total += c * block.reshape(total.shape)
         self.compiled = TensorInterpolant(box, total)

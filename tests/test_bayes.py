@@ -18,8 +18,10 @@ from miscuq import cli, misc
 from miscuq.bayes import (
     CalibrationError,
     GaussianPosterior,
+    MAX_ITER,
     MultistartRecord,
     ObservationSet,
+    _Misfit,
     _warn_competing_minima,
     _simplex_search,
     calibrate,
@@ -239,6 +241,24 @@ class TestSimplexSearch:
             assert len(calls) <= 1 + 3 * rounds
         # in 3-D some starts converge and the others stop at max_iter
         assert {r.converged for r in together} == {True, False}
+
+    def test_demo_starts_together_equal_each_alone(self, demo_calibration):
+        # the surrogate's value at a point does not depend on the other points
+        # of its batch, so the demo's misfit lets a start run in lockstep with
+        # seven others end where it ends alone, bit for bit
+        surrogate, obs, space = demo_calibration
+        misfit_rows = _Misfit(surrogate, obs)
+        widths = space.widths()
+        starts = space.sample(8, 5)
+        simplices = starts[:, None, :] + np.vstack([np.zeros(space.dim), np.diag(0.05 * widths)])
+        tol_f = 1e-15 * (1.0 + misfit_rows(starts))
+        tol_x = 1e-9 * float(widths.max())
+        together = _simplex_search(misfit_rows, simplices, tol_f, tol_x, MAX_ITER)
+        for sim, tf, res in zip(simplices, tol_f, together):
+            alone = _simplex_search(misfit_rows, sim[None], tf, tol_x, MAX_ITER)[0]
+            assert res.x.tobytes() == alone.x.tobytes()
+            assert (res.fun, res.iterations, res.converged) == (
+                alone.fun, alone.iterations, alone.converged)
 
 
 class TestFindMap:

@@ -302,6 +302,20 @@ class TestConfigLoading:
         assert_config_exit(caplog, ["report", "--config", str(path), "--quiet"],
                            f"{where}: expected a number, got {value!r}")
 
+    @pytest.mark.parametrize("key, plain, where, read", [
+        ("output_dir", "010", "output_dir", 8),
+        ("parameters.0.name", "1_000", "parameters[0].name", 1000),
+        ("parameters.1.name", "1e3", "parameters[1].name", 1000.0),
+        ("calibration.qois", "2", "calibration.qois[0]", 2)])
+    def test_plain_number_for_a_name_is_config_error(self, tmp_path, caplog, key, plain, where,
+                                                     read):
+        # YAML reads each plain scalar as a number, whose text is another name: 010 is 8
+        value = "PLAIN" if key != "calibration.qois" else ["PLAIN", "u_2", "u_3"]
+        path = write_config(tmp_path, {key: value})
+        path.write_text(path.read_text().replace("PLAIN", plain, 1))
+        assert_config_exit(caplog, ["report", "--config", str(path), "--quiet"],
+                           f"{where}: expected text, got the number {read!r}; quote a name")
+
     def test_empty_parameter_name_is_config_error(self, tmp_path):
         # each name keys a posterior row of the report: '' would write posterior_mean_
         path = write_config(tmp_path, {"parameters.1.name": ""})
@@ -903,7 +917,7 @@ class TestMainExitCodes:
                 "--out", str(tmp_path / "out"), "--quiet"]
         assert main(["build", *argv]) == EXIT_OK
         assert_exit(caplog, ["calibrate", *argv], EXIT_NUMERICAL,
-                    "the observations leave parameter direction(s) [0.999961, -0.00888] "
+                    "the observations leave parameter direction(s) [0.999692, -0.024803] "
                     "unconstrained")
         assert not (tmp_path / "out" / "posterior.json").exists()
 
@@ -1418,7 +1432,7 @@ def mutations(value):
                     ("minus_one", -1), ("1e308", 1e308), ("-1e308", -1e308), ("2**70", 2**70),
                     ("quoted_1e3", "1e3")]
     elif isinstance(value, str):
-        yield from [("bool", False), ("list", [value]), ("mapping", {value: 1})]
+        yield from [("bool", False), ("number", 10), ("list", [value]), ("mapping", {value: 1})]
     elif isinstance(value, list):
         yield from [("scalar", "x"), ("mapping", {"x": 1}), ("empty", [])]
     else:
@@ -1446,13 +1460,14 @@ def sweep_cases():
 
 
 # the only mutations that still load: dropping an optional key or list
-# item (the unread `transform` included) and a number that stays in range
+# item (the unread `transform` included), a number for the free text of
+# `transform`, and a number that stays in range
 SWEEP_LOADS = [
     "oracle.lanes-drop", "calibration.qois.*-drop", "calibration.observations-drop",
     "calibration.n_starts-drop", "calibration.budget-drop", "calibration.budget.max_work-drop",
     "forward.qois.start-drop", "forward.samples-drop", "forward.budget-drop",
     "forward.budget.max_work-drop", "forward.densities-drop", "forward.densities.*-drop",
-    "forward.densities-empty", "parameters.1.transform-drop",
+    "forward.densities-empty", "parameters.1.transform-drop", "parameters.1.transform-number",
     "parameters.0.lo-negative", "parameters.1.lo-negative", "parameters.1.hi-negative",
     "parameters.*.*-non_integral", "*.budget.max_work-non_integral",
     "external:oracle.lanes-drop", "external:oracle.workdir-drop", "external:oracle.timeout-drop",

@@ -51,8 +51,8 @@ def normal_space(mean=0.0, std=1.0):
 
 
 def samples(push):
-    """The (S, J) push as one product."""
-    return push.basis @ push.values
+    """The (S, J) push as one contraction, in the surrogate's summation order."""
+    return np.einsum("sg,gj->sj", push.basis, push.values)
 
 
 def columns_push(cols):
@@ -354,7 +354,7 @@ class TestBands:
     @pytest.mark.parametrize("qois", [1, 2, 9, 120, 125])
     @pytest.mark.parametrize("points", [9, 15, 35, 165])
     def test_column_blocks_equal_the_whole_push(self, monkeypatch, qois, points):
-        # each column summarized is that column of the one (S, J) product, bit for bit
+        # each column summarized is that column of the one (S, J) contraction, bit for bit
         rng = np.random.default_rng(qois * points)
         basis = rng.dirichlet(np.ones(points), size=10_000)
         push = PushResult(tuple(f"q_{j}" for j in range(qois)), basis,
@@ -363,7 +363,7 @@ class TestBands:
         monkeypatch.setattr(forward, "kde", lambda column, iqr: seen.append(column) or kde(
             column[:2], bandwidth=1.0))
         summarize_bands(push)
-        whole = basis @ push.values
+        whole = np.einsum("sg,gj->sj", basis, push.values)
         assert len(seen) == qois
         assert all(c.tobytes() == whole[:, j].tobytes() for j, c in enumerate(seen))
 

@@ -38,18 +38,25 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def kernels() -> dict:
-    """The OpenBLAS core that numpy picks on this host, from the ``Core:``
-    line a child's ``import numpy`` prints under ``OPENBLAS_VERBOSE=2``
-    (None without OpenBLAS), and numpy's SIMD targets that this CPU enables."""
+def openblas_core(**env) -> str | None:
+    """The OpenBLAS core that numpy picks in a child with ``env`` added, from
+    the ``Core:`` line its ``import numpy`` prints under ``OPENBLAS_VERBOSE=2``
+    (None without OpenBLAS)."""
     child = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
-                           text=True, check=True, env={**os.environ, "OPENBLAS_VERBOSE": "2"})
+                           text=True, check=True,
+                           env={**os.environ, **env, "OPENBLAS_VERBOSE": "2"})
     core = re.search(r"^Core: (\S+)", child.stderr + child.stdout, re.MULTILINE)
+    return core and core.group(1)
+
+
+def kernels() -> dict:
+    """The OpenBLAS core that numpy picks on this host and numpy's SIMD
+    targets that this CPU enables."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1
         from numpy.core import _multiarray_umath as umath
-    return {"openblas_core": core and core.group(1),
+    return {"openblas_core": openblas_core(),
             "simd": [f for f in (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
                      if umath.__cpu_features__.get(f)]}
 
@@ -129,3 +136,39 @@ def test_pins_record_the_kernels():
     for name in WORKLOADS:
         pins = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
         assert {"openblas_core", "simd"} <= pins.keys(), name
+
+
+def test_build_and_map_do_not_depend_on_the_blas_kernel(tmp_path):
+    """The demo's ``build`` and ``calibrate``, each a process, under the host's
+    OpenBLAS core and under another one (Haswell, or Prescott on a Haswell
+    host), write the same ``surrogate.json`` and ``build_report.json``, and
+    the same MAP and multistart records in ``posterior.json``: the surrogate
+    sums in numpy's own einsum loop, not in a BLAS kernel.  The Laplace
+    covariance and everything computed from it still go through BLAS and
+    LAPACK, so they may move with the core."""
+    here = openblas_core()
+    if here is None:
+        pytest.skip("numpy does not report an OpenBLAS core")
+    wanted = "Prescott" if here == "Haswell" else "Haswell"
+    other = openblas_core(OPENBLAS_CORETYPE=wanted)
+    if other == here:
+        pytest.skip(f"OpenBLAS is not a DYNAMIC_ARCH build: it runs {here} "
+                    f"whatever OPENBLAS_CORETYPE says")
+    import miscuq
+    config = Path(__file__).resolve().parents[1] / "docs" / "demo_config.yaml"
+    path = os.pathsep.join([str(Path(miscuq.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    outs = []
+    for core, env in ((here, {}), (other, {"OPENBLAS_CORETYPE": wanted})):
+        out = tmp_path / core
+        for stage in ("build", "calibrate"):
+            proc = subprocess.run([sys.executable, "-m", "miscuq", stage, "--config", str(config),
+                                   "--out", str(out), "--quiet"], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": path, **env})
+            assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("surrogate.json", "build_report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    posterior = [json.loads((out / "posterior.json").read_text(encoding="utf-8")) for out in outs]
+    for key in ("mean", "multistart"):
+        assert posterior[0][key] == posterior[1][key], f"{key} differs on {here} and {other}"

@@ -1,14 +1,16 @@
 """Combination surrogates: build, telescoping, adaptivity, serialization."""
 
+import dataclasses
 import json
 import math
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from miscuq import interp, misc
+from miscuq import cli, interp, misc
 from miscuq.interp import TensorInterpolant, build_grid
 from miscuq.leja import SymmetricLeja, WeightedGaussianLeja, level_to_knots
 from miscuq.misc import (
@@ -765,3 +767,25 @@ class TestSerialization:
         loaded = deserialize(path)
         pts = np.random.default_rng(2).normal(0, 1, (20, 2))
         assert loaded.evaluate_many(pts).tobytes() == s.evaluate_many(pts).tobytes()
+
+
+@pytest.fixture(scope="module", params=[("demo", 200.0), ("converge", 5000.0)],
+                ids=["demo", "converge"])
+def workload_surrogate(request, tmp_path_factory):
+    """The demo's surrogate and its parameter space, and the converge
+    workload's: the demo config built to a budget of 5000."""
+    name, max_work = request.param
+    config = Path(__file__).resolve().parents[1] / "docs" / "demo_config.yaml"
+    cfg = dataclasses.replace(cli.load_config(config, out=tmp_path_factory.mktemp(name)),
+                              build_work=max_work)
+    cli.cmd_build(cfg)
+    return deserialize(cfg.out_dir / cli.SURROGATE_FILE), cfg.space
+
+
+@pytest.mark.parametrize("batch", [2, 20, interp.ROWS + 1])
+def test_a_point_evaluates_alone_as_in_its_batch(workload_surrogate, batch):
+    # one summation order: a point's value does not depend on its batch
+    surrogate, space = workload_surrogate
+    points = space.sample(batch, batch)
+    rows = surrogate.evaluate_many(points)
+    assert all(surrogate.evaluate(v).tobytes() == row.tobytes() for v, row in zip(points, rows))
