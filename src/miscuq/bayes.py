@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import MALFORMED, NumericalError
-from .params import ParamSpace, check_covariance
+from .params import ParamSpace, check_covariance, symmetric_eigen
 
 __all__ = [
     "CalibrationError",
@@ -295,7 +295,7 @@ def find_map(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int,
     lo, hi = space.bounds()
     widths = hi - lo
     center = 0.5 * (lo + hi)
-    diam_sq = float(widths @ widths)
+    diam_sq = float(np.einsum("i,i->", widths, widths))
     mu = PENALTY_SCALE * base(center)[0] / diam_sq
 
     def objective(points):
@@ -387,7 +387,7 @@ def laplace_covariance(surrogate, obs: ObservationSet, v_map, sigma: float,
     J is the Jacobian of the surrogate predictions, by central differences
     with per-dimension step 1e-4 times the box width.  A CalibrationError
     refuses a non-finite J^T J (J's squares are on its diagonal), or names
-    each direction whose singular value of J^T J is <= 1e-12 s_max."""
+    each direction whose J^T J eigenvalue is <= 1e-12 times the largest."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     base = _Misfit(surrogate, obs)
@@ -398,15 +398,15 @@ def laplace_covariance(surrogate, obs: ObservationSet, v_map, sigma: float,
     p = base.predictions(np.vstack([v_map + np.diag(h), v_map - np.diag(h)]))
     J = ((p[:n] - p[n:]) / (2.0 * h)[:, None]).T
     with np.errstate(over="ignore"):  # refused below
-        M = J.T @ J
+        M = np.einsum("ki,kj->ij", J, J)
     if not np.isfinite(M).all():
         raise CalibrationError("J^T J is not finite: the surrogate's slopes overflow or are NaN")
-    u, s, vt = np.linalg.svd(M)
+    s, vt = map(np.array, symmetric_eigen(M.tolist()))
     rank = int(np.sum(s > s[0] * 1e-12))
     if rank < n:
         raise CalibrationError("the observations leave parameter direction(s) " + ", ".join(
             str(np.round(v, 6).tolist()) for v in vt[rank:]) + " unconstrained")
-    cov = sigma**2 * (vt.T @ np.diag(1.0 / s) @ u.T)
+    cov = sigma**2 * np.einsum("k,ki,kj->ij", 1.0 / s, vt, vt)
     return 0.5 * (cov + cov.T)
 
 
@@ -433,12 +433,13 @@ class GaussianPosterior:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
     def sample(self, count: int, seed) -> np.ndarray:
-        """Draw from N(mean, covariance) with the counter-based Philox stream."""
+        """Draw mean + z sqrt(lambda) V^T, numpy's ``multivariate_normal(method="svd")``,
+        with z standard normal rows from one Philox stream and V from ``symmetric_eigen``."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        gen = np.random.Generator(np.random.Philox(seed))
-        return gen.multivariate_normal(self.mean, self.covariance, size=count,
-                                       method="svd")
+        s, vt = map(np.array, symmetric_eigen(self.covariance.tolist()))
+        z = np.random.Generator(np.random.Philox(seed)).standard_normal((count, s.size))
+        return self.mean + np.einsum("ck,kj->cj", z, np.sqrt(np.maximum(s, 0.0))[:, None] * vt)
 
 
 def calibrate(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int,
@@ -447,4 +448,25 @@ def calibrate(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int,
     map_result = find_map(surrogate, obs, space, n_starts, seed)
     sig = estimate_sigma(surrogate, obs, map_result.point)
     cov = laplace_covariance(surrogate, obs, map_result.point, sig.sigma, space)
-    return GaussianPosterior(map_result.point, cov, sig.sigma, map_result.report, sig.floored)
+    posterior = GaussianPosterior(map_result.point, cov, sig.sigma, map_result.report,
+                                  sig.floored)
+    _warn_mass_outside_prior(posterior, space)
+    return posterior
+
+
+def _warn_mass_outside_prior(posterior: GaussianPosterior, space: ParamSpace) -> list[float]:
+    """Each parameter's mass of the Gaussian marginal outside its prior's
+    nominal box, in closed form, with one WARNING for each above 1%: the
+    uniform prior has no mass there, a Gaussian one 0.27%."""
+    outside = []
+    for name, lo, hi, m, sd in zip(space.names, *space.bounds(), posterior.mean.tolist(),
+                                   posterior.marginal_std().tolist()):
+        below, above = (0.5 * math.erfc(d / (sd * math.sqrt(2.0))) if sd > 0.0 else
+                        float(d < 0.0) for d in (m - lo, hi - m))
+        outside.append(below + above)
+        if outside[-1] > 0.01:
+            log.warning("calibrate: the Laplace posterior N(%.4g, %.4g^2) of %s puts %.1f%% of "
+                        "its mass outside the prior box [%.6g, %.6g] (%.1f%% below, %.1f%% "
+                        "above); posterior draws there lie outside the prior's range",
+                        m, sd, name, 100 * outside[-1], lo, hi, 100 * below, 100 * above)
+    return outside

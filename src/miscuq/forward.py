@@ -17,6 +17,7 @@ one column's work arrays and the columns of the densities it keeps.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,8 +137,8 @@ def kde(samples, bandwidth: float | None = None, *, iqr: float | None = None) ->
     frac = pos - left
     counts = (np.bincount(left, weights=1.0 - frac, minlength=GRID_SIZE)
               + np.bincount(left + 1, weights=frac, minlength=GRID_SIZE))
-    offsets = np.arange(-(GRID_SIZE - 1), GRID_SIZE) * (dx / bw)
-    kernel = np.exp(-0.5 * offsets * offsets)
+    half = [math.exp(-0.5 * x * x) for x in (np.arange(GRID_SIZE) * (dx / bw)).tolist()]
+    kernel = np.array(half[:0:-1] + half)  # mirrored; math.exp is the same on every host
     n_fft = 1 << (3 * GRID_SIZE - 3).bit_length()  # >= 3G - 2: no wrap-around
     conv = np.fft.irfft(np.fft.rfft(counts, n_fft) * np.fft.rfft(kernel, n_fft), n_fft)
     density = np.maximum(conv[GRID_SIZE - 1:2 * GRID_SIZE - 1], 0.0)

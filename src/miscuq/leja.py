@@ -40,6 +40,7 @@ that only builds them, as ``load_config`` does, loads no numpy.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -148,7 +149,7 @@ def _symmetric_greedy() -> _GreedySequence:
 @functools.cache
 def _gaussian_greedy() -> _GreedySequence:
     candidates = _symmetric_grid(GAUSSIAN_CANDIDATES, GAUSSIAN_CUTOFF)
-    return _GreedySequence(candidates, sqrt_weight=np.exp(-candidates**2 / 4.0))
+    return _GreedySequence(candidates, sqrt_weight=np.vectorize(math.exp)(-candidates**2 / 4.0))
 
 
 def _reference(head: tuple[float, ...], greedy, count: int) -> np.ndarray:

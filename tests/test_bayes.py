@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from miscuq import cli, misc
+from miscuq import bayes, cli, misc
 from miscuq.bayes import (
     CalibrationError,
     GaussianPosterior,
@@ -337,6 +337,22 @@ class TestFindMap:
             in warnings[0]
         assert "misfit 1.1642 times the best, relative likelihood 0.66" in warnings[0]
 
+    def test_demo_warns_of_laplace_mass_outside_the_prior(self, demo_calibration, caplog):
+        # N(-0.149, 0.268^2) has 28.9% above log_powder_convection's upper
+        # bound 0, where the uniform prior is zero; the temperature's
+        # N(1386, 12.4^2) lies 5 std inside [1130, 1450]
+        surrogate, obs, space = demo_calibration
+        cfg = cli.load_config(DOCS / "demo_config.yaml")
+        posterior = calibrate(surrogate, obs, space, cfg.n_starts, cli._stage_seed(cfg.seed, 1))
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelname == "WARNING" and "outside the prior box" in r.getMessage()]
+        assert warnings == [
+            "calibrate: the Laplace posterior N(-0.1493, 0.2677^2) of log_powder_convection puts "
+            "28.9% of its mass outside the prior box [-5, 0] (0.0% below, 28.9% above); "
+            "posterior draws there lie outside the prior's range"]
+        outside = bayes._warn_mass_outside_prior(posterior, space)
+        assert outside[0] < 1e-6 and outside[1] == pytest.approx(0.289, abs=5e-4)
+
     def test_competing_minimum_is_compared_by_penalized_misfit(self, caplog):
         # an end outside the box with a lower raw misfit than the best end,
         # but a higher penalized one: ratio 3 / 2, likelihood exp(-0.5 K / 2)
@@ -476,6 +492,9 @@ class TestFullPipelineLinearGaussian:
         assert np.abs(posterior.covariance - cov).max() <= 1e-6 * np.abs(cov).max()
         # every start ends at the one minimum
         assert "competing minimum" not in caplog.text
+        # a posterior well inside the box [-2, 2]^2 puts under 1% outside it
+        assert "outside the prior box" not in caplog.text
+        assert max(bayes._warn_mass_outside_prior(posterior, space)) < 1e-6
 
 
 class TestSelfConsistency:

@@ -5,9 +5,12 @@ calibrate, forward and report through ``cli.main`` in process.  A change
 that alters output bytes on purpose rewrites the pins with
 ``tools/golden.py``.
 
-The pins also record the OpenBLAS kernel and numpy's SIMD targets they were
-made with.  Those decide how BLAS and ufunc loops round, so a failure names
-them when this host's differ; the test itself compares the digests alone."""
+No stage calls BLAS, LAPACK or numpy's SIMD ``exp``, so the digests do not
+depend on the OpenBLAS core, and a test runs the demo under other cores and
+with numpy's SIMD capped at X86_V3 to show it.  Below X86_V3 pocketfft
+rounds differently, so the pins record numpy's SIMD targets, and a failure
+names them when this host's differ; the test itself compares the digests
+alone."""
 
 import hashlib
 import json
@@ -49,25 +52,37 @@ def openblas_core(**env) -> str | None:
     return core and core.group(1)
 
 
-def kernels() -> dict:
-    """The OpenBLAS core that numpy picks on this host and numpy's SIMD
-    targets that this CPU enables."""
+def cpu_features():
+    """numpy's record of its SIMD targets and of the CPU features it enables."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1
         from numpy.core import _multiarray_umath as umath
-    return {"openblas_core": openblas_core(),
-            "simd": [f for f in (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
+    return umath
+
+
+def kernels() -> dict:
+    """numpy's SIMD targets that this CPU enables."""
+    umath = cpu_features()
+    return {"simd": [f for f in (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
                      if umath.__cpu_features__.get(f)]}
 
 
+def simd_above_v3() -> list[str]:
+    """numpy's dispatch targets above X86_V3 that this CPU enables: the ones
+    ``NPY_DISABLE_CPU_FEATURES`` must name to cap numpy at X86_V3."""
+    umath = cpu_features()
+    targets = list(umath.__cpu_dispatch__)
+    if "X86_V3" not in targets:
+        return []
+    return [f for f in targets[targets.index("X86_V3") + 1:] if umath.__cpu_features__.get(f)]
+
+
 def kernel_note(pins: dict) -> str:
-    """What differs between the kernels in ``pins`` and this host's, or ''."""
-    here = kernels()
-    notes = [f"{what} pinned on {pins.get(key)}, this host runs {here[key]}"
-             for key, what in (("openblas_core", "OpenBLAS core"), ("simd", "numpy SIMD"))
-             if pins.get(key) != here[key]]
-    return "".join(f"; {n}" for n in notes)
+    """How numpy's SIMD targets in ``pins`` differ from this host's, or ''."""
+    here = kernels()["simd"]
+    return "" if pins.get("simd") == here else \
+        f"; numpy SIMD pinned on {pins.get('simd')}, this host runs {here}"
 
 
 def workload_digests(run, name: str) -> dict[str, str]:
@@ -125,50 +140,55 @@ def test_moved_names_each_kind_of_change():
         "changed b", "removed c", "added d"]
 
 
-def test_kernel_note_names_a_changed_core():
+def test_kernel_note_names_changed_simd_targets():
     here = kernels()
     assert kernel_note(here) == ""
-    assert kernel_note({**here, "openblas_core": "NoSuchCore"}) == \
-        f"; OpenBLAS core pinned on NoSuchCore, this host runs {here['openblas_core']}"
+    assert kernel_note({"simd": ["X86_V2"]}) == \
+        f"; numpy SIMD pinned on ['X86_V2'], this host runs {here['simd']}"
 
 
 def test_pins_record_the_kernels():
+    # numpy's SIMD targets alone: no output depends on the OpenBLAS core
     for name in WORKLOADS:
         pins = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-        assert {"openblas_core", "simd"} <= pins.keys(), name
+        assert "simd" in pins and "openblas_core" not in pins, name
 
 
-def test_build_and_map_do_not_depend_on_the_blas_kernel(tmp_path):
-    """The demo's ``build`` and ``calibrate``, each a process, under the host's
-    OpenBLAS core and under another one (Haswell, or Prescott on a Haswell
-    host), write the same ``surrogate.json`` and ``build_report.json``, and
-    the same MAP and multistart records in ``posterior.json``: the surrogate
-    sums in numpy's own einsum loop, not in a BLAS kernel.  The Laplace
-    covariance and everything computed from it still go through BLAS and
-    LAPACK, so they may move with the core."""
+# prints the demo workload's digests as its last line, from its working directory
+CHILD = """import json, sys
+import test_golden
+sys.modules["spans"] = test_golden.bench_module("spans")
+print(json.dumps(test_golden.workload_digests(test_golden.bench_module("run"), "demo")))
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel_or_the_simd_level(tmp_path):
+    """The demo golden workload (build, warm rebuild, calibrate, forward,
+    report), in a child process under another OpenBLAS core (Haswell, or
+    Prescott on a Haswell host) with numpy's SIMD capped at X86_V3, and then
+    under Prescott, writes every pinned digest: the surrogate, the Laplace
+    step and the posterior draws sum in numpy's einsum loop and factor with
+    the plain-Python ``params.symmetric_eigen``, and the KDE kernel uses
+    ``math.exp``."""
     here = openblas_core()
-    if here is None:
-        pytest.skip("numpy does not report an OpenBLAS core")
     wanted = "Prescott" if here == "Haswell" else "Haswell"
-    other = openblas_core(OPENBLAS_CORETYPE=wanted)
-    if other == here:
-        pytest.skip(f"OpenBLAS is not a DYNAMIC_ARCH build: it runs {here} "
-                    f"whatever OPENBLAS_CORETYPE says")
+    core_moves = here is not None and openblas_core(OPENBLAS_CORETYPE=wanted) != here
+    above = simd_above_v3()
+    if not (core_moves or above):
+        pytest.skip(f"neither the OpenBLAS core ({here}, not a DYNAMIC_ARCH build or none) nor "
+                    f"numpy's SIMD level (no target above X86_V3 enabled) can be changed")
+    capped = {"NPY_DISABLE_CPU_FEATURES": " ".join(above)} if above else {}
+    setups = ([{**capped, "OPENBLAS_CORETYPE": wanted}, {"OPENBLAS_CORETYPE": "Prescott"}]
+              if core_moves else [capped])
     import miscuq
-    config = Path(__file__).resolve().parents[1] / "docs" / "demo_config.yaml"
-    path = os.pathsep.join([str(Path(miscuq.__file__).parents[1]),
+    path = os.pathsep.join([str(Path(miscuq.__file__).parents[1]), str(Path(__file__).parent),
                             os.environ.get("PYTHONPATH", "")])
-    outs = []
-    for core, env in ((here, {}), (other, {"OPENBLAS_CORETYPE": wanted})):
-        out = tmp_path / core
-        for stage in ("build", "calibrate"):
-            proc = subprocess.run([sys.executable, "-m", "miscuq", stage, "--config", str(config),
-                                   "--out", str(out), "--quiet"], capture_output=True, text=True,
-                                  env={**os.environ, "PYTHONPATH": path, **env})
-            assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-    for name in ("surrogate.json", "build_report.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-    posterior = [json.loads((out / "posterior.json").read_text(encoding="utf-8")) for out in outs]
-    for key in ("mean", "multistart"):
-        assert posterior[0][key] == posterior[1][key], f"{key} differs on {here} and {other}"
+    pins = json.loads((GOLDEN / "demo.json").read_text(encoding="utf-8"))["files"]
+    for i, env in enumerate(setups):
+        (tmp_path / str(i)).mkdir()
+        proc = subprocess.run([sys.executable, "-c", CHILD], cwd=tmp_path / str(i),
+                              capture_output=True, text=True,
+                              env={**os.environ, **env, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        changed = moved(pins, json.loads(proc.stdout.splitlines()[-1]))
+        assert not changed, f"demo under {env}: output bytes differ from the pins: {changed}"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from miscuq.params import Gaussian, ParamSpace, ParamSpec, Uniform, check_covariance
+from miscuq.params import (Gaussian, ParamSpace, ParamSpec, Uniform, check_covariance,
+                           symmetric_eigen)
 
 
 def make_space(*dists):
@@ -121,3 +122,45 @@ def test_covariance_with_overflowing_trace_names_the_overflow(diagonal):
     # every entry is finite, but the diagonal does not sum to a float
     with pytest.raises(ValueError, match=r"covariance trace overflows the float range \((-)?inf\)"):
         check_covariance(np.diag(diagonal).tolist())
+
+
+def symmetric_matrices(kind, rng):
+    """Symmetric matrices of sizes 1 to 6 of one kind, 20 of each size."""
+    for n in range(1, 7):
+        for _ in range(20):
+            a = rng.normal(size=(n, n))
+            if kind == "rank-deficient":
+                low = rng.normal(size=(n, max(1, n - 2)))
+                yield low @ low.T
+            elif kind == "diagonal":
+                yield np.diag(rng.normal(size=n))
+            elif kind == "zero":
+                yield np.zeros((n, n))
+            else:
+                yield (a + a.T) * {"random": 1.0, "1e-150": 1e-150, "1e150": 1e150,
+                                   "1e200": 1e200}[kind]
+
+
+@pytest.mark.parametrize("kind", ["random", "zero", "diagonal", "rank-deficient", "1e-150",
+                                  "1e150", "1e200"])
+def test_symmetric_eigen_matches_numpy(kind):
+    # near 1e200 a Frobenius-norm threshold overflows to inf and would skip
+    # every rotation, leaving the diagonal as the eigenvalues
+    rng = np.random.default_rng(["random", "zero", "diagonal", "rank-deficient", "1e-150",
+                                 "1e150", "1e200"].index(kind))
+    for a in symmetric_matrices(kind, rng):
+        values, vectors = symmetric_eigen(a.tolist())
+        scale = np.abs(a).max()
+        assert values == sorted(values, reverse=True)
+        assert np.abs(np.array(values) - np.linalg.eigvalsh(a)[::-1]).max() <= 1e-13 * scale, a
+        v = np.array(vectors)
+        assert np.abs(np.einsum("ik,jk->ij", v, v) - np.eye(len(a))).max() <= 1e-13, a
+        assert np.abs(np.einsum("ij,kj->ki", a, v) - np.array(values)[:, None] * v).max() \
+            <= 1e-13 * scale, a
+        if kind in ("zero", "diagonal"):  # no rotation: the diagonal, sorted, and unit vectors
+            assert values == sorted(np.diag(a).tolist(), reverse=True)
+            assert sorted(map(tuple, vectors), reverse=True) == list(map(tuple, np.eye(len(a))))
+
+
+def test_symmetric_eigen_reads_the_lower_triangle():
+    assert symmetric_eigen([[2.0, 99.0], [0.0, 3.0]]) == ([3.0, 2.0], [[0.0, 1.0], [1.0, 0.0]])

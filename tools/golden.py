@@ -7,7 +7,7 @@ Usage (from the repository root):
 Runs each workload (default: all three) in a temporary directory the way
 the test does and writes ``tests/golden/<workload>.json``: the sha256 of
 every output file, the Python and numpy versions they were made with, and
-the OpenBLAS core and numpy SIMD targets of this host.
+the numpy SIMD targets of this host.
 Before it rewrites a pin it prints each file whose digest moved (added,
 removed or changed), or ``unchanged``.  Run it only on a checkout whose
 output bytes are known good, and list in the change's notes every file it
