@@ -15,7 +15,8 @@ and names the stage to run first.
 Each stage process loads only what it runs: this module and ``load_config``
 need the standard library, yaml and the numpy-free ``artifacts``, ``params``
 and ``oracle``; each ``cmd_*`` imports the numerical modules it calls, and
-``report`` imports none, so it never loads numpy.
+``report`` imports none, so it never loads numpy.  ``main`` loads numpy
+for the other stages with a one-thread OpenBLAS pool (``_load_numpy``).
 """
 
 from __future__ import annotations
@@ -493,6 +494,13 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
 
     posterior = bayes.calibrate(surrogate, obs, cfg.space, cfg.n_starts,
                                 _stage_seed(cfg.seed, 1))
+    outside = [f"{name} = {x:.6g} outside [{lo:.6g}, {hi:.6g}]" for name, x, (lo, hi)
+               in zip(cfg.space.names, posterior.mean.tolist(), surrogate.domain)
+               if not lo <= x <= hi]
+    if outside:  # the same test as surrogate.extrapolation_mask
+        log.warning("calibrate: the MAP lies outside the surrogate's domain, so the posterior "
+                    "describes the surrogate's extrapolation: %s; rerun build over the "
+                    "current prior", "; ".join(outside))
     _write_json(cfg.out_dir / POSTERIOR_FILE, _posterior_to_json(posterior, cfg))
 
     # (stage, parameter, mean, std, interval_lo, interval_hi) of each marginal
@@ -634,6 +642,31 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_numpy() -> None:
+    """Import numpy with ``OPENBLAS_NUM_THREADS=1``, then put the variable
+    back as it was: removed if it was unset, else the user's value.
+
+    OpenBLAS reads the variable once, as numpy loads it, and starts a pool
+    of that many threads, one per core if unset: about 70 ms of a stage
+    process on two cores.  No stage calls BLAS or LAPACK
+    (``tests/test_host_kernels.py`` refuses a new call), so one thread moves
+    no output byte.  External-oracle lanes inherit ``os.environ``, so a
+    user's simulator keeps the user's value.  Once numpy is loaded (library
+    use, in-process tests) this does nothing.
+    """
+    if "numpy" in sys.modules:
+        return
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr,
@@ -650,6 +683,8 @@ def main(argv=None) -> int:
             first = next(n for n, (*_, provides) in _STAGES.items() if set(provides) & set(missing))
             raise ConfigError(f"{args.command}: missing artifacts {missing} in {cfg.out_dir}; "
                               f"run '{first}' first")
+        if args.command != "report":
+            _load_numpy()
         run(cfg)
     except Exception as exc:
         for code, what, kinds in (

@@ -6,7 +6,9 @@ import fnmatch
 import gc
 import json
 import math
+import os
 import re
+import shlex
 import shutil
 import sys
 import textwrap
@@ -574,6 +576,27 @@ class TestCalibrateAndForward:
         assert len(rows) == 1
         mean, std, _, lo, hi = map(float, rows[0][2:])
         assert (mean, std, lo, hi) == (-2.5, 0.8, -2.5 - 3 * 0.8, -2.5 + 3 * 0.8)
+
+    def test_map_outside_the_surrogate_domain_warns(self, tmp_path, caplog):
+        # a prior widened after the demo build moves the MAP past the
+        # surrogate's temperature range: calibrate still exits 0, with one
+        # warning naming the coordinate, the range and the stage to rerun
+        demo = yaml.safe_load(DEMO_CONFIG.read_text(encoding="utf-8"))
+        demo["calibration"]["observations"] = str(
+            DEMO_CONFIG.parent / demo["calibration"]["observations"])
+        demo["parameters"][0]["hi"] = 1700.0
+        (tmp_path / "widened.yaml").write_text(yaml.dump(demo, Dumper=DUMPER))
+        out = ["--out", str(tmp_path / "out"), "--quiet"]
+        assert main(["build", "--config", str(DEMO_CONFIG), *out]) == EXIT_OK
+        caplog.clear()
+        assert main(["calibrate", "--config", str(DEMO_CONFIG), *out]) == EXIT_OK
+        assert not [r for r in caplog.records if "surrogate's domain" in r.getMessage()]
+        caplog.clear()
+        assert main(["calibrate", "--config", str(tmp_path / "widened.yaml"), *out]) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records if "surrogate's domain" in r.getMessage()
+                ] == ["calibrate: the MAP lies outside the surrogate's domain, so the posterior "
+                      "describes the surrogate's extrapolation: activation_temperature = 1612.92 "
+                      "outside [1130, 1450]; rerun build over the current prior"]
 
     def test_unknown_observation_qoi_fails(self, tmp_path, caplog, clean_run):
         # the one error line names the observations file and the surrogate
@@ -1401,6 +1424,46 @@ def test_error_exit_loads_no_numerical_module(tmp_path):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "missing artifacts" in proc.stderr
     assert not loaded & NUMERICAL_MODULES, sorted(loaded & NUMERICAL_MODULES)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists() or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/status and two cores, where OpenBLAS would "
+                           "start a second thread")
+def test_stage_process_loads_numpy_with_one_blas_thread(tmp_path):
+    # a build process started with OPENBLAS_NUM_THREADS=2 ends with one
+    # thread, and with the variable as it started
+    import subprocess
+    code = ("import os, sys\nfrom miscuq.cli import main\nrc = main(sys.argv[1:])\n"
+            "threads = [int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "           if line.startswith('Threads:')]\n"
+            "print(rc, threads, repr(os.environ.get('OPENBLAS_NUM_THREADS')))")
+    proc = subprocess.run([sys.executable, "-c", code, "build", "--config", str(DEMO_CONFIG),
+                           "--out", str(tmp_path / "out"), "--quiet"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+    assert proc.stdout.split() == ["0", "[1]", "'2'"], proc.stderr
+
+
+@pytest.mark.parametrize("value", ["3", None], ids=["set", "unset"])
+def test_oracle_lanes_get_the_users_blas_threads(tmp_path, value):
+    # the stage loads numpy with one OpenBLAS thread, but the simulator
+    # lanes it starts see OPENBLAS_NUM_THREADS as the user set it, or unset
+    import subprocess
+    sim = tmp_path / "sim"
+    sim.mkdir()
+    oracle = {**EXTERNAL_ORACLE, "workdir": str(sim),
+              "command": shlex.join([sys.executable, str(Path(__file__).parent / "env_sim.py")])}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    # the lanes run in the workdir, where a relative PYTHONPATH finds nothing
+    env["PYTHONPATH"] = str(Path(artifacts.__file__).resolve().parents[1])
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    proc = subprocess.run([sys.executable, "-m", "miscuq", "build", "--quiet", "--config",
+                           str(write_config(tmp_path, {"oracle": oracle}))],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    seen = [json.loads(p.read_text()) for p in sim.glob("openblas-*.json")]
+    assert seen and seen == [value] * len(seen), seen
 
 
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "demo_config.yaml"

@@ -2,7 +2,9 @@
 depends on the host's CPU: BLAS and LAPACK (the ``@`` operator, ``np.dot``
 and its kin, ``np.linalg``, ``Generator.multivariate_normal``) or numpy's
 SIMD ``exp``.  ``test_golden.py`` runs the demo under other kernels to show
-the outputs do not move; this guard names the site that would move them."""
+the outputs do not move; this guard names the site that would move them.
+It is also what lets ``cli.main`` load numpy with a one-thread OpenBLAS
+pool: with no BLAS call, OpenBLAS's thread count moves no output byte."""
 
 import ast
 from pathlib import Path
