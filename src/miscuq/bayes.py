@@ -157,43 +157,46 @@ class NelderMeadResult(NamedTuple):
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 
 
+def _sorted(s: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each start's vertices ``s`` and values ``f`` in ascending order of value."""
+    ind, rows = np.argsort(f, axis=1), np.arange(len(f))[:, None]
+    return s[rows, ind], f[rows, ind]
+
+
 def _simplex_search(objective, simplices, tol_f, tol_x: float,
                     max_iter: int) -> list[NelderMeadResult]:
     """Nelder-Mead from each of B initial simplices, all advanced together.
 
     ``simplices`` is (B, N + 1, N); ``objective`` maps a (k, N) array of
     points to their k values; ``tol_f`` is one tolerance or one per start.
-    Each start runs the non-adaptive, unbounded branch of SciPy's
-    ``_minimize_neldermead`` with the same floating-point operations, so
-    with an objective whose rows do not depend on each other every start
-    ends exactly where a run of its own would.  A round makes at most three
-    objective calls: the reflections of all active starts, then the
-    expansion or contraction points of those that did not accept their
-    reflection, then the shrink points.  A start leaves when its simplex
-    spread is within ``tol_x`` and its values within its ``tol_f``, or
-    when its iteration count (from 1, as SciPy's ``nit``) reaches
+    Each start takes the floating-point steps of the non-adaptive,
+    unbounded branch of SciPy's ``_minimize_neldermead``, so with rows that
+    do not depend on each other it ends where a run of its own would.  Only
+    the running starts are held.  A round makes at most three objective
+    calls, rows in start order: their reflections, then the expansion or
+    contraction points of those that did not accept their reflection, then
+    the shrink points.  A start leaves when its simplex spread is within
+    ``tol_x`` and its values within its ``tol_f``; all leave when the
+    iteration count they share (from 1, as SciPy's ``nit``) reaches
     ``max_iter``.
     """
-    sim = np.array(simplices, dtype=float)
-    B, _, N = sim.shape
+    s = np.array(simplices, dtype=float)
+    B, _, N = s.shape
+    f = np.asarray(objective(s.reshape(-1, N)), dtype=float).reshape(B, N + 1)
+    s, f = _sorted(*_sorted(s, f))  # SciPy sorts twice after the initial simplex
     tol_f = np.broadcast_to(np.asarray(tol_f, dtype=float), (B,))
-    fsim = np.asarray(objective(sim.reshape(-1, N)), dtype=float).reshape(B, N + 1)
-    for _ in range(2):  # SciPy sorts twice after the initial simplex
-        ind = np.argsort(fsim, axis=1)
-        sim = np.take_along_axis(sim, ind[:, :, None], axis=1)
-        fsim = np.take_along_axis(fsim, ind, axis=1)
-    iterations = np.ones(B, dtype=int)
-    converged = np.zeros(B, dtype=bool)
-    active = np.arange(B)
+    start, results, iterations = np.arange(B), [None] * B, 1
     while True:
-        active = active[iterations[active] < max_iter]
-        s, f = sim[active], fsim[active]
+        converged = iterations < max_iter
         done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= tol_x)
-                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= tol_f[active]))
-        converged[active[done]] = True
-        active, s, f = active[~done], s[~done], f[~done]
-        if not active.size:
-            break
+                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= tol_f)
+                if converged else np.ones(start.size, dtype=bool))
+        for j in np.flatnonzero(done):
+            results[start[j]] = NelderMeadResult(s[j, 0].copy(), float(np.min(f[j])),
+                                                 iterations, converged)
+        if done.all():
+            return results
+        s, f, start, tol_f = s[~done], f[~done], start[~done], tol_f[~done]
         xbar = np.add.reduce(s[:, :-1], 1) / N
         worst = s[:, -1]
         xr = (1 + _RHO) * xbar - _RHO * worst
@@ -206,7 +209,7 @@ def _simplex_search(objective, simplices, tol_f, tol_x: float,
         # contraction, or the inside one (1 - psi) xbar + psi worst
         c = np.where(expand, _RHO * _CHI, np.where(outside, _PSI * _RHO, -_PSI))[:, None]
         x2 = (1 + c) * xbar - c * worst
-        f2 = np.full(active.size, np.nan)
+        f2 = np.full(start.size, np.nan)
         if not accept.all():
             f2[~accept] = objective(x2[~accept])
         take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f[:, -1]))
@@ -219,12 +222,8 @@ def _simplex_search(objective, simplices, tol_f, tol_x: float,
             s[shrink, 1:] = best + _SIGMA * (s[shrink, 1:] - best)
             f[shrink, 1:] = np.asarray(objective(s[shrink, 1:].reshape(-1, N)),
                                        dtype=float).reshape(-1, N)
-        iterations[active] += 1
-        ind = np.argsort(f, axis=1)
-        sim[active] = np.take_along_axis(s, ind[:, :, None], axis=1)
-        fsim[active] = np.take_along_axis(f, ind, axis=1)
-    return [NelderMeadResult(sim[b, 0].copy(), float(np.min(fsim[b])), int(iterations[b]),
-                             bool(converged[b])) for b in range(B)]
+        s, f = _sorted(s, f)
+        iterations += 1
 
 
 def nelder_mead(objective, x0, *, tol_f: float = 1e-12, tol_x: float = 1e-10,

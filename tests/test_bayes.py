@@ -188,10 +188,13 @@ class TestScipyReference:
                          scipy_nelder_mead(objective, x0, **kw))
 
     def test_stops_at_max_iter(self):
-        kw = dict(tol_f=1e-14, tol_x=1e-9, max_iter=37)
-        res = nelder_mead(rosen, [-1.2, 1.0], **kw)
-        assert not res.converged and res.iterations == 37
-        assert_same_bits(res, scipy_nelder_mead(rosen, [-1.2, 1.0], **kw))
+        # the count starts at 1, as SciPy's nit, so a cap of 0 or 1 stops
+        # before the first round with the sorted initial simplex
+        for max_iter in (0, 1, 2, 37):
+            kw = dict(tol_f=1e-14, tol_x=1e-9, max_iter=max_iter)
+            res = nelder_mead(rosen, [-1.2, 1.0], **kw)
+            assert not res.converged and res.iterations == max(max_iter, 1), max_iter
+            assert_same_bits(res, scipy_nelder_mead(rosen, [-1.2, 1.0], **kw))
 
     def test_demo_misfit(self, demo_calibration):
         surrogate, obs, space = demo_calibration

@@ -1,9 +1,9 @@
 """Golden digests: the sha256 of every file the pipeline writes on the
 benchmark's three workloads (``perfbench/run.py``) stays as pinned in
 ``tests/golden/<workload>.json``.  Each workload runs build, a warm rebuild,
-calibrate, forward and report through ``cli.main`` in process.  A change
-that alters output bytes on purpose rewrites the pins with
-``tools/golden.py``.
+calibrate, forward and report through ``cli.main`` in process, and the
+demo also as ``python -m miscuq`` processes.  A change that alters output
+bytes on purpose rewrites the pins with ``tools/golden.py``.
 
 No stage calls BLAS, LAPACK or numpy's SIMD ``exp``, so the digests do not
 depend on the OpenBLAS core, and a test runs the demo under other cores and
@@ -85,10 +85,27 @@ def kernel_note(pins: dict) -> str:
         f"; numpy SIMD pinned on {pins.get('simd')}, this host runs {here}"
 
 
-def workload_digests(run, name: str) -> dict[str, str]:
-    """Run one workload in the current directory with ``--out out``; the
-    sha256 of each file under ``out``, config hash replaced by HASH_TOKEN.
-    ``run`` is the loaded ``perfbench/run.py``."""
+def package_path() -> str:
+    """A PYTHONPATH under which a child imports this checkout's miscuq."""
+    import miscuq
+    return os.pathsep.join(filter(None, [str(Path(miscuq.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+
+
+def stage_process(argv: list[str]) -> int:
+    """``python -m miscuq *argv`` in a child process with two OpenBLAS
+    threads asked for, as the benchmark's stages are: the stage loads numpy
+    itself (``cli._load_numpy``) and ends through ``cli.entry``'s
+    ``os._exit``.  Its exit code."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": package_path()}
+    return subprocess.run([sys.executable, "-m", "miscuq", *argv], env=env).returncode
+
+
+def workload_digests(run, name: str, stage_main=main) -> dict[str, str]:
+    """Run one workload in the current directory with ``--out out``, each
+    stage through ``stage_main`` (``cli.main`` in process, or
+    ``stage_process``); the sha256 of each file under ``out``, config hash
+    replaced by HASH_TOKEN.  ``run`` is the loaded ``perfbench/run.py``."""
     base = yaml.safe_load(run.DEMO_CONFIG.read_text(encoding="utf-8"))
     observations = run.DEMO_CONFIG.parent / base["calibration"]["observations"]
     if name != "demo":
@@ -99,7 +116,7 @@ def workload_digests(run, name: str) -> dict[str, str]:
     config.write_text(json.dumps(run.workload_config(name, base, observations, sim, small=False),
                                  indent=1), encoding="utf-8")
     for stage in STAGES:
-        code = main([stage, "--config", str(config), "--out", "out", "--quiet"])
+        code = stage_main([stage, "--config", str(config), "--out", "out", "--quiet"])
         assert code == 0, f"{name}: {stage} exited {code}"
     config_hash = load_config(config, out="out").config_hash.encode("ascii")
     out = Path("out")
@@ -133,6 +150,24 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch, name):
     digests = workload_digests(run, name)
     changed = moved(pins["files"], digests)
     assert not changed, f"{name}: output bytes differ from the pins: {changed}{kernel_note(pins)}"
+
+
+def test_demo_stage_processes_match_golden_digests(tmp_path, monkeypatch):
+    # in process numpy is already loaded, so only a stage process runs the
+    # one-thread load and the os._exit ending
+    pins = json.loads((GOLDEN / "demo.json").read_text(encoding="utf-8"))
+    run = load_run(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    changed = moved(pins["files"], workload_digests(run, "demo", stage_process))
+    assert not changed, f"demo stage processes: output bytes differ from the pins: {changed}"
+
+
+def test_demo_config_hash():
+    # the hash that the digests mask.  The demo config names its observations
+    # by a relative path, and the hash covers the document as written plus
+    # the file's bytes, so this value holds in any checkout
+    demo = Path(__file__).resolve().parents[1] / "docs" / "demo_config.yaml"
+    assert load_config(demo).config_hash == "04f11ed5797c1060"
 
 
 def test_moved_names_each_kind_of_change():
@@ -180,9 +215,7 @@ def test_outputs_do_not_depend_on_the_blas_kernel_or_the_simd_level(tmp_path):
     capped = {"NPY_DISABLE_CPU_FEATURES": " ".join(above)} if above else {}
     setups = ([{**capped, "OPENBLAS_CORETYPE": wanted}, {"OPENBLAS_CORETYPE": "Prescott"}]
               if core_moves else [capped])
-    import miscuq
-    path = os.pathsep.join([str(Path(miscuq.__file__).parents[1]), str(Path(__file__).parent),
-                            os.environ.get("PYTHONPATH", "")])
+    path = os.pathsep.join([package_path(), str(Path(__file__).parent)])
     pins = json.loads((GOLDEN / "demo.json").read_text(encoding="utf-8"))["files"]
     for i, env in enumerate(setups):
         (tmp_path / str(i)).mkdir()
