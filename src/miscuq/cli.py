@@ -2,15 +2,21 @@
 against observations, run the data-informed forward analysis, and report.
 
 Exit codes: 0 success, 2 configuration error, 3 oracle error, 4 numerical
-failure.  All output files carry the provenance hash of the effective
-configuration; anything time-dependent goes to the log on stderr only, so
-reruns with identical config and seeds are byte-identical.
+failure.  All output files carry the provenance hash (``_config_hash``) of
+the config document, without ``output_dir``, ``oracle.lanes`` and
+``oracle.timeout``, plus the observations file's bytes; anything
+time-dependent goes to the log on stderr only, so reruns with identical
+config and seeds are byte-identical.
 
 ``_STAGES`` lists the stages in order, with the artifacts each reads and
 those of its outputs that a later stage reads.  ``main`` removes those
-outputs before it runs a stage, so a stage that fails leaves none of them
-for a later stage to read, and it refuses a stage whose inputs are missing
-and names the stage to run first.
+outputs before it runs a stage, and ``calibrate`` and ``forward`` write
+theirs last, so a failed ``calibrate`` or ``forward`` leaves none of them
+for a later stage to read.  ``build`` keeps one gap: if its
+``build_report.json`` write fails, its fresh ``surrogate.json`` stays and
+``report`` asks for ``build``; the reverse order would let ``report`` pair
+a fresh ``build_report.json`` with an older ``posterior.json``.  ``main``
+refuses a stage whose inputs are missing and names the stage to run first.
 
 Each stage process loads only what it runs: this module and ``load_config``
 need the standard library, yaml and the numpy-free ``artifacts``, ``params``
@@ -381,6 +387,17 @@ def _adaptive_surrogates(cfg, qois, max_work, *family_sets):
         oracle.close()
 
 
+def _warn_flat_top(cfg, state, surrogate: str, result: str, key: str) -> None:
+    """Warn when the oracle has several fidelities and no committed top-fidelity
+    entry refines some parameter (beta_d > 1): along it ``result`` the lower ones."""
+    top = len(cfg.backend.fidelities)
+    betas = [e.beta for e in state.index_set if e.alpha == top]
+    flat = [n for d, n in enumerate(cfg.space.names) if all(b[d] == 1 for b in betas)]
+    if top > 1 and flat:
+        log.warning("%s has no fidelity-%d entry%s, so %s the lower fidelities; raise %s",
+                    surrogate, top, f" that varies along {flat}" if betas else "", result, key)
+
+
 _POSTERIOR_FIELDS = {"mean": "a list of finite numbers", "covariance": "a list of finite numbers",
                      "sigma_meas": "a positive finite number"}
 _REDUCTION_FIELDS = dict.fromkeys(("reduction_percent", "prior_extrapolated_fraction",
@@ -420,6 +437,8 @@ def cmd_build(cfg: PipelineConfig) -> dict:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     [state], backend_points = _adaptive_surrogates(cfg, cfg.calibration_qois, cfg.build_work,
                                                    tuple(p.distribution for p in cfg.space.params))
+    _warn_flat_top(cfg, state, "build: the calibration surrogate", "the posterior follows",
+                   "calibration.budget.max_work")
     misc.serialize(state.surrogate, cfg.out_dir / SURROGATE_FILE, cfg.config_hash)
     points_sets: dict[int, set] = {}
     for entry in state.surrogate.values:
@@ -501,8 +520,6 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
         log.warning("calibrate: the MAP lies outside the surrogate's domain, so the posterior "
                     "describes the surrogate's extrapolation: %s; rerun build over the "
                     "current prior", "; ".join(outside))
-    _write_json(cfg.out_dir / POSTERIOR_FILE, _posterior_to_json(posterior, cfg))
-
     # (stage, parameter, mean, std, interval_lo, interval_hi) of each marginal
     stats = [("prior", spec.name, spec.distribution.center, spec.distribution.std,
               *spec.distribution.bounds()) for spec in cfg.space.params]
@@ -515,6 +532,7 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
     artifacts.write_csv(cfg.out_dir / CALIBRATION_TABLE_FILE,
                         ["stage", "parameter", "mean", "std", "cov", "interval_lo", "interval_hi"],
                         rows, f"config {cfg.config_hash}")
+    _write_json(cfg.out_dir / POSTERIOR_FILE, _posterior_to_json(posterior, cfg))  # last
     log.info("calibrate: MAP %s, sigma %.3g", posterior.mean.round(6), posterior.sigma_meas)
     return {"posterior": posterior}
 
@@ -543,6 +561,14 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
             failed = f"; first failed candidate: {state.skipped[0][1]}" if state.skipped else ""
             raise NumericalError(f"the {tag} surrogate is one grid point, a constant: "
                                  f"adapt stopped on {state.stop_reason}{failed}")
+        _warn_flat_top(cfg, state, f"forward: the {tag} surrogate", f"the {tag} bands follow",
+                       "forward.budget.max_work")
+    ddir = cfg.out_dir / "densities"
+    if cfg.density_qois:
+        try:
+            ddir.mkdir(exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create densities directory {ddir}: {exc}") from exc
     comment = f"config {cfg.config_hash}"
     bands = []
     for (tag, dist, stage), state in zip(analyses, states):
@@ -554,31 +580,21 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
                                  _stage_seed(cfg.seed, stage)),
             cfg.density_qois))
         forward.write_bands_csv(bands[-1], cfg.out_dir / f"bands_{tag}.csv", comment)
+        for path in ddir.glob(f"*_{tag}.csv"):  # a name no longer listed carries an older hash
+            if path.name.removesuffix(f"_{tag}.csv") not in cfg.density_qois:
+                _remove(path)
+        for name in cfg.density_qois:
+            forward.write_density_csv(bands[-1].densities[name], ddir / f"{name}_{tag}.csv",
+                                      comment)
     extrapolated = [float(b.extrapolated_fraction[0]) for b in bands]
-
     reduction = forward.uncertainty_reduction(*bands)
-    _write_json(cfg.out_dir / REDUCTION_FILE, {
+    _write_json(cfg.out_dir / REDUCTION_FILE, {  # last: report reads it
         "config_hash": cfg.config_hash,
         "reduction_percent": reduction,
         "prior_extrapolated_fraction": extrapolated[0],
         "posterior_extrapolated_fraction": extrapolated[1],
         "samples": cfg.forward_samples,
     })
-
-    ddir = cfg.out_dir / "densities"
-    for tag, _, _ in analyses:  # the files of a name no longer listed carry an older hash
-        for path in ddir.glob(f"*_{tag}.csv"):
-            if path.name.removesuffix(f"_{tag}.csv") not in cfg.density_qois:
-                _remove(path)
-    if cfg.density_qois:
-        try:
-            ddir.mkdir(exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create densities directory {ddir}: {exc}") from exc
-        for name in cfg.density_qois:
-            for (tag, _, _), b in zip(analyses, bands):
-                forward.write_density_csv(b.densities[name], ddir / f"{name}_{tag}.csv", comment)
-
     if any(extrapolated):
         log.warning("forward: extrapolated sample fraction prior=%.3g posterior=%.3g",
                     *extrapolated)

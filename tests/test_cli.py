@@ -706,6 +706,62 @@ class TestCalibrateAndForward:
         assert len(rows) == 1 + 8
 
 
+def flat_top_warnings(caplog) -> list[str]:
+    """The warnings that a surrogate's top fidelity varies along too few parameters."""
+    return [r.getMessage() for r in caplog.records
+            if r.levelname == "WARNING" and "the lower fidelities; raise" in r.getMessage()]
+
+
+class TestFlatTopFidelityWarning:
+    def test_demo_warns_for_each_surrogate(self, tmp_path, caplog):
+        # the demo's budgets commit fidelity 2 at beta = (1, 1) alone, or not at all
+        argv = ["--config", str(DEMO_CONFIG), "--out", str(tmp_path / "out"), "--quiet"]
+        assert [main([stage, *argv]) for stage in STAGES[:3]] == [EXIT_OK] * 3
+        both = "['activation_temperature', 'log_powder_convection']"
+        assert flat_top_warnings(caplog) == [
+            f"build: the calibration surrogate has no fidelity-2 entry that varies along {both}, "
+            "so the posterior follows the lower fidelities; raise calibration.budget.max_work",
+            "forward: the prior surrogate has no fidelity-2 entry, so the prior bands follow "
+            "the lower fidelities; raise forward.budget.max_work",
+            f"forward: the posterior surrogate has no fidelity-2 entry that varies along {both}, "
+            "so the posterior bands follow the lower fidelities; raise forward.budget.max_work"]
+
+    def test_converge_budget_build_warns_not(self, tmp_path, caplog):
+        path = write_config(tmp_path, {"calibration.budget": {"max_work": 5000.0}})
+        assert main(["build", "--config", str(path), "--quiet"]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "build_report.json").read_text())
+        top = [e["beta"] for e in report["index_set"] if e["alpha"] == 2]
+        assert max(b[0] for b in top) > 1 and max(b[1] for b in top) > 1
+        assert flat_top_warnings(caplog) == []
+
+    def test_one_fidelity_pipeline_warns_not(self, tmp_path, caplog):
+        # the builtin model's fidelity 1 served as an external simulator's only one
+        script = tmp_path / "fidelity_1.py"
+        script.write_text(textwrap.dedent(f"""\
+            import json, sys
+            sys.path.insert(0, {str(Path(artifacts.__file__).resolve().parents[1])!r})
+            from miscuq.oracle import BeamAnalogModel
+            model = BeamAnalogModel()
+            for line in sys.stdin:
+                req = json.loads(line)
+                values = model.evaluate(req["fidelity"], req["params"], req["qois"])
+                print(json.dumps({{"id": req["id"], "values": values}}), flush=True)
+            """))
+        oracle = {"command": shlex.join([sys.executable, str(script)]),
+                  "fidelities": [{"alpha": 1, "cost_weight": 1.0}]}
+        path = write_config(tmp_path, {"oracle": oracle})
+        argv = ["--config", str(path), "--quiet"]
+        assert main(["build", *argv]) == EXIT_OK
+        make_observations(load_config(path))
+        assert [main([stage, *argv]) for stage in STAGES[1:3]] == [EXIT_OK] * 2
+        # a zero budget leaves beta = (1, 1) alone, the top fidelity's only entry
+        root = write_config(tmp_path, {"oracle": oracle, "calibration.budget": {"max_work": 0.0}},
+                            name="root.yaml")
+        assert main(["build", "--config", str(root), "--out", str(tmp_path / "root"),
+                     "--quiet"]) == EXIT_OK
+        assert flat_top_warnings(caplog) == []
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical_with_zero_backend_calls(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -972,6 +1028,39 @@ class TestMainExitCodes:
         assert not [name for name in _STAGES[stage][2] if (out / name).exists()]
         assert_config_exit(caplog, [after, *argv], f"{after}: missing artifacts",
                            f"run '{stage}' first")
+
+    @pytest.mark.parametrize("stage", ["calibrate", "forward"])
+    def test_each_failed_write_leaves_no_input_of_a_later_stage(self, tmp_path, clean_run,
+                                                                stage):
+        # after a full run, the stage's k-th write fails, for every k: none
+        # of its outputs that a later stage reads is left, since it writes
+        # them last
+        def rerun(fail_at):
+            out = tmp_path / f"fail_at_{fail_at}"
+            shutil.copytree(clean_run.out, out)
+            with pytest.MonkeyPatch.context() as mp:
+                opener = counting_writes(mp, fail_at=fail_at)
+                code = main([stage, "--config", str(clean_run.config), "--out", str(out),
+                             "--quiet"])
+            return code, opener.writes, out
+
+        code, writes, _ = rerun(None)
+        assert code == EXIT_OK and writes > 1
+        for k in range(1, writes + 1):
+            code, reached, out = rerun(k)
+            assert code in (EXIT_CONFIG, EXIT_ORACLE) and reached == k, (k, code)
+            assert not [name for name in _STAGES[stage][2] if (out / name).exists()], k
+
+    def test_densities_path_that_is_a_file_leaves_no_reduction(self, tmp_path, caplog, clean_run):
+        # forward makes its densities directory before it writes anything
+        out = tmp_path / "out"
+        shutil.copytree(clean_run.out, out)
+        shutil.rmtree(out / "densities")
+        (out / "densities").write_text("")
+        argv = ["--config", str(clean_run.config), "--out", str(out), "--quiet"]
+        assert_config_exit(caplog, ["forward", *argv], "cannot create densities directory")
+        assert not (out / "reduction.json").exists()
+        assert_config_exit(caplog, ["report", *argv], "run 'forward' first")
 
     def test_zero_variance_posterior_fails_before_any_simulator_call(self, tmp_path, caplog):
         path = write_config(tmp_path)

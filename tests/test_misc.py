@@ -484,17 +484,16 @@ class TestAdapt:
         oracle = CachedOracle(Flaky({1: f, 2: f}, 2, ["q"], costs=(1.0, 36.0)))
         state = init_adapt(oracle, unit_families(2), ["q"])
         calls = count_surplus_calls(monkeypatch)
-        margins = []
-        monkeypatch.setattr(misc, "reduced_margin",
-                            lambda index_set: margins.append(1) or reduced_margin(index_set))
         adapt(state, oracle, AdaptStop(max_work=15.0))
         assert all(e.alpha == 1 for e in state.index_set)
         assert any(cand.alpha == 2 for cand, _ in state.skipped)
         assert len(state.index_set) > 1
         # a failed candidate keeps no profit and is tried again on every
-        # iteration that scores the margin it stays in
+        # iteration: one per commit, and the last, which scores the margin
+        # and stops on the profit floor
         assert E(2, 1, 1) not in state.profits
-        assert calls[E(2, 1, 1)] == len(margins) > 1
+        assert state.stop_reason.startswith("best profit")
+        assert calls[E(2, 1, 1)] == len(state.committed) + 1 > 1
         assert all(calls[cand] == 1 for cand in state.profits)
 
     def test_each_candidate_scored_once(self, monkeypatch):
