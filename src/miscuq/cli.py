@@ -68,7 +68,7 @@ REPORT_SUMMARY_FILE = "report_summary.csv"
 CACHE_FILE = "cache.jsonl"
 DEFAULT_SAMPLES = 10_000  # forward.samples when the config sets none
 MAX_STARTS = 10_000       # calibration.n_starts: the MAP search moves a simplex per start
-MAX_SAMPLES = 1_000_000   # forward.samples: a push holds samples x (grid points + 8) doubles
+MAX_SAMPLES = 1_000_000   # forward.samples: a push holds samples x (grid points + 1) doubles
 MAX_QOIS = 100_000        # a QoI pattern's count: each name is built when the config loads
 MAX_LANES = 64            # oracle.lanes: each lane is a simulator process
 

@@ -5,13 +5,13 @@ binning plus one FFT convolution), and summarize them as modes with
 
 A push is kept factored: the draws' (S, G) basis rows over the
 surrogate's G grid points, and the surrogate's (G, J) value table.  The
-summary forms the (S, J) push ``COLUMNS`` QoIs at a time, as one einsum of
-the basis with those columns of the table, and takes each column's
-quantiles, KDE and mode from a copy of it.  The quantiles come from one
-sorted copy of the column, with the arithmetic of ``np.quantile``'s
-``linear`` method but not its ``np.unique`` call, which loads
-``numpy.ma``.  Beside the basis the summary holds one block of columns,
-one column's work arrays and the columns of the densities it keeps.
+summary forms the (S, J) push one QoI column at a time, as one einsum of
+the basis with that column of the table, and takes the column's
+quantiles, KDE and mode from it.  The quantiles come from one sorted copy
+of the column, with the arithmetic of ``np.quantile``'s ``linear`` method
+but not its ``np.unique`` call, which loads ``numpy.ma``.  Beside the
+basis the summary holds one column, its work arrays and the columns of
+the densities it keeps.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .interp import blocks
 
 __all__ = [
     "PushResult",
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 GRID_SIZE = 512
-COLUMNS = 8  # QoI columns per block of a summarized push
 
 
 @dataclass(frozen=True)
@@ -199,24 +197,21 @@ class BandSummary:
 def summarize_bands(push: PushResult, densities: tuple[str, ...] = ()) -> BandSummary:
     """KDE mode and empirical 5%/95% quantiles for every QoI column.
 
-    The columns are formed in the blocks of ``blocks(J, COLUMNS)``, each the
-    einsum of ``push.basis`` with ``push.values[:, block]``, whose columns
-    equal those of the whole (S, J) contraction (see ``interp``).  Each
-    column is copied out of its block into a contiguous array, and one
-    :func:`quantiles` call on it also gives its IQR for the Silverman
-    bandwidth.  The estimates of the QoIs named in ``densities`` are kept
-    in the summary; each owns its column, so none keeps a block alive."""
+    Each column is the einsum of ``push.basis`` with ``push.values[:, j]``,
+    which equals column j of the whole (S, J) contraction bit for bit while
+    the table is C-contiguous, as ``TensorInterpolant`` stores it (see
+    ``interp``).  One :func:`quantiles` call on the column also gives its
+    IQR for the Silverman bandwidth.  The estimates of the QoIs named in
+    ``densities`` are kept in the summary, each with its own column."""
     modes, q05, q95 = (np.empty(len(push.qoi_names)) for _ in range(3))
     kept = {}
-    for cols in blocks(len(push.qoi_names), COLUMNS):
-        block = np.einsum("sg,gj->sj", push.basis, push.values[:, cols])
-        for j, view in enumerate(block.T, cols.start):
-            column = view.copy()
-            q05[j], q25, q75, q95[j] = quantiles(column, [0.05, 0.25, 0.75, 0.95])
-            pdf = kde(column, iqr=float(q75 - q25))
-            modes[j] = mode(pdf)
-            if push.qoi_names[j] in densities:
-                kept[push.qoi_names[j]] = pdf
+    for j, name in enumerate(push.qoi_names):
+        column = np.einsum("sg,g->s", push.basis, push.values[:, j])
+        q05[j], q25, q75, q95[j] = quantiles(column, [0.05, 0.25, 0.75, 0.95])
+        pdf = kde(column, iqr=float(q75 - q25))
+        modes[j] = mode(pdf)
+        if name in densities:
+            kept[name] = pdf
     frac = np.full(len(push.qoi_names), push.extrapolated_fraction)
     return BandSummary(push.qoi_names, modes, q05, q95, frac, kept)
 

@@ -673,7 +673,7 @@ class TestCalibrateAndForward:
 
     def test_warm_demo_forward_memory_peak(self, tmp_path):
         # each of the demo's pushes is (10 000, 120), 9.6 MB; forward holds
-        # one draws' basis over 15 or 9 grid points and a block of 8 columns
+        # one draws' basis over 15 or 9 grid points and one column at a time
         cfg = load_config(DEMO_CONFIG, out=tmp_path / "out")
         cmd_build(cfg)
         cmd_calibrate(cfg)

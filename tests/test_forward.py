@@ -1,6 +1,7 @@
 """Forward propagation: sample pushes, KDE, modes, quantiles, band math."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -342,7 +343,7 @@ class TestBands:
             assert samples.ndim == 1 and samples.flags.c_contiguous
 
     def test_kept_density_owns_its_column(self):
-        # a view into its block of columns would keep the whole block alive
+        # a view into a wider array of columns would keep all of them alive
         push = self.make_push()
         bands = summarize_bands(push, densities=("q_1",))
         kept = owner = bands.densities["q_1"].samples
@@ -367,10 +368,29 @@ class TestBands:
         assert len(seen) == qois
         assert all(c.tobytes() == whole[:, j].tobytes() for j, c in enumerate(seen))
 
+    def test_columns_of_a_fortran_ordered_table_equal_the_whole_push(self, monkeypatch):
+        # a column's bits match the whole contraction only over a C-contiguous
+        # table, which the interpolant makes of whatever order it is given
+        table = np.asfortranarray(np.random.default_rng(8).normal(size=(15, 120)))
+        grid = build_grid((3, 2), (Uniform(0.0, 1.0), Uniform(-1.0, 1.0)))
+        compiled = TensorInterpolant(grid, table)
+        surrogate = types.SimpleNamespace(
+            qoi_names=tuple(f"q_{j}" for j in range(120)), compiled=compiled,
+            extrapolation_mask=lambda pts: np.zeros(len(pts), dtype=bool))
+        space = ParamSpace([ParamSpec("a", Uniform(0.0, 1.0)), ParamSpec("b", Uniform(-1.0, 1.0))])
+        push = push_samples(surrogate, space, count=10_000, seed=8)
+        seen = []
+        monkeypatch.setattr(forward, "kde", lambda column, iqr: seen.append(column) or kde(
+            column[:2], bandwidth=1.0))
+        summarize_bands(push)
+        whole = np.einsum("sg,gj->sj", push.basis, np.ascontiguousarray(table))
+        assert len(seen) == 120
+        assert all(c.tobytes() == whole[:, j].tobytes() for j, c in enumerate(seen))
+
     def test_memory_peak_is_a_few_columns(self):
         # a (10 000, 120) push is 9.6 MB; the basis of 15 grid points is 1.2
-        # MB, and a block of 8 columns, one column's KDE work arrays and the
-        # kept columns are well under 4 MB
+        # MB, and one column, its KDE work arrays and the two kept columns
+        # are under 1.2 MB more
         rng = np.random.default_rng(5)
         push = PushResult(tuple(f"q_{j}" for j in range(120)),
                           rng.dirichlet(np.ones(15), size=10_000), rng.normal(size=(15, 120)), 0.0)
@@ -380,7 +400,7 @@ class TestBands:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6, peak
+        assert peak < 1.2e6, peak
 
     def test_band_modes_equal_standalone_kde(self):
         # the IQR from the band quantiles must give the bandwidth kde computes alone;
