@@ -24,7 +24,7 @@ import numpy as np
 from .artifacts import NumericalError
 from .leja import level_to_knots
 
-__all__ = ["ROWS", "TensorGrid", "TensorInterpolant", "blocks", "build_grid"]
+__all__ = ["ROWS", "TensorGrid", "TensorInterpolant", "build_grid"]
 
 _COINCIDENT_RTOL = 1e-14
 ROWS = 1024  # points per basis block of a multi-point evaluation
@@ -143,18 +143,15 @@ class TensorInterpolant:
         return basis
 
     def evaluate_many(self, points) -> np.ndarray:
-        """Evaluate at an (S, dim) array of points; returns (S, n_outputs).
-
-        The points are evaluated in the row blocks of ``blocks``, each
-        contraction written into its rows of the result, which equals one
-        contraction over all points while holding one block's basis."""
+        """Evaluate at an (S, dim) array of points; returns (S, n_outputs),
+        contracted per block of ``ROWS`` points.  No stage passes more than 64
+        points (adapt's probes, calibrate's first simplices), so the loop runs
+        once there.  It bounds the basis held for calibrate above ``ROWS``
+        starts and for a library check of a surrogate on many points, such
+        as a 10 000-point error estimate."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((len(points), self.values.shape[1]))
-        for rows in blocks(len(points), ROWS):
-            np.einsum("sg,gj->sj", self.basis(points[rows]), self.values, out=out[rows])
+        for start in range(0, len(points), ROWS):
+            np.einsum("sg,gj->sj", self.basis(points[start:start + ROWS]), self.values,
+                      out=out[start:start + ROWS])
         return out
-
-
-def blocks(count: int, size: int) -> list[slice]:
-    """Consecutive slices of ``size`` items covering ``range(count)``."""
-    return [slice(a, min(a + size, count)) for a in range(0, count, size)]

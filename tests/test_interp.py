@@ -224,15 +224,21 @@ class TestRowBlocks:
         whole = np.einsum("sg,gj->sj", itp.basis(points), itp.values)
         assert itp.evaluate_many(points).tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("count, size, lengths", [
-        (0, 8, []), (1, 8, [1]), (8, 8, [8]), (9, 8, [8, 1]), (10, 8, [8, 2]),
-        (17, 8, [8, 8, 1]), (120, 8, [8] * 15), (121, 8, [8] * 15 + [1]),
-        (125, 8, [8] * 15 + [5]), (2049, 1024, [1024, 1024, 1]),
-        (10_000, 1024, [1024] * 9 + [784])])
-    def test_blocks_cover_with_no_one_item_tail(self, count, size, lengths):
-        slices = interp.blocks(count, size)
-        assert [s.stop - s.start for s in slices] == lengths
-        assert [s.start for s in slices] == [sum(lengths[:i]) for i in range(len(lengths))]
+    @pytest.mark.parametrize("count", ROW_COUNTS)
+    def test_blocks_are_full_rows_then_the_remainder(self, monkeypatch, count):
+        grid = build_grid((3, 2), unit_families(2))
+        itp = TensorInterpolant(grid, np.ones((len(grid), 2)))
+        lengths = []
+        basis = TensorInterpolant.basis
+
+        def recording(self, points):
+            lengths.append(len(points))
+            return basis(self, points)
+
+        monkeypatch.setattr(TensorInterpolant, "basis", recording)
+        itp.evaluate_many(np.zeros((count, 2)))
+        tail = [count % interp.ROWS] if count % interp.ROWS else []
+        assert lengths == [interp.ROWS] * (count // interp.ROWS) + tail
 
     def test_memory_is_one_block(self):
         # the whole (10 000, 165) basis is 13 MB; one block of ROWS rows is 1.4 MB
