@@ -116,7 +116,7 @@ def _config_hash(doc: dict, observations: Path | None) -> str:
     if observations is not None:
         try:
             kept["observations_sha256"] = hashlib.sha256(observations.read_bytes()).hexdigest()
-        except OSError:  # no readable file there; calibrate reports that
+        except OSError:  # no readable file there; calibrate and forward report that
             pass
     return hashlib.sha256(json.dumps(kept, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
@@ -493,16 +493,23 @@ def _posterior_from_json(doc: dict, dim: int) -> tuple[list, list]:
     return mean, rows
 
 
+def _read_observations(cfg: PipelineConfig):
+    """The ``ObservationSet`` in ``calibration.observations``; an unset key or
+    a file that cannot be read is a ConfigError."""
+    from .bayes import ObservationSet
+    if cfg.observations is None:
+        raise ConfigError("calibration.observations is required for calibrate and forward")
+    try:
+        return ObservationSet.from_csv(cfg.observations)
+    except (OSError, *artifacts.MALFORMED) as exc:
+        raise ConfigError(f"calibration.observations: {exc}") from exc
+
+
 def cmd_calibrate(cfg: PipelineConfig) -> dict:
     """MAP + Laplace posterior from the built surrogate and observations."""
     from . import bayes, misc
-    if cfg.observations is None:
-        raise ConfigError("calibration.observations is required for the calibrate step")
+    obs = _read_observations(cfg)
     surrogate = misc.deserialize(cfg.out_dir / SURROGATE_FILE, expect_dim=cfg.space.dim)
-    try:
-        obs = bayes.ObservationSet.from_csv(cfg.observations)
-    except (OSError, *artifacts.MALFORMED) as exc:
-        raise ConfigError(f"calibration.observations: {exc}") from exc
     missing = [n for n in obs.names if n not in surrogate.qoi_names]
     if missing:
         raise ConfigError(f"calibration.observations: {cfg.observations} references QoIs "
@@ -544,10 +551,13 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     at the posterior marginals (the posterior usually overflows the prior
     box); the prior push uses knots on the original prior ranges.  A
     surrogate of one grid point predicts a constant, whose zero-width bands
-    mean nothing: that is a NumericalError naming the analysis.
+    mean nothing: that is a NumericalError naming the analysis.  The
+    observations are read first; each one outside its posterior band is
+    logged as a warning.
     """
     from . import forward, misc
     from .bayes import GaussianPosterior
+    obs = _read_observations(cfg)
     posterior = _read_artifact(cfg.out_dir / POSTERIOR_FILE, _POSTERIOR_FIELDS, lambda doc: (
         GaussianPosterior(*_posterior_from_json(doc, cfg.space.dim), float(doc["sigma_meas"]))))
 
@@ -598,9 +608,27 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
     if any(extrapolated):
         log.warning("forward: extrapolated sample fraction prior=%.3g posterior=%.3g",
                     *extrapolated)
+    _warn_unheld_observations(obs, *bands)
     log.info("forward: reduction %.2f%%", reduction)
     return {"reduction": reduction, "prior_bands": bands[0], "post_bands": bands[1],
             "backend_points": backend_points}
+
+
+def _warn_unheld_observations(obs, prior, post) -> None:
+    """Warn for each observed QoI of the bands that lies outside its
+    posterior [q05, q95] band, by how many band widths and on which side."""
+    observed = dict(obs.entries)
+    for j, name in enumerate(post.qoi_names):
+        value, lo, hi = observed.get(name), float(post.q05[j]), float(post.q95[j])
+        if value is None or lo <= value <= hi:
+            continue
+        side, gap = ("above", value - hi) if value > hi else ("below", lo - value)
+        held = "holds it" if prior.q05[j] <= value <= prior.q95[j] else "misses it too"
+        log.warning("forward: observed %s = %.6g lies %.3g posterior band widths %s the "
+                    "posterior band [%.6g, %.6g]; the prior band [%.6g, %.6g] %s. The "
+                    "calibration and forward surrogates disagree there, or the model does "
+                    "not fit the data", name, value, gap / (hi - lo) if hi > lo else math.inf,
+                    side, lo, hi, prior.q05[j], prior.q95[j], held)
 
 
 def cmd_report(cfg: PipelineConfig) -> dict:
@@ -663,8 +691,9 @@ def _load_numpy() -> None:
     back as it was: removed if it was unset, else the user's value.
 
     OpenBLAS reads the variable once, as numpy loads it, and starts a pool
-    of that many threads, one per core if unset: about 70 ms of a stage
-    process on two cores.  No stage calls BLAS or LAPACK
+    of that many threads, one per core if unset: on two vCPUs ``import
+    numpy`` takes 97-99 ms with two threads and 48-53 ms with one (medians
+    of 9).  No stage calls BLAS or LAPACK
     (``tests/test_host_kernels.py`` refuses a new call), so one thread moves
     no output byte.  External-oracle lanes inherit ``os.environ``, so a
     user's simulator keeps the user's value.  Once numpy is loaded (library

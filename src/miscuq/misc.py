@@ -123,11 +123,10 @@ def _prolongation(family, n_e: int, n_b: int) -> np.ndarray:
                          np.asarray(family.knots(n_b), dtype=float))
 
 
-def _eval_entry(oracle, entry: ExtIndex, families, qois) -> np.ndarray:
-    """Oracle samples on an entry's grid; raises BuildError on any failure."""
-    grid = build_grid(entry.beta, families)
-    results = oracle.eval_batch(entry.alpha, grid.points, qois)
-    bad = [(entry.alpha, p, r.error) for p, r in zip(grid.points, results) if not r.ok]
+def _eval_entry(oracle, alpha: int, grid, qois) -> np.ndarray:
+    """Oracle samples on a grid at one fidelity; raises BuildError on any failure."""
+    results = oracle.eval_batch(alpha, grid.points, qois)
+    bad = [(alpha, p, r.error) for p, r in zip(grid.points, results) if not r.ok]
     if bad:
         raise BuildError(bad)
     return np.asarray([r.values for r in results])
@@ -146,7 +145,7 @@ def build(index_set, oracle, families, qois) -> MiscSurrogate:
     failures = []
     for entry in sorted(combination_coefficients(index_set)):
         try:
-            values[entry] = _eval_entry(oracle, entry, families, qois)
+            values[entry] = _eval_entry(oracle, entry.alpha, build_grid(entry.beta, families), qois)
         except BuildError as exc:
             failures.extend(exc.failures)
     if failures:
@@ -266,9 +265,9 @@ def _surplus(state: AdaptState, oracle, cand: ExtIndex) -> np.ndarray:
     out = np.zeros((len(state.probe_points), len(qois)))
     for entry, sign in weight_changes(cand):
         if entry not in state.probe_values:
-            if entry not in state.entry_values:
-                state.entry_values[entry] = _eval_entry(oracle, entry, families, qois)
             grid = build_grid(entry.beta, families)
+            if entry not in state.entry_values:
+                state.entry_values[entry] = _eval_entry(oracle, entry.alpha, grid, qois)
             state.probe_values[entry] = TensorInterpolant(
                 grid, state.entry_values[entry]).evaluate_many(state.probe_points)
         out += sign * state.probe_values[entry]

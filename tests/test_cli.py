@@ -31,6 +31,7 @@ from miscuq.cli import (
     EXIT_ORACLE,
     ConfigError,
     _UniqueKeyLoader,
+    _warn_unheld_observations,
     cmd_build,
     cmd_calibrate,
     cmd_forward,
@@ -70,6 +71,8 @@ DUMPER = type("Dumper", (getattr(yaml, "CSafeDumper", yaml.SafeDumper),),
 NULL = object()  # an override value written as a YAML null; None removes the key
 DEEP = "[" * 100_000 + "]" * 100_000  # nested beyond the recursion limit, in JSON and YAML
 
+# the smallest observations file that `calibrate` and `forward` read without error
+ONE_OBSERVATION = "qoi,value\nu_1,1.0\n"
 # the smallest artifacts `report` reads without error
 REPORT_INPUTS = {
     "build_report.json": {"work_spent": 1.0, "evaluations_total": 5,
@@ -238,7 +241,7 @@ class TestConfigLoading:
     def test_hash_covers_observation_bytes_not_lanes(self, tmp_path):
         path = write_config(tmp_path)
         before = load_config(path).config_hash
-        (tmp_path / "obs.csv").write_text("qoi,value\nu_1,1.0\n")
+        (tmp_path / "obs.csv").write_text(ONE_OBSERVATION)
         written = load_config(path).config_hash
         (tmp_path / "obs.csv").write_text("qoi,value\nu_1,2.0\n")
         edited = load_config(path).config_hash
@@ -762,6 +765,81 @@ class TestFlatTopFidelityWarning:
         assert flat_top_warnings(caplog) == []
 
 
+UNHELD_TAIL = (". The calibration and forward surrogates disagree there, or the model does "
+               "not fit the data")
+
+
+def unheld_observation_warnings(caplog) -> list[str]:
+    """The warnings that an observation lies outside its posterior band."""
+    return [r.getMessage() for r in caplog.records
+            if r.levelname == "WARNING" and r.getMessage().startswith("forward: observed ")]
+
+
+class TestObservationBandCheck:
+    def test_demo_warns_for_each_strain(self, tmp_path, caplog):
+        # the demo's observations come from the calibration surrogate, which
+        # the fine-model forward surrogates do not follow at the MAP
+        argv = ["--config", str(DEMO_CONFIG), "--out", str(tmp_path / "out"), "--quiet"]
+        assert [main([stage, *argv]) for stage in STAGES[:3]] == [EXIT_OK] * 3
+        assert unheld_observation_warnings(caplog) == [
+            "forward: observed e_40 = 0.00142362 lies 3.93 posterior band widths above the "
+            "posterior band [0.00130808, 0.00133149]; the prior band [0.000870576, 0.00135645] "
+            "misses it too" + UNHELD_TAIL,
+            "forward: observed e_80 = 0.000905977 lies 3.94 posterior band widths above the "
+            "posterior band [0.000832413, 0.000847315]; the prior band [0.000554003, "
+            "0.000863197] misses it too" + UNHELD_TAIL]
+
+    def test_converge_fine_model_observations_warn_not(self, tmp_path, caplog, monkeypatch):
+        from test_golden import load_run
+        run = load_run(monkeypatch)
+        base = yaml.safe_load(DEMO_CONFIG.read_text())
+        observations = tmp_path / "obs.csv"
+        run.write_observations(observations, base["calibration"]["qois"])
+        path = tmp_path / "converge.yaml"
+        path.write_text(json.dumps(run.workload_config("converge", base, observations, None,
+                                                       small=False)))
+        argv = ["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+        assert [main([stage, *argv]) for stage in STAGES[:3]] == [EXIT_OK] * 3
+        assert "e_40" in load_config(path).forward_qois
+        assert unheld_observation_warnings(caplog) == []
+
+    def test_observations_outside_forward_qois_warn_not(self, tmp_path, caplog):
+        # the observed strains e_40 and e_80 are not among forward's e_1 ... e_8
+        cfg = load_config(write_config(tmp_path))
+        run_pipeline(cfg)
+        assert not {"e_40", "e_80"} & set(cfg.forward_qois)
+        assert unheld_observation_warnings(caplog) == []
+
+    def test_warning_gives_widths_side_and_prior_band(self, caplog):
+        # posterior bands [4, 6] (a, b, c) and [1, 1] (d) in prior bands [0, 10]
+        def bands(lo, hi):
+            return forward.BandSummary(tuple("abcd"), np.zeros(4), np.array(lo, dtype=float),
+                                       np.array(hi, dtype=float), np.zeros(4))
+
+        obs = bayes.ObservationSet.from_pairs([("a", 5.0), ("b", 3.0), ("c", 12.0), ("d", 2.0)])
+        _warn_unheld_observations(obs, bands([0] * 4, [10] * 4), bands([4, 4, 4, 1], [6, 6, 6, 1]))
+        assert unheld_observation_warnings(caplog) == [
+            "forward: observed b = 3 lies 0.5 posterior band widths below the posterior band "
+            "[4, 6]; the prior band [0, 10] holds it" + UNHELD_TAIL,
+            "forward: observed c = 12 lies 3 posterior band widths above the posterior band "
+            "[4, 6]; the prior band [0, 10] misses it too" + UNHELD_TAIL,
+            "forward: observed d = 2 lies inf posterior band widths above the posterior band "
+            "[1, 1]; the prior band [0, 10] holds it" + UNHELD_TAIL]
+
+    def test_missing_observations_file_exits_before_forward_writes(self, tmp_path, caplog):
+        path = write_config(tmp_path)
+        argv = ["--config", str(path), "--quiet"]
+        assert main(["build", *argv]) == EXIT_OK
+        cfg = load_config(path)
+        make_observations(cfg)
+        assert main(["calibrate", *argv]) == EXIT_OK
+        cfg.observations.unlink()
+        before = snapshot(cfg.out_dir)
+        assert_config_exit(caplog, ["forward", *argv], "calibration.observations: ",
+                           str(cfg.observations))
+        assert snapshot(cfg.out_dir) == before
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical_with_zero_backend_calls(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -968,6 +1046,7 @@ class TestMainExitCodes:
         # whose zero-width bands would read as a 100% reduction
         path = write_config(tmp_path)
         out = tmp_path / "out"
+        (tmp_path / "obs.csv").write_text(ONE_OBSERVATION)
         out.mkdir()
         (out / "posterior.json").write_text(json.dumps(
             {"mean": [1290.0, -2.5], "covariance": [1e6, 0.0, 0.0, 100.0], "sigma_meas": 1.0}))
@@ -1065,6 +1144,7 @@ class TestMainExitCodes:
     def test_zero_variance_posterior_fails_before_any_simulator_call(self, tmp_path, caplog):
         path = write_config(tmp_path)
         out = tmp_path / "out"
+        (tmp_path / "obs.csv").write_text(ONE_OBSERVATION)
         out.mkdir()
         (out / "posterior.json").write_text(json.dumps(
             {"mean": [1290.0, -2.5], "covariance": [1.0, 0.0, 0.0, 0.0], "sigma_meas": 1.0}))
@@ -1083,6 +1163,7 @@ class TestMainExitCodes:
     def test_mistyped_posterior_fails_before_any_simulator_call(self, tmp_path, caplog, edit):
         path = write_config(tmp_path)
         out = tmp_path / "out"
+        (tmp_path / "obs.csv").write_text(ONE_OBSERVATION)
         out.mkdir()
         doc = {"mean": [1290.0, -2.5], "covariance": [1.0, 0.0, 0.0, 1.0], "sigma_meas": 1.0}
         (out / "posterior.json").write_text(json.dumps({**doc, **edit}))
@@ -1187,6 +1268,7 @@ class TestMainExitCodes:
                                                              stage, name, text):
         path = write_config(tmp_path)
         out = tmp_path / "out"
+        (tmp_path / "obs.csv").write_text(ONE_OBSERVATION)
         out.mkdir()
         for artifact, doc in REPORT_INPUTS.items():
             (out / artifact).write_text(json.dumps(doc))
@@ -1214,6 +1296,7 @@ class TestMainExitCodes:
         # finite and positive definite, but 1e308 + 1e308 overflows the trace
         path = write_config(tmp_path)
         out = tmp_path / "out"
+        (tmp_path / "obs.csv").write_text(ONE_OBSERVATION)
         out.mkdir()
         (out / "posterior.json").write_text(json.dumps(
             {**REPORT_INPUTS["posterior.json"], "covariance": [1e308, 0.0, 0.0, 1e308]}))
@@ -1232,6 +1315,7 @@ class TestMainExitCodes:
         # a prior or posterior this narrow places knots that round to one value
         path = write_config(tmp_path, override)
         out = tmp_path / "out"
+        (tmp_path / "obs.csv").write_text(ONE_OBSERVATION)
         out.mkdir()
         (out / "posterior.json").write_text(json.dumps(
             {"mean": [1290.0, -2.5], "covariance": [1e-24, 0.0, 0.0, 1e-24], "sigma_meas": 1.0}))
@@ -1240,7 +1324,7 @@ class TestMainExitCodes:
 
     def test_surrogate_path_is_a_directory(self, tmp_path, caplog):
         path = write_config(tmp_path)
-        (tmp_path / "obs.csv").write_text("qoi,value\nu_1,1.0\n")
+        (tmp_path / "obs.csv").write_text(ONE_OBSERVATION)
         (tmp_path / "out" / "surrogate.json").mkdir(parents=True)
         assert_exit(caplog, ["calibrate", "--config", str(path), "--quiet"], EXIT_NUMERICAL,
                     "surrogate.json")
@@ -1361,6 +1445,7 @@ class TestMainExitCodes:
         import subprocess
         path = write_config(tmp_path, overrides)
         if posterior is not None:
+            (tmp_path / "obs.csv").write_text(ONE_OBSERVATION)
             (tmp_path / "out").mkdir()
             (tmp_path / "out" / "posterior.json").write_text(json.dumps(
                 {"mean": [1290.0, -2.5], "covariance": posterior, "sigma_meas": 1.0}))

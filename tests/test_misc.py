@@ -553,6 +553,23 @@ class TestAdapt:
                               for e in probed}
         assert set(state.index_set) <= set(state.entry_values)
 
+    @pytest.mark.parametrize("stop, probed, committed", [
+        (AdaptStop(max_work=0.0), False, False),
+        (AdaptStop(max_work=150.0), True, True),
+    ], ids=["no-probe", "commits"])
+    def test_one_grid_per_probed_entry(self, monkeypatch, stop, probed, committed):
+        oracle = beam_oracle()
+        state = init_adapt(oracle, beam_families(), ["u_1", "u_2"])
+        grids = []
+        monkeypatch.setattr(misc, "build_grid", lambda beta, families: (
+            grids.append(tuple(beta)) or build_grid(beta, families)))
+        adapt(state, oracle, stop)
+        assert bool(state.probe_values) == probed and bool(state.committed) == committed
+        # each entry's grid serves both its oracle read and its probe values;
+        # a commit adds the compiled surrogate's box grid
+        betas = sorted(e.beta for e in state.probe_values)
+        assert len(grids) == len(betas) + committed and sorted(grids[:len(betas)]) == betas
+
     def test_resume_after_oracle_error_uses_the_index_set(self, tmp_path):
         class DiesOnSixth(BeamAnalogModel):
             dispatches = 0
