@@ -450,6 +450,7 @@ def calibrate(surrogate, obs: ObservationSet, space: ParamSpace, n_starts: int,
     posterior = GaussianPosterior(map_result.point, cov, sig.sigma, map_result.report,
                                   sig.floored)
     _warn_mass_outside_prior(posterior, space)
+    _warn_misstated_axes(surrogate, obs, posterior, space)
     return posterior
 
 
@@ -469,3 +470,26 @@ def _warn_mass_outside_prior(posterior: GaussianPosterior, space: ParamSpace) ->
                         "above); posterior draws there lie outside the prior's range",
                         m, sd, name, 100 * outside[-1], lo, hi, 100 * below, 100 * above)
     return outside
+
+
+def _warn_misstated_axes(surrogate, obs: ObservationSet, posterior: GaussianPosterior,
+                         space: ParamSpace) -> np.ndarray | None:
+    """The misfit's rises, in sigma^2, at MAP + and - sqrt(lambda_i) u_i for each
+    eigenpair of the covariance, one row per axis, where the Gaussian puts sigma^2;
+    one WARNING for each axis with a rise outside [0.5, 2].  None for a floored
+    sigma: an exact fit rises by rounding."""
+    if posterior.sigma_floored:
+        return None
+    s, vt = map(np.array, symmetric_eigen(posterior.covariance.tolist()))
+    std = np.sqrt(np.maximum(s, 0.0))
+    mean, steps = posterior.mean, std[:, None] * vt
+    m = _Misfit(surrogate, obs)(np.vstack([mean, mean + steps, mean - steps]))
+    rises = ((m[1:] - m[0]) / posterior.sigma_meas**2).reshape(2, -1).T
+    for u, std, (plus, minus) in zip(vt.tolist(), std.tolist(), rises.tolist()):
+        if not (0.5 <= plus <= 2.0 and 0.5 <= minus <= 2.0):
+            log.warning("calibrate: one standard deviation (%.4g) from the MAP along the Laplace "
+                        "posterior's axis (%s) = (%s), the misfit rises by %.5g sigma^2 on the "
+                        "+ side and %.5g on the - side, where the Gaussian has it rise by 1; "
+                        "the Gaussian bands may misstate the posterior", std,
+                        ", ".join(space.names), ", ".join(f"{x:.4g}" for x in u), plus, minus)
+    return rises

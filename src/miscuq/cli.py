@@ -430,7 +430,6 @@ def _write_json(path: Path, doc: dict) -> None:
 def cmd_build(cfg: PipelineConfig) -> dict:
     """Adaptive build of the calibration surrogate over the prior space."""
     from . import misc
-    from .interp import build_grid
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -440,11 +439,6 @@ def cmd_build(cfg: PipelineConfig) -> dict:
     _warn_flat_top(cfg, state, "build: the calibration surrogate", "the posterior follows",
                    "calibration.budget.max_work")
     misc.serialize(state.surrogate, cfg.out_dir / SURROGATE_FILE, cfg.config_hash)
-    points_sets: dict[int, set] = {}
-    for entry in state.surrogate.values:
-        points_sets.setdefault(entry.alpha, set()).update(
-            map(tuple, build_grid(entry.beta, state.surrogate.families).points.tolist()))
-    points_by_alpha = {a: len(keys) for a, keys in sorted(points_sets.items())}
     evals_by_alpha = {a: n * len(cfg.calibration_qois)
                       for a, n in sorted(state.points_by_alpha.items())}
     report = {
@@ -455,7 +449,7 @@ def cmd_build(cfg: PipelineConfig) -> dict:
                       for e in state.index_set],
         "committed": [{"alpha": e.alpha, "beta": list(e.beta), "profit": p}
                       for e, p in state.committed],
-        "surrogate_points_by_fidelity": points_by_alpha,
+        "surrogate_points_by_fidelity": state.surrogate.grid_points_by_alpha(),
         "work_spent": state.work_spent,
         "work_by_fidelity": {str(a): w for a, w in sorted(state.work_by_alpha.items())},
         "evaluations_by_fidelity": {str(a): n for a, n in evals_by_alpha.items()},

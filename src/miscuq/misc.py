@@ -19,6 +19,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,14 @@ class MiscSurrogate:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         lo, hi = np.array(self.domain).T
         return np.any((points < lo) | (points > hi), axis=1)
+
+    def grid_points_by_alpha(self) -> dict[int, int]:
+        """Distinct points of the nonzero-weight entries' grids at each fidelity:
+        each is new on exactly one beta below some entry's beta (``_new_points``)."""
+        below: dict[int, set] = {}
+        for e in self.values:
+            below.setdefault(e.alpha, set()).update(product(*(range(1, b + 1) for b in e.beta)))
+        return {a: sum(map(_new_points, betas)) for a, betas in sorted(below.items())}
 
 
 def _prolongation(family, n_e: int, n_b: int) -> np.ndarray:

@@ -7,6 +7,7 @@ estimate is the mean squared residual, and the posterior covariance is
 sigma^2 (A^T A)^{-1}.
 """
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -34,6 +35,12 @@ from miscuq.bayes import (
 from helpers import box_space, ridge_surrogate
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+def axis_warnings(caplog) -> list[str]:
+    """The warnings that the Laplace Gaussian misstates the misfit along an axis."""
+    return [r.getMessage() for r in caplog.records
+            if r.levelname == "WARNING" and "may misstate the posterior" in r.getMessage()]
 
 
 class LinearSurrogate:
@@ -356,6 +363,40 @@ class TestFindMap:
         outside = bayes._warn_mass_outside_prior(posterior, space)
         assert outside[0] < 1e-6 and outside[1] == pytest.approx(0.289, abs=5e-4)
 
+    def test_demo_warns_of_its_long_axis(self, demo_calibration, caplog):
+        # one std along the long axis, sqrt(153.6) = 12.39 in mostly temperature,
+        # the displacements' tanh bends the misfit up 1e4 times the Gaussian's
+        # sigma^2; along the short axis it rises by sigma^2 to 1e-3
+        surrogate, obs, space = demo_calibration
+        cfg = cli.load_config(DOCS / "demo_config.yaml")
+        posterior = calibrate(surrogate, obs, space, cfg.n_starts, cli._stage_seed(cfg.seed, 1))
+        assert axis_warnings(caplog) == [
+            "calibrate: one standard deviation (12.39) from the MAP along the Laplace "
+            "posterior's axis (activation_temperature, log_powder_convection) = (0.9998, "
+            "-0.0216), the misfit rises by 9896.7 sigma^2 on the + side and 13611 on the - "
+            "side, where the Gaussian has it rise by 1; the Gaussian bands may misstate the "
+            "posterior"]
+        rises = bayes._warn_misstated_axes(surrogate, obs, posterior, space)
+        assert np.abs(rises[1] - 1.0).max() < 1e-3
+
+    def test_floored_sigma_checks_no_axis(self, caplog):
+        # predictions on a 1e-6 lattice fit exactly near the MAP, so sigma is
+        # floored, and one floored std out the misfit does not rise at all
+        class Lattice(LinearSurrogate):
+            def evaluate(self, v):
+                return np.round(super().evaluate(v), 6)
+
+        s = Lattice([[1.0, 0.5], [-0.3, 1.0], [0.2, 0.2]], np.zeros(3))
+        obs = obs_for(s, s.evaluate([0.3, -0.6]))
+        space = box_space([(-2, 2), (-2, 2)])
+        posterior = calibrate(s, obs, space, n_starts=4, seed=3)
+        assert posterior.sigma_floored
+        assert axis_warnings(caplog) == []
+        # unchecked, each axis would warn of a rise of 0 on both sides
+        bayes._warn_misstated_axes(s, obs, dataclasses.replace(posterior, sigma_floored=False),
+                                   space)
+        assert len(axis_warnings(caplog)) == 2
+
     def test_competing_minimum_is_compared_by_penalized_misfit(self, caplog):
         # an end outside the box with a lower raw misfit than the best end,
         # but a higher penalized one: ratio 3 / 2, likelihood exp(-0.5 K / 2)
@@ -498,6 +539,10 @@ class TestFullPipelineLinearGaussian:
         # a posterior well inside the box [-2, 2]^2 puts under 1% outside it
         assert "outside the prior box" not in caplog.text
         assert max(bayes._warn_mass_outside_prior(posterior, space)) < 1e-6
+        # the misfit is exactly quadratic: one std out it rises by sigma^2
+        assert axis_warnings(caplog) == []
+        rises = bayes._warn_misstated_axes(s, obs, posterior, space)
+        assert np.abs(rises - 1.0).max() < 1e-5
 
 
 class TestSelfConsistency:

@@ -466,23 +466,40 @@ class TestBuild:
         stamped = json.loads((cfg.out_dir / "surrogate.json").read_text())
         assert stamped["config_hash"] == cfg.config_hash
 
-    def test_surrogate_points_by_fidelity_on_demo(self, tmp_path):
+    # the demo's budget, and the converge workload's: |I| = 51, 20 nonzero weights
+    @pytest.mark.parametrize("max_work, size, pinned", [
+        (None, 8, {"1": 15, "2": 1}), (5000.0, 51, {"1": 97, "2": 61})],
+        ids=["demo", "converge"])
+    def test_surrogate_points_by_fidelity_on_demo(self, tmp_path, max_work, size, pinned):
         from miscuq.interp import build_grid
         from miscuq.oracle import EvalCache, point_key
 
-        demo = Path(__file__).resolve().parents[1] / "docs" / "demo_config.yaml"
-        cfg = load_config(demo, out=tmp_path / "out")
+        doc = yaml.safe_load(DEMO_CONFIG.read_text())
+        if max_work is not None:
+            doc["calibration"]["budget"]["max_work"] = max_work
+        path = tmp_path / "cfg.yaml"
+        path.write_text(json.dumps(doc))
+        cfg = load_config(path, out=tmp_path / "out")
         cmd_build(cfg)
         report = json.loads((cfg.out_dir / "build_report.json").read_text())
         surrogate = misc.deserialize(cfg.out_dir / "surrogate.json")
+        assert len(surrogate.index_set) == size
         keys: dict[int, set] = {}
         for entry in surrogate.coefficients:  # the nonzero-weight entries
             keys.setdefault(entry.alpha, set()).update(
                 map(point_key, build_grid(entry.beta, surrogate.families).points))
         counts = {str(a): len(k) for a, k in sorted(keys.items())}
-        assert report["surrogate_points_by_fidelity"] == counts
+        assert report["surrogate_points_by_fidelity"] == counts == pinned
         cached = EvalCache(cfg.out_dir / "cache.jsonl").points_by_alpha()
         assert all(n <= len(cached[int(a)]) for a, n in counts.items())
+
+    def test_builds_no_grid_of_its_own(self, tmp_path, monkeypatch):
+        # misc binds its own build_grid, so adapt's grids are not counted here
+        calls = []
+        real = interp.build_grid
+        monkeypatch.setattr(interp, "build_grid", lambda *a: calls.append(a) or real(*a))
+        cmd_build(load_config(write_config(tmp_path)))
+        assert calls == []
 
     def test_zero_budget_gives_minimal_set(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"calibration.budget": {"max_work": 0.0}}))

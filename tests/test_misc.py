@@ -385,6 +385,30 @@ class TestClosedForms:
             assert _new_points(cand.beta) == len(fresh), (index_set, cand)
 
 
+    @pytest.mark.parametrize("kind", ["symmetric", "gaussian"])
+    def test_grid_points_by_alpha(self, kind):
+        # the fidelity-1 root has weight 0 in the first set; (1, (2, 1)) is a
+        # fidelity-1 maximal entry with weight 0 in the second
+        def f(v, q):
+            return float(np.sum(v))
+
+        families = (self.FAMILIES[kind],) * 2
+        oracle = CachedOracle(AnalyticModel({1: f, 2: f}, 2, ["q"], costs=(1.0, 4.0)))
+        sets = [MultiIndexSet([E(1, 1, 1), E(2, 1, 1)]),
+                MultiIndexSet([E(1, 1, 1), E(1, 2, 1), E(1, 1, 2), E(2, 1, 1), E(2, 2, 1)])]
+        rng = np.random.default_rng(5)
+        sets += [random_index_set(rng, 2, size) for size in (1, 4, 9, 16)]
+        for index_set in sets:
+            s = build(index_set, oracle, families, ["q"])
+            keys: dict[int, set] = {}
+            for entry in s.coefficients:  # the nonzero-weight entries
+                keys.setdefault(entry.alpha, set()).update(
+                    map(point_key, build_grid(entry.beta, families).points))
+            assert s.grid_points_by_alpha() == {a: len(k) for a, k in sorted(keys.items())}
+        assert build(sets[0], oracle, families, ["q"]).grid_points_by_alpha() == {2: 1}
+        assert build(sets[1], oracle, families, ["q"]).grid_points_by_alpha() == {1: 3, 2: 3}
+
+
 class TestAdapt:
     def test_budget_zero_keeps_minimal_set(self):
         oracle = beam_oracle()
