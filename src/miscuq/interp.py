@@ -12,7 +12,8 @@ block has, where BLAS picks a kernel and a thread split from the operands'
 shapes: a point's value depends neither on the batch it is evaluated in
 nor on the BLAS kernel or thread count.  A query coordinate that coincides
 with a knot (to 1e-14 relative) gets that knot's unit basis row, avoiding
-the 0/0 in the barycentric kernel.
+the 0/0 in the barycentric kernel.  ``prolong`` carries samples on a
+nested sub-grid onto a grid's points, one axis at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .artifacts import NumericalError
 from .leja import level_to_knots
 
-__all__ = ["ROWS", "TensorGrid", "TensorInterpolant", "build_grid"]
+__all__ = ["ROWS", "TensorGrid", "TensorInterpolant", "build_grid", "prolong"]
 
 _COINCIDENT_RTOL = 1e-14
 ROWS = 1024  # points per basis block of a multi-point evaluation
@@ -66,6 +67,20 @@ def build_grid(beta, families) -> TensorGrid:
     mesh = np.meshgrid(*per_dim, indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     return TensorGrid(per_dim, points)
+
+
+def prolong(values, beta, grid: TensorGrid) -> np.ndarray:
+    """Interpolant at ``grid``'s points of ``values``, one row per point of
+    the grid of ``beta``, whose axis d is the first ``level_to_knots(beta[d])``
+    knots of ``grid.per_dim_knots[d]``; carried one axis at a time."""
+    block, done = np.asarray(values, dtype=float), 1  # ``done``: size of the carried axes
+    for b, knots in zip(beta, grid.per_dim_knots):
+        n = level_to_knots(b)
+        block = block.reshape(done, n, -1)
+        if n < len(knots):
+            block = np.einsum("be,der->dbr", _basis_matrix(*_axis_basis(knots[:n]), knots), block)
+        done *= len(knots)
+    return block.reshape(len(grid), -1)
 
 
 def _barycentric_weights(x: np.ndarray) -> np.ndarray:

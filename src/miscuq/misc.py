@@ -2,11 +2,10 @@
 
 A surrogate is the combination-technique sum of tensor interpolants, one
 per extended index [alpha, beta] with nonzero combination weight, on shared
-nested knot families; the sum is compiled once into a single interpolant on
-the box grid of the componentwise largest beta.  The knots are nested, so
-each entry's interpolant reaches the box grid through one small 1-D
-prolongation matrix per axis.  ``adapt`` grows the index set greedily:
-score each reduced-margin candidate once, when it enters the margin, by the
+nested knot families; ``interp.prolong`` carries each entry's samples onto
+the box grid of the componentwise largest beta, where they are summed once
+into a single interpolant.  ``adapt`` grows the index set greedily: score
+each reduced-margin candidate once, when it enters the margin, by the
 surplus it would add at the probe points, commit the most profitable one,
 repeat until a stop criterion fires.  A commit only updates the combination
 weights, and the samples of every probed entry are kept, so each ``adapt``
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .interp import TensorInterpolant, _axis_basis, _basis_matrix, build_grid
+from .interp import TensorInterpolant, build_grid, prolong
 from .leja import SymmetricLeja, WeightedGaussianLeja, level_to_knots
 from .multiindex import ExtIndex, MultiIndexSet, combination_coefficients, reduced_margin, weight_changes
 from .oracle import OracleError, point_key
@@ -82,16 +81,7 @@ class MiscSurrogate:
         box = build_grid(max_beta, self.families)
         total = np.zeros((len(box), len(self.qoi_names)))
         for entry, c in sorted(self.coefficients.items()):
-            # carry the samples onto the box knots one axis at a time; ``done``
-            # is the box size of the axes already carried
-            block, done = self.values[entry], 1
-            for family, b_e, n_b in zip(self.families, entry.beta, box.shape):
-                n_e = level_to_knots(b_e)
-                block = block.reshape(done, n_e, -1)
-                if n_e < n_b:
-                    block = np.einsum("be,der->dbr", _prolongation(family, n_e, n_b), block)
-                done *= n_b
-            total += c * block.reshape(total.shape)
+            total += c * prolong(self.values[entry], entry.beta, box)
         self.compiled = TensorInterpolant(box, total)
 
     @property
@@ -122,14 +112,6 @@ class MiscSurrogate:
         for e in self.values:
             below.setdefault(e.alpha, set()).update(product(*(range(1, b + 1) for b in e.beta)))
         return {a: sum(map(_new_points, betas)) for a, betas in sorted(below.items())}
-
-
-def _prolongation(family, n_e: int, n_b: int) -> np.ndarray:
-    """(n_b, n_e) matrix taking values at a family's first n_e knots to their
-    interpolant at its first n_b knots; nesting makes the first n_e rows the
-    identity."""
-    return _basis_matrix(*_axis_basis(np.asarray(family.knots(n_e), dtype=float)),
-                         np.asarray(family.knots(n_b), dtype=float))
 
 
 def _eval_entry(oracle, alpha: int, grid, qois) -> np.ndarray:

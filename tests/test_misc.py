@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from miscuq import cli, interp, misc
-from miscuq.interp import TensorInterpolant, build_grid
+from miscuq.interp import TensorInterpolant, build_grid, prolong
 from miscuq.leja import SymmetricLeja, WeightedGaussianLeja, level_to_knots
 from miscuq.misc import (
     AdaptStop,
@@ -281,7 +281,9 @@ class TestCompiled:
         family = TestClosedForms.FAMILIES[kind]
         for n_e in range(1, 14, 2):
             for n_b in range(n_e, 30, 2):
-                matrix = misc._prolongation(family, n_e, n_b)
+                b_e, b_b = (n_e + 1) // 2, (n_b + 1) // 2  # odd counts are levels
+                assert (level_to_knots(b_e), level_to_knots(b_b)) == (n_e, n_b)
+                matrix = prolong(np.eye(n_e), (b_e,), build_grid((b_b,), (family,)))
                 assert matrix.shape == (n_b, n_e)
                 assert matrix[:n_e].tobytes() == np.eye(n_e).tobytes(), (n_e, n_b)
                 if n_b > n_e + 4:
