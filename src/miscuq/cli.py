@@ -69,20 +69,8 @@ CACHE_FILE = "cache.jsonl"
 DEFAULT_SAMPLES = 10_000  # forward.samples when the config sets none
 MAX_STARTS = 10_000       # calibration.n_starts: the MAP search moves a simplex per start
 MAX_SAMPLES = 1_000_000   # forward.samples: a push holds samples x (grid points + 1) doubles
-MAX_BASIS = 2 ** 27       # doubles in one basis a stage holds (1 GiB): rows x box grid points
 MAX_QOIS = 100_000        # a QoI pattern's count: each name is built when the config loads
 MAX_LANES = 64            # oracle.lanes: each lane is a simulator process
-
-
-def _check_basis(surrogate, rows: int, what: str) -> None:
-    """NumericalError, before any basis is formed, when ``what`` would hold
-    ``rows`` basis rows over the surrogate's box grid, above ``MAX_BASIS``."""
-    box = len(surrogate.compiled.grid)
-    if rows * box > MAX_BASIS:
-        raise NumericalError(
-            f"{what} would hold a basis of {rows} rows x {box} box grid points (from "
-            f"{sum(surrogate.grid_points_by_alpha().values())} distinct points in "
-            f"{surrogate.dim} dimensions), above the bound of {MAX_BASIS} doubles")
 
 
 class ConfigError(Exception):
@@ -514,7 +502,6 @@ def _read_observations(cfg: PipelineConfig):
 def cmd_calibrate(cfg: PipelineConfig) -> dict:
     """MAP + Laplace posterior from the built surrogate and observations."""
     from . import bayes, misc
-    from .interp import ROWS
     obs = _read_observations(cfg)
     surrogate = misc.deserialize(cfg.out_dir / SURROGATE_FILE, expect_dim=cfg.space.dim)
     missing = [n for n in obs.names if n not in surrogate.qoi_names]
@@ -524,10 +511,6 @@ def cmd_calibrate(cfg: PipelineConfig) -> dict:
     if len(surrogate.compiled.grid) == 1:
         raise NumericalError(f"the surrogate {cfg.out_dir / SURROGATE_FILE} is one grid point, "
                              "a constant: rebuild it with a larger calibration.budget.max_work")
-    # the largest evaluation is the starts' first simplices or the Laplace
-    # axes' 2 dim + 1 points, in blocks of at most ROWS rows
-    dim = cfg.space.dim
-    _check_basis(surrogate, min(ROWS, max(cfg.n_starts * (dim + 1), 2 * dim + 1)), "calibrate")
 
     posterior = bayes.calibrate(surrogate, obs, cfg.space, cfg.n_starts,
                                 _stage_seed(cfg.seed, 1))
@@ -584,7 +567,6 @@ def cmd_forward(cfg: PipelineConfig) -> dict:
                                  f"adapt stopped on {state.stop_reason}{failed}")
         _warn_flat_top(cfg, state, f"forward: the {tag} surrogate", f"the {tag} bands follow",
                        "forward.budget.max_work")
-        _check_basis(state.surrogate, cfg.forward_samples, f"the {tag} push")
     ddir = cfg.out_dir / "densities"
     if cfg.density_qois:
         try:
@@ -643,12 +625,21 @@ def _warn_unheld_observations(obs, prior, post) -> None:
                     side, lo, hi, prior.q05[j], prior.q95[j], held)
 
 
+def _by_level(counts: dict) -> dict:
+    """``counts`` keyed by fidelity level, from keys that spell a level >= 1
+    in decimal; a ValueError names any other key."""
+    if bad := [a for a in counts if not re.fullmatch("[1-9][0-9]*", a)]:
+        raise ValueError(f"surrogate_points_by_fidelity: {bad!r} are not fidelity levels")
+    return {int(a): n for a, n in counts.items()}
+
+
 def cmd_report(cfg: PipelineConfig) -> dict:
     """Consolidate the build/calibrate/forward artifacts into one summary."""
     out = cfg.out_dir
     build_report = _read_artifact(out / BUILD_REPORT_FILE, {
         "work_spent": "a finite number", "evaluations_total": "an integer",
-        "surrogate_points_by_fidelity": "a mapping of integers"})
+        "surrogate_points_by_fidelity": "a mapping of integers"}, lambda doc: {
+            **doc, "surrogate_points_by_fidelity": _by_level(doc["surrogate_points_by_fidelity"])})
     names, sigma_meas, (mean, cov) = _read_artifact(
         out / POSTERIOR_FILE, {"parameters": "a list of names", **_POSTERIOR_FIELDS},
         lambda doc: (doc["parameters"], float(doc["sigma_meas"]),

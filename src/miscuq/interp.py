@@ -12,8 +12,9 @@ block has, where BLAS picks a kernel and a thread split from the operands'
 shapes: a point's value depends neither on the batch it is evaluated in
 nor on the BLAS kernel or thread count.  A query coordinate that coincides
 with a knot (to 1e-14 relative) gets that knot's unit basis row, avoiding
-the 0/0 in the barycentric kernel.  ``prolong`` carries samples on a
-nested sub-grid onto a grid's points, one axis at a time.
+the 0/0 in the barycentric kernel.  A basis above ``MAX_BASIS`` doubles
+is refused before it is formed.  ``prolong`` carries samples on a nested
+sub-grid onto a grid's points, one axis at a time.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import numpy as np
 from .artifacts import NumericalError
 from .leja import level_to_knots
 
-__all__ = ["ROWS", "TensorGrid", "TensorInterpolant", "build_grid", "prolong"]
+__all__ = ["MAX_BASIS", "ROWS", "TensorGrid", "TensorInterpolant", "build_grid", "prolong"]
 
 _COINCIDENT_RTOL = 1e-14
 ROWS = 1024  # points per basis block of a multi-point evaluation
+MAX_BASIS = 2 ** 27  # doubles in one basis (1 GiB): rows x grid points
 
 
 @dataclass(frozen=True)
@@ -146,10 +148,14 @@ class TensorInterpolant:
         """Cardinal-basis rows of an (S, dim) array of points over the whole
         grid, (S, grid points): the row-wise Kronecker product of the
         per-dimension basis matrices.  The interpolant at the points is
-        ``basis(points) @ values``."""
+        ``basis(points) @ values``.  NumericalError above ``MAX_BASIS``."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.grid.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, grid has {self.grid.dim}")
+        if len(points) * len(self.grid) > MAX_BASIS:
+            raise NumericalError(
+                f"a basis of {len(points)} rows x {len(self.grid)} grid points in "
+                f"{self.grid.dim} dimensions is above the bound of {MAX_BASIS} doubles")
         basis = _basis_matrix(*self._bases[0], points[:, 0])
         for n in range(1, self.grid.dim):
             lam = _basis_matrix(*self._bases[n], points[:, n])
@@ -159,11 +165,9 @@ class TensorInterpolant:
 
     def evaluate_many(self, points) -> np.ndarray:
         """Evaluate at an (S, dim) array of points; returns (S, n_outputs),
-        contracted per block of ``ROWS`` points.  No stage passes more than 64
-        points (adapt's probes, calibrate's first simplices), so the loop runs
-        once there.  It bounds the basis held for calibrate above ``ROWS``
-        starts and for a library check of a surrogate on many points, such
-        as a 10 000-point error estimate."""
+        contracted per block of ``ROWS`` points, each checked against
+        ``MAX_BASIS`` on its own.  Calibrate's first call passes ``n_starts``
+        x (dim + 1) points: 60 on the demo, up to 30 000 in 2-D."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((len(points), self.values.shape[1]))
         for start in range(0, len(points), ROWS):

@@ -29,7 +29,6 @@ from miscuq.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_ORACLE,
-    MAX_BASIS,
     ConfigError,
     _posterior_from_json,
     _stage_seed,
@@ -861,44 +860,45 @@ class TestObservationBandCheck:
 
 
 class TestBasisBound:
-    """A stage refuses a basis above ``cli.MAX_BASIS`` doubles before forming
-    it; the bound is patched down on the demo, so nothing large is held."""
+    """``TensorInterpolant.basis`` refuses a basis above ``interp.MAX_BASIS``
+    doubles before forming it, whichever stage asks; the bound is patched
+    down on the demo, so nothing large is held."""
 
     def demo_argv(self, tmp_path):
         return ["--config", str(DEMO_CONFIG), "--out", str(tmp_path / "out"), "--quiet"]
 
     def test_demo_stays_below_the_bound(self, tmp_path, monkeypatch):
-        # (stage, rows, box grid points) of each check, in order
-        checked = []
-        original = cli._check_basis
-        monkeypatch.setattr(cli, "_check_basis", lambda s, rows, what: checked.append(
-            (what, rows, len(s.compiled.grid))) or original(s, rows, what))
+        sizes = []  # rows x grid points of every basis formed
+        basis = interp.TensorInterpolant.basis
+
+        def recording(self, points):
+            sizes.append(len(np.atleast_2d(points)) * len(self.grid))
+            return basis(self, points)
+
+        monkeypatch.setattr(interp.TensorInterpolant, "basis", recording)
         argv = self.demo_argv(tmp_path)
         assert [main([stage, *argv]) for stage in STAGES[:3]] == [EXIT_OK] * 3
-        assert checked == [("calibrate", 60, 35), ("the prior push", 10_000, 15),
-                           ("the posterior push", 10_000, 9)]
-        assert max(rows * box for _, rows, box in checked) == 150_000 < MAX_BASIS
+        assert max(sizes) == 150_000 < interp.MAX_BASIS  # the prior push, 10 000 x 15
 
     def test_forward_refuses_before_the_push(self, tmp_path, caplog, monkeypatch):
         argv = self.demo_argv(tmp_path)
         assert [main([stage, *argv]) for stage in STAGES[:2]] == [EXIT_OK] * 2
-        monkeypatch.setattr(cli, "MAX_BASIS", 10_000)
-        monkeypatch.setattr(forward, "push_samples",
-                            lambda *a: throw(AssertionError("push_samples was called")))
+        monkeypatch.setattr(interp, "MAX_BASIS", 10_000)
+        monkeypatch.setattr(forward, "summarize_bands",
+                            lambda *a: throw(AssertionError("summarize_bands was called")))
         assert_exit(caplog, ["forward", *argv], EXIT_NUMERICAL,
-                    "the prior push would hold a basis of 10000 rows x 15 box grid points "
-                    "(from 7 distinct points in 2 dimensions), above the bound of 10000 doubles")
+                    "a basis of 10000 rows x 15 grid points in 2 dimensions is above the "
+                    "bound of 10000 doubles")
         assert not (tmp_path / "out" / "reduction.json").exists()
 
     def test_calibrate_refuses_before_the_map_search(self, tmp_path, caplog, monkeypatch):
+        # the refusal is the MAP search's first call: the starts' first simplices
         argv = self.demo_argv(tmp_path)
         assert main(["build", *argv]) == EXIT_OK
-        monkeypatch.setattr(cli, "MAX_BASIS", 1_000)
-        monkeypatch.setattr(bayes, "calibrate",
-                            lambda *a: throw(AssertionError("bayes.calibrate was called")))
+        monkeypatch.setattr(interp, "MAX_BASIS", 1_000)
         assert_exit(caplog, ["calibrate", *argv], EXIT_NUMERICAL,
-                    "calibrate would hold a basis of 60 rows x 35 box grid points "
-                    "(from 16 distinct points in 2 dimensions), above the bound of 1000 doubles")
+                    "a basis of 60 rows x 35 grid points in 2 dimensions is above the "
+                    "bound of 1000 doubles")
         assert not (tmp_path / "out" / "posterior.json").exists()
 
 
@@ -1398,6 +1398,30 @@ class TestMainExitCodes:
         (out / "posterior.json").write_text(json.dumps(
             {**REPORT_INPUTS["posterior.json"], "covariance": covariance}))
         assert_config_exit(caplog, ["report", "--config", str(path), "--quiet"], needle)
+        assert not (out / "report.txt").exists()
+
+    def write_report_inputs(self, tmp_path, counts):
+        out = tmp_path / "out"
+        out.mkdir()
+        for artifact, doc in REPORT_INPUTS.items():
+            (out / artifact).write_text(json.dumps(doc))
+        (out / "build_report.json").write_text(json.dumps({
+            **REPORT_INPUTS["build_report.json"], "surrogate_points_by_fidelity": counts}))
+        return write_config(tmp_path), out
+
+    def test_report_orders_fidelity_rows_by_level(self, tmp_path):
+        path, out = self.write_report_inputs(tmp_path, {"1": 15, "2": 1, "10": 3})
+        assert main(["report", "--config", str(path), "--quiet"]) == EXIT_OK
+        rows = [line for line in (out / "report.txt").read_text().splitlines()
+                if line.startswith("surrogate_points_alpha_")]
+        assert rows == ["surrogate_points_alpha_1: 15", "surrogate_points_alpha_2: 1",
+                        "surrogate_points_alpha_10: 3"]
+
+    @pytest.mark.parametrize("key", ["x", "0", "-1", "01", " 1", "1_0"])
+    def test_report_refuses_a_key_that_is_not_a_level(self, tmp_path, caplog, key):
+        path, out = self.write_report_inputs(tmp_path, {"1": 15, key: 3})
+        assert_config_exit(caplog, ["report", "--config", str(path), "--quiet"],
+                           "build_report.json", f"[{key!r}] are not fidelity levels")
         assert not (out / "report.txt").exists()
 
     def test_forward_rejects_overflowing_covariance_trace(self, tmp_path, caplog):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from miscuq import interp
+from miscuq.artifacts import NumericalError
 from miscuq.interp import TensorInterpolant, build_grid
 from miscuq.leja import SymmetricLeja, level_to_knots
 
@@ -252,3 +253,34 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4e6, peak
+
+
+class TestBasisBound:
+    """``basis`` refuses more than ``MAX_BASIS`` doubles before it forms any
+    per-axis matrix; ``evaluate_many`` checks each block on its own."""
+
+    def interpolant(self):
+        grid = build_grid((3, 2), unit_families(2))
+        return TensorInterpolant(grid, np.ones((len(grid), 2)))
+
+    def test_refuses_one_row_past_the_bound(self, monkeypatch):
+        itp, k = self.interpolant(), 7
+        monkeypatch.setattr(interp, "MAX_BASIS", k * len(itp.grid))
+        assert itp.basis(np.zeros((k, 2))).shape == (k, len(itp.grid))
+
+        def forbidden(*args):
+            raise AssertionError("_basis_matrix called")
+
+        monkeypatch.setattr(interp, "_basis_matrix", forbidden)
+        with pytest.raises(NumericalError) as exc:
+            itp.basis(np.zeros((k + 1, 2)))
+        assert str(exc.value) == (f"a basis of {k + 1} rows x {len(itp.grid)} grid points in 2 "
+                                  f"dimensions is above the bound of {k * len(itp.grid)} doubles")
+
+    def test_evaluate_many_checks_each_block(self, monkeypatch):
+        itp = self.interpolant()
+        monkeypatch.setattr(interp, "MAX_BASIS", interp.ROWS * len(itp.grid))
+        points = np.random.default_rng(5).uniform(-1, 1, (2 * interp.ROWS + 1, 2))
+        with pytest.raises(NumericalError):
+            itp.basis(points)
+        assert np.allclose(itp.evaluate_many(points), 1.0, rtol=0, atol=1e-12)
